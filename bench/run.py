@@ -86,7 +86,7 @@ def main(argv: list[str] | None = None) -> int:
             workload=args.workload,
             seed=args.seed,
             scale=args.scale,
-            calibration={"at": run.clock.at, "seconds": run.clock.cal},
+            calibration={"at": run.clock.at, "seconds": run.clock.cal, "parse_seconds": run.clock.parse_cal},
         )
     for problem in run.problems:
         print(f"CHECK FAILED: {problem}", file=sys.stderr)

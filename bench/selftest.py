@@ -11,6 +11,7 @@ declares.  Exit code 0 when every case behaves as expected.
 from __future__ import annotations
 
 import json
+import math
 import subprocess
 import sys
 from contextlib import contextmanager
@@ -138,6 +139,27 @@ def case_float_fault_is_failed_not_wrong():
     r = tiny_run("sparse-stream")
     if r.failed == 0 or r.attempted % len(workloads.TINY.sparse_sizes):
         return f"sparse-stream counted {r.failed} failed of {r.attempted}"
+    return None
+
+
+def exactly_rounded_sum(real):
+    """mst_puredp with the float-sum fault mended: the terms summed by math.fsum."""
+
+    def fake(g, x):
+        _, ops = real(g, x)
+        dec = mm.mst_decomposition(g, x, mm.fix_spanning_tree(g))
+        return math.fsum(d for _, d in dec.terms), ops
+
+    return fake
+
+
+def case_float_fix_keeps_the_run_correct():
+    """Once mst_puredp sums exactly, nothing fails and no check breaks, traced or not."""
+    with replaced("mst_puredp", exactly_rounded_sum):
+        for traced in (False, True):
+            r = tiny_run("sparse-stream", traced)
+            if r.problems or r.failed:
+                return f"fsum mst_puredp (traced={traced}): failed {r.failed}, {r.problems[:2]}"
     return None
 
 

@@ -26,9 +26,13 @@ SLICE = 0.3  # seconds of work per calibration sweep
 WINDOW = 2.0  # seconds either side of a duration whose sweeps set its scale
 BURST = 8  # most sweeps run at one tick, after a long call
 REFERENCE_S = 0.0125  # calibration sweep seconds at reference speed
+PARSE_REFERENCE_S = 0.011  # parse sweep seconds at reference speed
 _SIZE = 256
 _rng = random.Random("calibration")
 _TABLE = [[_rng.random() for _ in range(_SIZE)] for _ in range(_SIZE)]
+_TEXT = "".join(
+    f"{_rng.randint(1, 64)} {_rng.randint(1, 64)} {_rng.randint(0, 1000)}\n" for _ in range(4000)
+)
 del _rng
 
 
@@ -47,12 +51,31 @@ def _sweep() -> None:
                     ri[j] = c
 
 
+def parse_sweep_seconds() -> float:
+    """Seconds of one pass that parses a fixed edge-list text, as set-up does.
+
+    Set-up is string splitting, number parsing and small allocations, which
+    the host's load slows down differently from the table sweep, so set-up
+    times are scaled by this pass, run just before and just after each one.
+    """
+    t0 = time.perf_counter()
+    edges, seen, adj = [], set(), {}
+    for line in _TEXT.splitlines():
+        u, v, w = line.split()
+        e = (min(int(u), int(v)), max(int(u), int(v)))
+        seen.add(e)
+        edges.append((e, float(w)))
+        adj.setdefault(e[0], []).append(len(edges))
+    return time.perf_counter() - t0
+
+
 class Clock:
-    """Calibration marks (midpoint, sweep seconds), in time order."""
+    """Calibration marks (midpoint, sweep seconds), in time order, and parse sweeps."""
 
     def __init__(self) -> None:
         self.at: list[float] = []
         self.cal: list[float] = []
+        self.parse_cal: list[float] = []  # parse sweep seconds, two per set-up
 
     def calibrate(self) -> None:
         t0 = time.perf_counter()

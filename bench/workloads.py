@@ -7,7 +7,8 @@ A workload run, all in this one process and thread:
   3. answers whole rounds of its instances until the window has passed,
      timing each call into the package;
   4. reads its peak RSS, then checks every answer against checks.py.
-Every duration it reports is scaled to reference speed by timing.Clock.
+Every duration it reports is scaled to reference speed: set-up times by the
+parse sweep of timing.parse_sweep_seconds, all others by timing.Clock.
 Traced, it also replays the solver's schedule through the public layer
 functions, and probes the naive solver and the circuit on instances small
 enough for them, so that every layer gets a per-layer figure on every
@@ -30,7 +31,7 @@ import minmaxmst as mm
 import checks
 import inputs
 from inputs import Instance
-from timing import Clock
+from timing import PARSE_REFERENCE_S, Clock, parse_sweep_seconds
 
 SETUP_REPEATS = 15
 DENSE_MAX_WEIGHT = 1 << 20
@@ -88,20 +89,27 @@ class Run:
         return value, ops.total
 
     def set_up(self, make, inspect=None):
-        """Median seconds of SETUP_REPEATS calls of make(i); inspect(i, state) runs untimed."""
+        """Median seconds of SETUP_REPEATS calls of make(i); inspect(i, state) runs untimed.
+
+        Each set-up is scaled by the parse sweeps run just before and after it.
+        """
         times, state = [], None
         for i in range(SETUP_REPEATS):
             state = None  # free the previous set-up first, so peak memory holds one
             gc.collect()
             self.clock.tick()
+            before = parse_sweep_seconds()
             with self.tracer.span("bench.setup"):
                 t0 = time.perf_counter()
                 state = make(i)
-                times.append((t0, time.perf_counter()))
+                t1 = time.perf_counter()
+            after = parse_sweep_seconds()
+            times.append((t1 - t0) * PARSE_REFERENCE_S / ((before + after) / 2))
+            self.clock.parse_cal += [before, after]
             self.clock.tick()
             if inspect is not None:
                 inspect(i, state)
-        return state, statistics.median(self.clock.seconds(*t) for t in times)
+        return state, statistics.median(times)
 
     def window(self, answer, items) -> list:
         """Answer whole rounds over items until the window has passed.
@@ -150,8 +158,9 @@ class Run:
         """Walk the solver's schedule through the public layer functions.
 
         Term i is the distance of tree edge e_i after e_1..e_{i-1} were zeroed;
-        their left-to-right sum must equal mst_puredp, and their multiset the
-        MST's edge weights.
+        their sum must equal mst_puredp (on fractional weights, to within
+        float rounding, whatever order either side adds in), and their
+        multiset the MST's edge weights.
         """
         with self.tracer.span("bench.replay", n=inst.n, m=inst.m):
             g, x = self.step("graphs.parse_graph", mm.parse_graph, inst.text)
@@ -168,11 +177,10 @@ class Run:
             value, _ = self.solve(g, x)
             kruskal = self.step("oracles.kruskal_mst", mm.kruskal_mst, g, x)
             self.clock.tick()
-        total = 0.0
-        for t in terms:
-            total += t
-        if total != value:
-            self.problems.append(f"replay sums to {total!r}, mst_puredp gave {value!r} (n={inst.n})")
+        if checks.judge_weight(value, terms, inst.integer) == checks.WRONG:
+            self.problems.append(
+                f"replay terms sum to {math.fsum(terms)!r}, mst_puredp gave {value!r} (n={inst.n})"
+            )
         if not checks.same_terms(terms, tree):
             self.problems.append(f"replay terms are not the MST's edge weights (n={inst.n})")
         self.judge("kruskal_mst", kruskal, inst, tree)
@@ -192,7 +200,11 @@ class Run:
         self.circuits.append((nodes, depth, len(text.encode())))
 
     def probe(self, inst: Instance, tree: list[float], circuit: bool = True) -> None:
-        """The naive solver and, unless told not to, the circuit: both must match mst_puredp."""
+        """The naive solver and, unless told not to, the circuit: both must match mst_puredp.
+
+        On fractional weights the solvers may add their terms in different
+        orders, so there they need only agree to within float rounding.
+        """
         with self.tracer.span("bench.probe", n=inst.n, m=inst.m):
             g, x = self.step("graphs.parse_graph", mm.parse_graph, inst.text)
             answers = {"mst_puredp_naive": self.step("solver.mst_puredp_naive", mm.mst_puredp_naive, g, x)[0]}
@@ -205,7 +217,7 @@ class Run:
             self.check_circuit(inst, compiled, text)
         solved, _ = mm.mst_puredp(g, x)
         for what, value in answers.items():
-            if value != solved:
+            if checks.judge_weight(value, [solved], inst.integer) == checks.WRONG:
                 self.problems.append(f"{what} gave {value!r}, mst_puredp {solved!r} (n={inst.n})")
             self.judge(what, value, inst, tree)
 
@@ -268,7 +280,9 @@ def circuit_64(run: Run, scale: Scale, seed: int) -> dict:
 
     The solver's distance layer does no work in the window; compile, evaluate
     and the circuit's storage do.  Set-up i compiles the graph parsed from
-    weighting i, so the first two emitted texts must match byte for byte.
+    weighting i, so the texts emitted for the first and the last set-up must
+    match byte for byte.  The last is formatted after peak memory is read,
+    so that the figure holds one format_circuit, as emit-circuit does.
     """
     rng = random.Random(f"circuit-64:{seed}")
     weight = inputs.integer_weight(DENSE_MAX_WEIGHT)
@@ -286,20 +300,27 @@ def circuit_64(run: Run, scale: Scale, seed: int) -> dict:
     digests = []
 
     def inspect(i, state):
-        if i < 2:
-            text = run.call("circuit.format_circuit", mm.format_circuit, state[1])
-            digests.append(hashlib.sha256(text.encode()).hexdigest())
-            if i == 0:
-                run.check_circuit(insts[0], state[1], text)
+        if i == 0:
+            digests.append(digest(run.call("circuit.format_circuit", mm.format_circuit, state[1])))
 
     (parsed, circuit), setup_s = run.set_up(make, inspect)
-    if len(set(digests)) != 1:
-        run.problems.append("two compiles of one graph emitted different circuit text")
     xs = [x for _, x in parsed]
     done = run.window(lambda x: (run.call("circuit.evaluate", mm.evaluate, circuit, x), None), xs)
     rss = peak_rss_mb()
+    text = run.step("circuit.format_circuit", mm.format_circuit, circuit)
+    if digest(text) != digests[0]:
+        run.problems.append("two compiles of one graph emitted different circuit text")
+    run.check_circuit(insts[0], circuit, text)
     run.judge_window(done, insts, trees_of(insts))
     return end_to_end(setup_s, done, rss)
+
+
+def digest(text: str, chunk: int = 1 << 20) -> str:
+    """SHA-256 of the UTF-8 text, encoded a chunk at a time so it adds no text-sized copy."""
+    h = hashlib.sha256()
+    for k in range(0, len(text), chunk):
+        h.update(text[k : k + chunk].encode())
+    return h.hexdigest()
 
 
 WORKLOADS = {"dense-256": dense_256, "sparse-stream": sparse_stream, "circuit-64": circuit_64}
