@@ -2,9 +2,9 @@
 
 Because the solver never branches on weights, a graph compiles once into a
 fixed DAG of input/const-0/min/max/add nodes.  Evaluating that circuit on
-any weighting reproduces the solver, and counting its nodes reproduces the
-solver's instrumented operation counts: about 3n^3 for the incremental
-driver versus n^4 for the naive one.
+any weighting reproduces the solver, and counting its nodes, op by op,
+reproduces the counts the solver reports for its schedule: about 3n^3 for
+the incremental driver versus n^4 for the naive one.
 """
 
 from minmaxmst import (
@@ -34,7 +34,7 @@ print()
 
 ops = count_ops(circuit)
 print(f"node tally: {ops.min_count} min, {ops.max_count} max, {ops.add_count} add")
-print(f"solver instrumentation on the same graph: {mst_puredp(g, x)[1]}")
+print(f"counts the solver reports for the same graph: {mst_puredp(g, x)[1]}")
 print()
 
 print("operation totals on complete graphs (circuit node counts = closed form):")

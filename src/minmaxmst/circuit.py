@@ -144,7 +144,12 @@ def compile_mst_circuit_naive(g: Graph) -> Circuit:
 
 
 def evaluate(c: Circuit, x: Weighting | Sequence[float]) -> float:
-    """Forward-evaluate the circuit on a weighting with one value per input."""
+    """Forward-evaluate the circuit on a weighting with one value per input.
+
+    The final additions run in tree order, so on non-integer weights the
+    result agrees with `mst_puredp` (an exactly rounded sum) only to within
+    rounding; on integer weights the two are equal.
+    """
     values = x.values if isinstance(x, Weighting) else tuple(float(w) for w in x)
     if len(values) != c.m:
         raise ValueError(f"circuit expects {c.m} input values, got {len(values)}")
@@ -187,5 +192,5 @@ def format_circuit(c: Circuit) -> str:
             lines.append(f"{i} = const 0")
         else:
             lines.append(f"{i} = {kind} {node[1]} {node[2]}")
-    lines.append(f"output {c.output}")
-    return "\n".join(lines) + "\n"
+    lines.append(f"output {c.output}\n")
+    return "\n".join(lines)

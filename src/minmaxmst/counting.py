@@ -25,21 +25,3 @@ class OpCounts:
             "total": self.total,
         }
 
-
-class OpCounter:
-    """Mutable accumulator threaded through the numeric kernels.
-
-    The kernels bump the counters by their actual loop trip counts, so the
-    final numbers reflect what a run really executed (the closed forms in
-    `solver` and the node tallies in `circuit` must agree with them exactly).
-    """
-
-    __slots__ = ("min_count", "max_count", "add_count")
-
-    def __init__(self) -> None:
-        self.min_count = 0
-        self.max_count = 0
-        self.add_count = 0
-
-    def snapshot(self) -> OpCounts:
-        return OpCounts(self.min_count, self.max_count, self.add_count)

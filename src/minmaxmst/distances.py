@@ -9,12 +9,8 @@ min/max operations on the previous matrix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
-
 import numpy as np
 
-from .counting import OpCounter
 from .graphs import (
     ExtendedWeighting,
     Graph,
@@ -24,117 +20,47 @@ from .graphs import (
     _check_weighting,
 )
 
-
-@dataclass(frozen=True, eq=False, init=False)
-class DistanceMatrix:
-    """Symmetric n x n table of min-max distances (zero diagonal)."""
-
-    values: np.ndarray
-
-    def __init__(self, values: np.ndarray | Sequence[Sequence[float]]):
-        arr = np.array(values, dtype=float)
-        _check_square_symmetric(arr)
-        arr.setflags(write=False)
-        object.__setattr__(self, "values", arr)
-
-    @property
-    def n(self) -> int:
-        return self.values.shape[0]
-
-    def dist(self, u: int, v: int) -> float:
-        """Min-max distance between vertices u and v, 1-based."""
-        return float(self.values[u - 1, v - 1])
+DistanceMatrix = ExtendedWeighting  # a table of min-max distances
 
 
-def _fw_rows(rows: list[list[float]], counter: OpCounter | None = None) -> None:
-    """In-place bottleneck Floyd-Warshall over mutable rows.
+def _sweep(d: np.ndarray) -> None:
+    """In-place bottleneck Floyd-Warshall on an (n, n) float array.
 
-    Round k relaxes every unordered pair {i,j} through vertex k with one max
-    and one min; entries in row/column k never change during round k, so the
-    in-place sweep realizes the round-by-round recurrence exactly.
+    Round k relaxes every pair through vertex k with one max and one min.
+    Row and column k do not change during round k (d[k, k] = 0 and the
+    entries are nonnegative), so the in-place sweep realizes the
+    round-by-round recurrence exactly.
     """
-    n = len(rows)
-    for k in range(n):
-        rk = rows[k]
-        for i in range(n - 1):
-            ri = rows[i]
-            rik = ri[k]
-            for j in range(i + 1, n):
-                cand = rk[j]
-                if rik > cand:
-                    cand = rik  # max(D[i][k], D[k][j])
-                if cand < ri[j]:  # min with D[i][j]
-                    ri[j] = cand
-                    rows[j][i] = cand
-    if counter is not None:
-        pairs = n * (n - 1) // 2
-        counter.min_count += n * pairs
-        counter.max_count += n * pairs
+    for k in range(d.shape[0]):
+        np.minimum(d, np.maximum(d[:, k, None], d[None, k, :]), out=d)
 
 
-def _zero_update_rows(
-    rows: list[list[float]], a0: int, b0: int, counter: OpCounter | None = None
-) -> list[list[float]]:
-    """Distance rows after pair {a0,b0} (0-based) gets weight zero.
+def _zero_update(d: np.ndarray, a: int, b: int) -> None:
+    """In place: distances after pair {a,b} (0-based) gets weight zero.
 
-    Reads only the old matrix and writes a fresh one: for every unordered
-    pair, take min(D[i][j], max(D[i][a], D[b][j]), max(D[i][b], D[a][j])),
-    two maxes and two left-associated mins per pair.
+    Every pair becomes min(d[i,j], max(d[i,a], d[b,j]), max(d[i,b], d[a,j]))
+    over the old matrix.  By symmetry the second max table is the transpose
+    of the first, which is read from rows a and b before d is written.
     """
-    n = len(rows)
-    out = [row[:] for row in rows]
-    ca = [rows[i][a0] for i in range(n)]
-    cb = [rows[i][b0] for i in range(n)]
-    for i in range(n - 1):
-        ri = rows[i]
-        oi = out[i]
-        via_a = ca[i]
-        via_b = cb[i]
-        for j in range(i + 1, n):
-            best = ri[j]
-            cand = cb[j]
-            if via_a > cand:
-                cand = via_a  # max(D[i][a], D[b][j])
-            if cand < best:
-                best = cand
-            cand = ca[j]
-            if via_b > cand:
-                cand = via_b  # max(D[i][b], D[a][j])
-            if cand < best:
-                best = cand
-            if best != ri[j]:
-                oi[j] = best
-                out[j][i] = best
-    if counter is not None:
-        pairs = n * (n - 1) // 2
-        counter.min_count += 2 * pairs
-        counter.max_count += 2 * pairs
-    return out
+    via = np.maximum(d[a, :, None], d[b])  # a fresh array: no aliasing
+    np.minimum(d, via, out=d)
+    np.minimum(d, via.T, out=d)
 
 
-def _as_rows(table: ExtendedWeighting | DistanceMatrix | np.ndarray) -> list[list[float]]:
-    values = getattr(table, "values", table)
-    arr = np.asarray(values, dtype=float)
-    _check_square_symmetric(arr)
-    return arr.tolist()
-
-
-def all_pairs_minmax(
-    xbar: ExtendedWeighting | np.ndarray, counter: OpCounter | None = None
-) -> DistanceMatrix:
+def all_pairs_minmax(xbar: ExtendedWeighting | np.ndarray) -> DistanceMatrix:
     """All-pairs min-max distances of a complete weight table.
 
     Initial values are the pair weights; n rounds of the pair recurrence
-    perform exactly n * n(n-1)/2 min and as many max operations.
+    perform n * n(n-1)/2 min and as many max operations.  The input is
+    not modified.
     """
-    rows = _as_rows(xbar)
-    _fw_rows(rows, counter)
-    return DistanceMatrix(rows)
+    d = np.array(getattr(xbar, "values", xbar), dtype=float)
+    _check_square_symmetric(d)
+    _sweep(d)
+    return DistanceMatrix(d)
 
 
-def zero_edge_update(
-    d: DistanceMatrix, a: int, b: int, counter: OpCounter | None = None
-) -> DistanceMatrix:
+def zero_edge_update(d: DistanceMatrix, a: int, b: int) -> DistanceMatrix:
     """Distance matrix after the single pair {a,b} is given weight zero.
 
     a and b are 1-based vertices.  Uses 2 * n(n-1)/2 min and as many max
@@ -145,7 +71,9 @@ def zero_edge_update(
         raise GraphError("zeroed pair needs two distinct vertices")
     if not (1 <= a <= n and 1 <= b <= n):
         raise GraphError(f"vertex out of range: {{{a},{b}}} for n={n}")
-    return DistanceMatrix(_zero_update_rows(d.values.tolist(), a - 1, b - 1, counter))
+    out = d.values.copy()
+    _zero_update(out, a - 1, b - 1)
+    return DistanceMatrix(out)
 
 
 def minmax_distance_bruteforce(g: Graph, x: Weighting, u: int, v: int) -> float:

@@ -8,12 +8,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, reduce
+from functools import lru_cache, reduce
+from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
-
-from .counting import OpCounter
 
 
 class GraphError(ValueError):
@@ -26,6 +25,12 @@ class ParseError(GraphError):
 
 def _normalize_edge(u: int, v: int) -> tuple[int, int]:
     return (u, v) if u < v else (v, u)
+
+
+# One tuple per vertex pair, shared by all graphs: edge tuples are most of
+# what a graph keeps.  Only validated graphs add to it, so it holds at most
+# n(n-1)/2 pairs for the largest n seen.
+_PAIRS: dict[tuple[int, int], tuple[int, int]] = {}
 
 
 @dataclass(frozen=True, init=False)
@@ -41,6 +46,7 @@ class Graph:
             self, "edges", tuple(_normalize_edge(u, v) for u, v in edges)
         )
         self._validate()
+        object.__setattr__(self, "edges", tuple(_PAIRS.setdefault(e, e) for e in self.edges))
 
     def _validate(self) -> None:
         if self.n < 1:
@@ -77,7 +83,7 @@ class Graph:
     def m(self) -> int:
         return len(self.edges)
 
-    @cached_property
+    @property
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
         """Neighbor lists in ascending vertex order; entry 0 is unused."""
         adj: list[list[int]] = [[] for _ in range(self.n + 1)]
@@ -86,7 +92,7 @@ class Graph:
             adj[v].append(u)
         return tuple(tuple(sorted(nbrs)) for nbrs in adj)
 
-    @cached_property
+    @property
     def edge_index(self) -> dict[tuple[int, int], int]:
         """Maps the normalized vertex pair of each edge to its index."""
         return {e: i for i, e in enumerate(self.edges)}
@@ -134,27 +140,39 @@ def _check_weighting(g: Graph, x: Weighting) -> None:
         raise GraphError(f"weighting has {len(x)} values for a graph with {g.m} edges")
 
 
+class _UnionFind:
+    __slots__ = ("parent",)
+
+    def __init__(self, n: int) -> None:
+        self.parent = list(range(n + 1))
+
+    def find(self, v: int) -> int:
+        p = self.parent
+        while p[v] != v:
+            p[v] = p[p[v]]
+            v = p[v]
+        return v
+
+    def union(self, u: int, v: int) -> bool:
+        ru, rv = self.find(u), self.find(v)
+        if ru == rv:
+            return False
+        self.parent[ru] = rv
+        return True
+
+
 def validate_spanning_tree(g: Graph, t: SpanningTree) -> None:
     """Raise GraphError unless t's edge indices form a spanning tree of g."""
     if len(t.edges) != g.n - 1:
         raise GraphError(f"spanning tree needs {g.n - 1} edges, got {len(t.edges)}")
     if len(set(t.edges)) != len(t.edges):
         raise GraphError("spanning tree repeats an edge index")
-    parent = list(range(g.n + 1))
-
-    def find(v: int) -> int:
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
+    uf = _UnionFind(g.n)
     for idx in t.edges:
         if not 0 <= idx < g.m:
             raise GraphError(f"edge index {idx} out of range")
-        ru, rv = find(g.edges[idx][0]), find(g.edges[idx][1])
-        if ru == rv:
+        if not uf.union(*g.edges[idx]):
             raise GraphError("spanning tree contains a cycle")
-        parent[ru] = rv
     # n-1 acyclic edges on n vertices necessarily span
 
 
@@ -166,6 +184,7 @@ def fix_spanning_tree(g: Graph) -> SpanningTree:
     order; tree edges are listed in discovery order.
     """
     adj = g.adjacency
+    index = g.edge_index
     visited = [False] * (g.n + 1)
     visited[1] = True
     order: list[int] = []
@@ -175,7 +194,7 @@ def fix_spanning_tree(g: Graph) -> SpanningTree:
         for v in it:
             if not visited[v]:
                 visited[v] = True
-                order.append(g.edge_index[_normalize_edge(u, v)])
+                order.append(index[_normalize_edge(u, v)])
                 stack.append((v, iter(adj[v])))
                 break
         else:
@@ -196,7 +215,11 @@ def _check_square_symmetric(values: np.ndarray) -> None:
 
 @dataclass(frozen=True, eq=False, init=False)
 class ExtendedWeighting:
-    """Symmetric n x n weight table over all vertex pairs of K_n."""
+    """Read-only symmetric n x n table over all vertex pairs of K_n.
+
+    Holds a complete extension's weights and, as `distances.DistanceMatrix`,
+    min-max distances; either way it is validated on construction.
+    """
 
     values: np.ndarray
 
@@ -211,25 +234,25 @@ class ExtendedWeighting:
         return self.values.shape[0]
 
     def weight(self, u: int, v: int) -> float:
-        """Weight of the vertex pair {u,v}, 1-based."""
+        """Entry of the vertex pair {u,v}, 1-based."""
         return float(self.values[u - 1, v - 1])
 
+    dist = weight
 
-def _extension_rows(g: Graph, x: Weighting, counter: OpCounter | None = None) -> list[list[float]]:
-    """Weight table of the complete extension as mutable rows (0-based)."""
-    n = g.n
+
+def _extension_table(g: Graph, x: Weighting) -> np.ndarray:
+    """Weight table of the complete extension as a fresh (n, n) array (0-based)."""
     if g.m == 0:
-        return [[0.0] * n for _ in range(n)]
+        return np.zeros((g.n, g.n))
     biggest = reduce(lambda a, b: a if a >= b else b, x.values)  # m-1 max ops
-    if counter is not None:
-        counter.max_count += g.m - 1
-    rows = [[biggest] * n for _ in range(n)]
-    for i in range(n):
-        rows[i][i] = 0.0
-    for idx, (u, v) in enumerate(g.edges):
-        rows[u - 1][v - 1] = x.values[idx]
-        rows[v - 1][u - 1] = x.values[idx]
-    return rows
+    table = np.full((g.n, g.n), biggest)
+    table.flat[:: g.n + 1] = 0.0
+    ends = np.fromiter(chain.from_iterable(g.edges), np.intp, 2 * g.m) - 1
+    u, v = ends[0::2], ends[1::2]
+    w = np.array(x.values)
+    table[u, v] = w
+    table[v, u] = w
+    return table
 
 
 def complete_extension(g: Graph, x: Weighting) -> ExtendedWeighting:
@@ -240,7 +263,7 @@ def complete_extension(g: Graph, x: Weighting) -> ExtendedWeighting:
     the diagonal is zero.  MST weight is unchanged by the extension.
     """
     _check_weighting(g, x)
-    return ExtendedWeighting(_extension_rows(g, x))
+    return ExtendedWeighting(_extension_table(g, x))
 
 
 def _format_weight(w: float) -> str:

@@ -14,34 +14,13 @@ from functools import lru_cache
 import numpy as np
 
 from .distances import DistanceMatrix, all_pairs_minmax
-from .graphs import Graph, GraphError, Weighting, _check_weighting
+from .graphs import Graph, Weighting, _check_weighting, _UnionFind
 
 BRUTEFORCE_MAX_N = 8
 
 
 class PreconditionError(ValueError):
     """An algorithm's input hypothesis is violated (size limit, duplicate weights)."""
-
-
-class _UnionFind:
-    __slots__ = ("parent",)
-
-    def __init__(self, n: int) -> None:
-        self.parent = list(range(n + 1))
-
-    def find(self, v: int) -> int:
-        p = self.parent
-        while p[v] != v:
-            p[v] = p[p[v]]
-            v = p[v]
-        return v
-
-    def union(self, u: int, v: int) -> bool:
-        ru, rv = self.find(u), self.find(v)
-        if ru == rv:
-            return False
-        self.parent[ru] = rv
-        return True
 
 
 def kruskal_tree(g: Graph, x: Weighting) -> tuple[int, ...]:
@@ -59,12 +38,8 @@ def kruskal_tree(g: Graph, x: Weighting) -> tuple[int, ...]:
 
 
 def kruskal_mst(g: Graph, x: Weighting) -> float:
-    """MST weight via sort-edges-ascending plus union-find."""
-    total = 0.0
-    values = x.values
-    for idx in kruskal_tree(g, x):
-        total += values[idx]
-    return total
+    """MST weight via sort-edges-ascending plus union-find (exactly rounded sum)."""
+    return math.fsum(x.values[idx] for idx in kruskal_tree(g, x))
 
 
 @lru_cache(maxsize=None)
@@ -75,6 +50,7 @@ def _spanning_tree_array(g: Graph) -> np.ndarray:
     chosen: list[int] = []
     parent = list(range(n + 1))
 
+    # no path compression: the backtracking undo `parent[ru] = ru` relies on it
     def find(v: int) -> int:
         while parent[v] != v:
             v = parent[v]
@@ -101,7 +77,10 @@ def _spanning_tree_array(g: Graph) -> np.ndarray:
 
 
 def bruteforce_mst(g: Graph, x: Weighting) -> float:
-    """MST weight by enumerating every spanning tree; limited to n <= 8."""
+    """MST weight by enumerating every spanning tree; limited to n <= 8.
+
+    Returns the exactly rounded sum of the tree whose numpy sum is smallest.
+    """
     _check_weighting(g, x)
     if g.n > BRUTEFORCE_MAX_N:
         raise PreconditionError(
@@ -110,8 +89,8 @@ def bruteforce_mst(g: Graph, x: Weighting) -> float:
     if g.n == 1:
         return 0.0
     trees = _spanning_tree_array(g)
-    weights = np.asarray(x.values, dtype=float)
-    return float(weights[trees].sum(axis=1).min())
+    weights = np.asarray(x.values, dtype=float)[trees]
+    return math.fsum(weights[np.argmin(weights.sum(axis=1))])
 
 
 def maggs_plotkin_mst(g: Graph, x: Weighting) -> float:
@@ -130,12 +109,10 @@ def maggs_plotkin_mst(g: Graph, x: Weighting) -> float:
     for idx, (u, v) in enumerate(g.edges):
         table[u - 1, v - 1] = x.values[idx]
         table[v - 1, u - 1] = x.values[idx]
-    d = all_pairs_minmax(table)
-    total = 0.0
-    for idx, (u, v) in enumerate(g.edges):
-        if d.values[u - 1, v - 1] == x.values[idx]:
-            total += x.values[idx]
-    return total
+    d = all_pairs_minmax(table).values
+    return math.fsum(
+        w for (u, v), w in zip(g.edges, x.values) if d[u - 1, v - 1] == w
+    )
 
 
 def hu_minmax_via_mst(g: Graph, x: Weighting) -> DistanceMatrix:

@@ -10,17 +10,18 @@ driver recomputes distances from scratch each round in O(n^4).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable
 
-from .counting import OpCounter, OpCounts
-from .distances import _fw_rows, _zero_update_rows
+from .counting import OpCounts
+from .distances import _sweep, _zero_update
 from .graphs import (
     Graph,
     SpanningTree,
     Weighting,
     _check_weighting,
-    _extension_rows,
+    _extension_table,
     fix_spanning_tree,
     validate_spanning_tree,
 )
@@ -28,34 +29,31 @@ from .graphs import (
 
 @dataclass(frozen=True, init=False)
 class Decomposition:
-    """Per-tree-edge bottleneck terms whose sum is the MST weight."""
+    """Per-tree-edge bottleneck terms whose sum is the MST weight.
+
+    The terms are the MST's edge weights in some order, so `total` is their
+    exactly rounded sum (`math.fsum`), the same for every tree and order.
+    """
 
     terms: tuple[tuple[int, float], ...]
     total: float
 
     def __init__(self, terms: Iterable[tuple[int, float]]):
         terms = tuple((int(e), float(d)) for e, d in terms)
-        total = 0.0
-        for _, d in terms:
-            total += d  # left-to-right, reproducible for floats
         object.__setattr__(self, "terms", terms)
-        object.__setattr__(self, "total", total)
+        object.__setattr__(self, "total", math.fsum(d for _, d in terms))
 
 
-def _decompose(
-    g: Graph, x: Weighting, order: tuple[int, ...], counter: OpCounter | None
-) -> Decomposition:
-    rows = _extension_rows(g, x, counter)
-    _fw_rows(rows, counter)
+def _decompose(g: Graph, x: Weighting, order: tuple[int, ...]) -> Decomposition:
+    d = _extension_table(g, x)
+    _sweep(d)
     terms: list[tuple[int, float]] = []
     last = len(order) - 1
     for pos, eidx in enumerate(order):
         u, v = g.edges[eidx]
-        terms.append((eidx, rows[u - 1][v - 1]))
-        if counter is not None:
-            counter.add_count += 1
+        terms.append((eidx, d[u - 1, v - 1]))
         if pos < last:  # no update needed after the final tree edge
-            rows = _zero_update_rows(rows, u - 1, v - 1, counter)
+            _zero_update(d, u - 1, v - 1)
     return Decomposition(terms)
 
 
@@ -68,7 +66,7 @@ def mst_decomposition(g: Graph, x: Weighting, t: SpanningTree) -> Decomposition:
     """
     _check_weighting(g, x)
     validate_spanning_tree(g, t)
-    return _decompose(g, x, t.edges, None)
+    return _decompose(g, x, t.edges)
 
 
 def fw_pair_ops(n: int) -> int:
@@ -106,12 +104,13 @@ def mst_puredp(g: Graph, x: Weighting) -> tuple[float, OpCounts]:
     then walks the fixed spanning tree: read the current distance of the
     tree edge, add it to the accumulator, zero the edge and update the
     matrix in O(n^2) (the update after the last edge is skipped).  The
-    operation sequence depends only on the graph, never on the weights.
+    operation sequence depends only on the graph, never on the weights,
+    so the counts returned are the schedule's closed form; `count_ops` of
+    the compiled circuit tallies the same schedule op by op.
     """
     _check_weighting(g, x)
-    counter = OpCounter()
-    dec = _decompose(g, x, fix_spanning_tree(g).edges, counter)
-    return dec.total, counter.snapshot()
+    dec = _decompose(g, x, fix_spanning_tree(g).edges)
+    return dec.total, puredp_op_counts(g.n, g.m)
 
 
 def mst_puredp_naive(g: Graph, x: Weighting) -> tuple[float, OpCounts]:
@@ -122,15 +121,12 @@ def mst_puredp_naive(g: Graph, x: Weighting) -> tuple[float, OpCounts]:
     O(n^4) total.
     """
     _check_weighting(g, x)
-    counter = OpCounter()
-    base = _extension_rows(g, x, counter)
-    total = 0.0
+    base = _extension_table(g, x)
+    terms: list[float] = []
     for eidx in fix_spanning_tree(g).edges:
-        rows = [row[:] for row in base]
-        _fw_rows(rows, counter)
+        d = base.copy()
+        _sweep(d)
         u, v = g.edges[eidx]
-        total += rows[u - 1][v - 1]
-        counter.add_count += 1
-        base[u - 1][v - 1] = 0.0
-        base[v - 1][u - 1] = 0.0
-    return total, counter.snapshot()
+        terms.append(d[u - 1, v - 1])
+        base[u - 1, v - 1] = base[v - 1, u - 1] = 0.0
+    return math.fsum(terms), naive_op_counts(g.n, g.m)

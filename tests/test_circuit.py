@@ -1,3 +1,4 @@
+import hashlib
 import random
 import re
 
@@ -16,12 +17,31 @@ from minmaxmst import (
     naive_op_counts,
     parse_graph,
     puredp_op_counts,
+    random_connected_graph,
 )
-from conftest import random_instances
+from conftest import TRIANGLE, random_instances
 
 LINE_RE = re.compile(
     r"^\d+ = (input \d+|const 0|min \d+ \d+|max \d+ \d+|add \d+ \d+)$"
 )
+
+# SHA-256 of format_circuit(compile_mst_circuit(g)): the emitted bytes are fixed
+GOLDEN_SHA256 = {
+    "triangle": "87f61905dcc7dddc8236ec629eab10640f7c09061cbbdb5842b86c34c849ba03",
+    "K8": "3a1c7e9a64f006eb2d493a663a485bb188fd46bd632adb7e652bfc7aa6175358",
+    "K16": "e568f3744a8d6876f6cfe6d9cf704376a6700c7fb4b13f1b334c0a8a14b7c09b",
+    "sparse16": "6a0aa5aa3788255f078461180dc14e89b08b1d9488d903b7ff76047df1b13582",
+}
+
+
+def golden_graph(name):
+    if name == "triangle":
+        return parse_graph(TRIANGLE)[0]
+    if name == "sparse16":
+        g, _ = random_connected_graph(16, 0.3, random.Random(2024), 100)
+        assert g.m == 47
+        return g
+    return complete_graph(int(name[1:]))
 
 
 class TestCompile:
@@ -154,3 +174,8 @@ class TestFormat:
         text = format_circuit(compile_mst_circuit(g))
         ids = [int(line.split()[0]) for line in text.splitlines()[:-1]]
         assert ids == list(range(len(ids)))
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_SHA256))
+    def test_text_matches_golden_digest(self, name):
+        text = format_circuit(compile_mst_circuit(golden_graph(name)))
+        assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_SHA256[name]

@@ -9,6 +9,12 @@ from minmaxmst import compile_mst_circuit, evaluate, parse_graph
 from minmaxmst.cli import main
 from conftest import TRIANGLE
 
+# one-decimal weights on which tree-order and ascending-order float sums differ
+ONE_DECIMAL = (
+    "8 17\n1 4 34.8\n1 5 71.1\n1 8 35.8\n2 3 60.8\n2 5 50.8\n2 6 59.3\n"
+    "2 8 81.6\n3 4 46.7\n3 6 7\n3 7 86\n3 8 9.5\n4 5 96.7\n4 8 27.6\n"
+    "5 6 48.5\n5 7 71.3\n6 7 68\n7 8 6.6\n"
+)
 REPORT_KEYS = {"algorithm", "mst_weight", "ops", "decomposition", "time_ms"}
 
 
@@ -113,6 +119,15 @@ class TestCompare:
         f.write_text("3 3\n1 2 1\n1 3 1\n2 3 2\n")
         code, out, _ = run(capsys, "compare", str(f))
         assert code == 0 and "maggs-plotkin" not in out
+
+    def test_one_decimal_weights_agree(self, capsys, tmp_path):
+        f = tmp_path / "f.el"
+        f.write_text(ONE_DECIMAL)
+        code, out, _ = run(capsys, "compare", str(f))
+        lines = out.strip().splitlines()
+        assert code == 0 and lines[-1] == "AGREE"
+        assert {line.split()[1] for line in lines[:-1]} == {"184.79999999999998"}
+        assert len(lines) == 6
 
     def test_corrupt_file_exits_1(self, capsys, tmp_path):
         f = tmp_path / "c.el"

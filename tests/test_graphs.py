@@ -19,6 +19,7 @@ from minmaxmst import (
     random_connected_graph,
     validate_spanning_tree,
 )
+from minmaxmst import graphs
 from conftest import TRIANGLE
 from strategies import weighted_graphs
 
@@ -108,6 +109,14 @@ class TestGraph:
     def test_normalizes_pair_order(self):
         g = Graph(3, [(2, 1), (3, 2)])
         assert g.edges == ((1, 2), (2, 3))
+
+    def test_graphs_share_pair_tuples(self):
+        g = Graph(3, [(2, 1), (3, 2)])
+        h, _ = parse_graph("3 2\n1 2 5\n3 2 1\n")
+        assert all(e is f for e, f in zip(g.edges, h.edges))
+        with pytest.raises(GraphError, match="out of range"):
+            Graph(2, [(1, 99999)])
+        assert (1, 99999) not in graphs._PAIRS
 
     def test_adjacency_sorted(self):
         g = Graph(4, [(1, 4), (1, 2), (2, 4), (3, 4)])

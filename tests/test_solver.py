@@ -1,3 +1,4 @@
+import math
 import random
 
 import numpy as np
@@ -126,6 +127,15 @@ class TestPureDP:
             zeroed = list(x.values)
             zeroed[idx] = 0
             assert kruskal_mst(g, x) == kruskal_mst(g, Weighting(zeroed)) + d.dist(u, v)
+
+    @settings(max_examples=80, deadline=None)
+    @given(weighted_graphs(max_weight=9999))
+    def test_exact_sum_on_one_decimal_weights(self, gx):
+        g, x = gx
+        x = Weighting([w / 10 for w in x.values])
+        expect = math.fsum(x.values[idx] for idx in kruskal_tree(g, x))
+        assert mst_puredp(g, x)[0] == expect
+        assert mst_puredp_naive(g, x)[0] == expect
 
 
 class TestOpCounts:
