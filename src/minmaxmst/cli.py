@@ -18,7 +18,7 @@ from .counting import OpCounts
 from .generate import DEFAULT_MAX_WEIGHT, random_connected_graph, random_weighting
 from .graphs import Graph, GraphError, Weighting, complete_graph, format_edge_list, parse_graph, fix_spanning_tree
 from .oracles import BRUTEFORCE_MAX_N, PreconditionError, bruteforce_mst, kruskal_mst, maggs_plotkin_mst
-from .solver import mst_decomposition, mst_puredp, mst_puredp_naive
+from .solver import mst_decomposition, mst_puredp, mst_puredp_naive, puredp_op_counts
 
 PURE_DP_ALGORITHMS = ("puredp", "puredp-naive")
 ALGORITHMS = PURE_DP_ALGORITHMS + ("kruskal", "maggs-plotkin", "bruteforce")
@@ -91,11 +91,16 @@ def _run_algorithm(name: str, g: Graph, x: Weighting) -> tuple[float, OpCounts |
 
 def cmd_solve(args: argparse.Namespace) -> int:
     g, x = _load(args.file)
-    start = time.perf_counter()
-    value, ops = _run_algorithm(args.algorithm, g, x)
-    elapsed = round((time.perf_counter() - start) * 1000, 3)
     decomposition = None
-    if args.decomposition and args.algorithm in PURE_DP_ALGORITHMS:
+    start = time.perf_counter()
+    if args.decomposition and args.algorithm == "puredp":
+        # the decomposition is mst_puredp's own schedule: run it once for both
+        dec = mst_decomposition(g, x, fix_spanning_tree(g))
+        value, ops, decomposition = dec.total, puredp_op_counts(g.n, g.m), dec.terms
+    else:
+        value, ops = _run_algorithm(args.algorithm, g, x)
+    elapsed = round((time.perf_counter() - start) * 1000, 3)
+    if args.decomposition and args.algorithm == "puredp-naive":
         decomposition = mst_decomposition(g, x, fix_spanning_tree(g)).terms
     report = RunReport(args.algorithm, value, ops, decomposition, elapsed)
     if args.format == "json":

@@ -307,6 +307,8 @@ def parse_graph(text: str) -> tuple[Graph, Weighting]:
                 raise ParseError(f"vertex count must be >= 1 on line {lineno}")
             if m < 0:
                 raise ParseError(f"edge count must be >= 0 on line {lineno}")
+            if m < n - 1:  # rejected before n-sized structures are built
+                raise ParseError(f"disconnected graph: {m} edges cannot connect {n} vertices (line {lineno})")
             header = (n, m)
             continue
         if len(pairs) == header[1]:

@@ -31,7 +31,44 @@ GOLDEN_SHA256 = {
     "K8": "3a1c7e9a64f006eb2d493a663a485bb188fd46bd632adb7e652bfc7aa6175358",
     "K16": "e568f3744a8d6876f6cfe6d9cf704376a6700c7fb4b13f1b334c0a8a14b7c09b",
     "sparse16": "6a0aa5aa3788255f078461180dc14e89b08b1d9488d903b7ff76047df1b13582",
+    "K32": "eef2568c99475e95859ecd947a3ac2e26c82ae52cc14d8c45b0e564b50f914da",
 }
+
+# SHA-256 of format_circuit(compile_mst_circuit_naive(g))
+GOLDEN_NAIVE_SHA256 = {
+    "triangle": "0ca724a51c965a57e4ff4afccd81cec0e1ae79468e91c00f62f20587e20d2586",
+    "K8": "71e2da995d4432034034913aa76ff77a27a8b5ec86a9d67c96697af6ffe7145b",
+    "sparse16": "e17e0a665998a3e0c7958ccf95132faa7bcb6236d64572959c7441639324fe2b",
+}
+
+
+def reference_evaluate(c, values):
+    """Per-node interpreter over `c.nodes`, the reference for `evaluate`."""
+    vals = []
+    for node in c.nodes:
+        kind = node[0]
+        if kind == "min":
+            a, b = vals[node[1]], vals[node[2]]
+            vals.append(a if a <= b else b)
+        elif kind == "max":
+            a, b = vals[node[1]], vals[node[2]]
+            vals.append(a if a >= b else b)
+        elif kind == "add":
+            vals.append(vals[node[1]] + vals[node[2]])
+        elif kind == "input":
+            vals.append(float(values[node[1]]))
+        else:  # const
+            vals.append(node[1])
+    return vals[c.output]
+
+
+def small_graphs_of_every_shape(seed):
+    """n = 1, a single edge, trees, and random graphs with n <= 12."""
+    rng = random.Random(seed)
+    graphs = [parse_graph("1 0\n")[0], parse_graph("2 1\n1 2 7\n")[0], complete_graph(3)]
+    graphs += [random_connected_graph(rng.randint(2, 12), 0.0, rng)[0] for _ in range(8)]
+    graphs += [random_connected_graph(rng.randint(2, 12), rng.random(), rng)[0] for _ in range(24)]
+    return graphs
 
 
 def golden_graph(name):
@@ -113,6 +150,19 @@ class TestEvaluate:
             higher = [w + rng.randint(0, 10) for w in x.values]
             assert evaluate(c, x) <= evaluate(c, higher)
 
+    @pytest.mark.parametrize("compile_circuit", [compile_mst_circuit, compile_mst_circuit_naive])
+    def test_matches_reference_interpreter(self, compile_circuit):
+        rng = random.Random(48)
+        solve = mst_puredp if compile_circuit is compile_mst_circuit else mst_puredp_naive
+        for g in small_graphs_of_every_shape(49):
+            c = compile_circuit(g)
+            integer = Weighting([rng.randint(0, 100) for _ in range(g.m)])
+            one_decimal = Weighting([rng.randint(0, 9999) / 10 for _ in range(g.m)])
+            assert evaluate(c, integer) == reference_evaluate(c, integer.values)
+            assert evaluate(c, integer) == solve(g, integer)[0]
+            assert evaluate(c, one_decimal) == reference_evaluate(c, one_decimal.values)
+            assert evaluate(c, list(one_decimal.values)) == evaluate(c, one_decimal)
+
     def test_arity_mismatch(self, triangle):
         g, _ = triangle
         c = compile_mst_circuit(g)
@@ -179,3 +229,8 @@ class TestFormat:
     def test_text_matches_golden_digest(self, name):
         text = format_circuit(compile_mst_circuit(golden_graph(name)))
         assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_SHA256[name]
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_NAIVE_SHA256))
+    def test_naive_text_matches_golden_digest(self, name):
+        text = format_circuit(compile_mst_circuit_naive(golden_graph(name)))
+        assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_NAIVE_SHA256[name]

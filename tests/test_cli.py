@@ -5,7 +5,7 @@ import subprocess
 
 import pytest
 
-from minmaxmst import compile_mst_circuit, evaluate, parse_graph
+from minmaxmst import compile_mst_circuit, evaluate, parse_graph, solver
 from minmaxmst.cli import main
 from conftest import TRIANGLE
 
@@ -61,6 +61,17 @@ class TestSolve:
         assert code == 0
         assert "mst_weight     3" in out
         assert "ops            min=15 max=17 add=2 total=34" in out
+
+    def test_decomposition_runs_the_schedule_once(self, capsys, tri_file, monkeypatch):
+        sweeps = []
+        real = solver._sweep
+        monkeypatch.setattr(solver, "_sweep", lambda d: (sweeps.append(d.shape), real(d)))
+        code, out, _ = run(capsys, "solve", tri_file, "--decomposition")
+        report = json.loads(out)
+        assert code == 0 and sweeps == [(3, 3)]
+        assert set(report) == REPORT_KEYS
+        assert report["mst_weight"] == 3
+        assert report["ops"] == {"min": 15, "max": 17, "add": 2, "total": 34}
 
     def test_text_format_with_decomposition(self, capsys, tri_file):
         _, out, _ = run(capsys, "solve", tri_file, "--format", "text", "--decomposition")

@@ -76,6 +76,10 @@ class TestParse:
         with pytest.raises(GraphError, match="disconnected"):
             parse_graph("4 2\n1 2 1\n3 4 1\n")
 
+    def test_too_few_edges_rejected_at_header(self):
+        with pytest.raises(GraphError, match="disconnected.*line 1"):
+            parse_graph("3000000 0\n")
+
     def test_roundtrip_canonical(self):
         for text in (TRIANGLE, "2 1\n1 2 0\n", "1 0\n", "3 2\n1 2 0.5\n2 3 1000000\n"):
             g, x = parse_graph(text)
