@@ -6,11 +6,12 @@ operation sequence of the corresponding solver, so the circuit is a
 weight-independent artifact: node counts are the solver's operation counts,
 and evaluating the circuit on any weighting reproduces the solver's output.
 
-The nodes are stored as three arrays in node order, and the compiler emits
-each round of the solver as one numpy block.  It also records how to
-evaluate the result: groups of nodes of one kind that do not read each
-other, and the two chains (the extension's max-fold and the tree-order add
-chain) as left folds, so `evaluate` makes a few numpy calls per round.
+The compiler runs the solver's own tree walk over a table of node ids and
+emits each round as one numpy block of nodes, stored as three arrays in
+node order.  It also records how to evaluate the result: groups of nodes
+of one kind that do not read each other, and the two chains (the
+extension's max-fold and the tree-order add chain) as left folds, so
+`evaluate` makes a few numpy calls per round.
 """
 
 from __future__ import annotations
@@ -21,7 +22,8 @@ from typing import Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .counting import OpCounts
-from .graphs import Graph, Weighting, fix_spanning_tree
+from .graphs import Graph, Weighting, _extension_layout, fix_spanning_tree
+from .solver import _naive_schedule, _puredp_schedule
 
 INPUT, CONST, MIN, MAX, ADD = range(5)
 KIND_NAMES = ("input", "const", "min", "max", "add")
@@ -86,7 +88,14 @@ def _chunks(c: Circuit) -> Iterator[tuple[int, list[int], list[int], list[int]]]
 
 
 class _Emitter:
-    """Node arrays appended one block at a time, with their evaluation schedule."""
+    """Node arrays appended one block at a time, with their evaluation schedule.
+
+    Also the circuit backend of the solver's schedules: `extension`,
+    `sweep` and `zero_update` work on an (n, n) table holding the node id
+    of each vertex pair's current value, the constant 0 on the diagonal.
+    A round's nodes come in the row-major order of the pairs i < j
+    (`triu_indices`); `pair` maps both cells of a pair to its position p.
+    """
 
     def __init__(self, g: Graph) -> None:
         self.g = g
@@ -96,6 +105,10 @@ class _Emitter:
         self.blocks: list[Block] = []
         self.adds: list[int] = []
         self.terms: list[int] = []
+        self.i, self.j = np.triu_indices(g.n, 1)
+        self.p = np.arange(len(self.i))
+        self.pair = np.zeros((g.n, g.n), dtype=np.intp)
+        self.pair[self.i, self.j] = self.pair[self.j, self.i] = self.p
 
     def emit(self, kind, a, b) -> int:
         """Append the nodes (kind[t], a[t], b[t]); kind may be one code. Returns the first id."""
@@ -121,120 +134,91 @@ class _Emitter:
         output = self.adds[-1] if self.adds else self.zero
         return Circuit(kind, a, b, output, self.g.n, self.g.m, tuple(self.blocks))
 
+    def _relabel(self, t: np.ndarray, first: int, stride: int) -> None:
+        """Pair p's cells of t become node first + stride*p; the diagonal stays 0."""
+        np.add(first, stride * self.pair, out=t)
+        t.flat[:: len(t) + 1] = self.zero
 
-class _Pairs:
-    """The vertex pairs i < j of K_n in row-major `triu_indices` order.
+    def extension(self) -> np.ndarray:
+        """Inputs, const 0 and the max-fold M; returns the extension's id table."""
+        m = self.g.m
+        self.emit(INPUT, np.arange(m), np.zeros(m))
+        self.emit(CONST, [0], [0])
+        biggest = 0  # M is input 0 itself when m == 1
+        if m > 1:  # M = max(...max(max(x0, x1), x2)..., x_{m-1})
+            first = self.emit(MAX, np.r_[0, np.arange(m + 1, 2 * m - 1)], np.arange(1, m))
+            self.schedule(MAX, np.arange(first, first + m - 1), [0], np.arange(1, m), fold=True)
+            biggest = self.size - 1
+        return _extension_layout(self.g, np.arange(m), self.zero, biggest)
 
-    A cell vector holds the node id of each pair's current value, and at
-    slot P the constant 0 that every diagonal entry reads.  `slot[u, v]`
-    is the slot of {u, v} (0-based), and P on the diagonal.
-    """
+    def sweep(self, t: np.ndarray) -> None:
+        """The n rounds of the pair recurrence, in place on the id table.
 
-    def __init__(self, n: int) -> None:
-        self.i, self.j = np.triu_indices(n, 1)
-        self.count = len(self.i)
-        self.index = np.arange(self.count)
-        self.slot = np.full((n, n), self.count, dtype=np.intp)
-        self.slot[self.i, self.j] = self.slot[self.j, self.i] = self.index
+        In round k pair p = (i, j) gets max = base+2p of cells (i,k) and
+        (k,j), then min = base+2p+1 of cell (i,j) and that max.  A cell of
+        row or column k that an earlier pair rewrote this round, (i,k) with
+        k < j or (k,j) with k < i, is read as its new min node.  The
+        row/column-k pairs read only old cells, so they are evaluated
+        first, then all other pairs.
+        """
+        i, j = self.i, self.j
+        kinds = np.tile(np.array([MAX, MIN], dtype=np.int8), len(i))
+        for k in range(len(t)):
+            base = self.size
+            maxes = base + 2 * self.p
+            mins = maxes + 1
+            col = base + 1 + 2 * self.pair[k]  # the new ids of row and column k
+            col[k] = self.zero
+            ta = np.where(k < j, col[i], t[i, k])
+            tb = np.where(k < i, col[j], t[k, j])
+            old = t[i, j]
+            self.emit(kinds, np.stack((ta, old), 1).ravel(), np.stack((tb, maxes), 1).ravel())
+            on_k = (i == k) | (j == k)
+            for sel in (on_k, ~on_k):
+                self.schedule(MAX, maxes[sel], ta[sel], tb[sel])
+                self.schedule(MIN, mins[sel], old[sel], maxes[sel])
+            self._relabel(t, base + 1, 2)
 
+    def zero_update(self, t: np.ndarray, u: int, v: int) -> None:
+        """Zeroing update of the pair {u, v} (0-based), in place on the id table.
 
-def _extension(em: _Emitter, pairs: _Pairs) -> np.ndarray:
-    """Inputs, const 0 and the max-fold M; returns the extension's cell vector."""
-    g, m = em.g, em.g.m
-    em.emit(INPUT, np.arange(m), np.zeros(m))
-    em.emit(CONST, [0], [0])
-    cells = np.full(pairs.count + 1, em.zero)
-    if m == 0:
-        return cells
-    biggest = 0  # M is input 0 itself when m == 1
-    if m > 1:  # M = max(...max(max(x0, x1), x2)..., x_{m-1})
-        first = em.emit(MAX, np.r_[0, np.arange(m + 1, 2 * m - 1)], np.arange(1, m))
-        em.schedule(MAX, np.arange(first, first + m - 1), [0], np.arange(1, m), fold=True)
-        biggest = em.size - 1
-    cells[:-1] = biggest
-    ends = np.array(g.edges, dtype=np.intp) - 1
-    cells[pairs.slot[ends[:, 0], ends[:, 1]]] = np.arange(m)
-    return cells
-
-
-def _sweep(cells: np.ndarray, em: _Emitter, pairs: _Pairs) -> None:
-    """The n rounds of the pair recurrence, in place on the cell vector.
-
-    In round k pair p gets max = base+2p of cells (i,k) and (k,j), then
-    min = base+2p+1 of cell (i,j) and that max.  A cell of row or column k
-    already rewritten this round (slot q < p) is read as its new min node.
-    The row/column-k pairs read only old cells, so they are evaluated
-    first, then all other pairs.
-    """
-    p, P = pairs.index, pairs.count
-    kinds = np.tile(np.array([MAX, MIN], dtype=np.int8), P)
-    for k in range(len(pairs.slot)):
-        base = em.size
-        maxes = base + 2 * p
-        mins = maxes + 1
-        qa, qb = pairs.slot[pairs.i, k], pairs.slot[k, pairs.j]
-        ta = np.where(qa < p, base + 2 * qa + 1, cells[qa])
-        tb = np.where(qb < p, base + 2 * qb + 1, cells[qb])
-        old = cells[:-1].copy()
-        em.emit(kinds, np.stack((ta, old), 1).ravel(), np.stack((tb, maxes), 1).ravel())
-        on_k = (pairs.i == k) | (pairs.j == k)
-        for sel in (on_k, ~on_k):
-            em.schedule(MAX, maxes[sel], ta[sel], tb[sel])
-            em.schedule(MIN, mins[sel], old[sel], maxes[sel])
-        cells[:-1] = mins
-
-
-def _zero_round(cells: np.ndarray, u: int, v: int, em: _Emitter, pairs: _Pairs) -> None:
-    """Zeroing update of the pair {u, v} (0-based), in place on the cell vector.
-
-    Pair p gets t1 = max(ca[i], cb[j]), m1 = min(cell p, t1),
-    t2 = max(cb[i], ca[j]) and m2 = min(m1, t2) at base+4p .. base+4p+3,
-    where ca and cb are columns u and v as they were before the round.
-    """
-    i, j = pairs.i, pairs.j
-    ca, cb = cells[pairs.slot[:, u]], cells[pairs.slot[:, v]]
-    t1 = em.size + 4 * pairs.index
-    m1, t2, m2 = t1 + 1, t1 + 2, t1 + 3
-    old = cells[:-1].copy()
-    kinds = np.tile(np.array([MAX, MIN, MAX, MIN], dtype=np.int8), pairs.count)
-    em.emit(kinds, np.stack((ca[i], old, cb[i], m1), 1).ravel(), np.stack((cb[j], t1, ca[j], t2), 1).ravel())
-    em.schedule(MAX, np.r_[t1, t2], np.r_[ca[i], cb[i]], np.r_[cb[j], ca[j]])
-    em.schedule(MIN, m1, old, t1)
-    em.schedule(MIN, m2, m1, t2)
-    cells[:-1] = m2
+        Pair p = (i, j) gets t1 = max(t[i,u], t[j,v]), m1 = min(t[i,j], t1),
+        t2 = max(t[i,v], t[j,u]) and m2 = min(m1, t2) at base+4p .. base+4p+3,
+        all read from the table as it was before the round.
+        """
+        i, j = self.i, self.j
+        base = self.size
+        t1 = base + 4 * self.p
+        m1, t2, m2 = t1 + 1, t1 + 2, t1 + 3
+        a1, b1, a2, b2, old = t[i, u], t[j, v], t[i, v], t[j, u], t[i, j]
+        kinds = np.tile(np.array([MAX, MIN, MAX, MIN], dtype=np.int8), len(i))
+        self.emit(kinds, np.stack((a1, old, a2, m1), 1).ravel(), np.stack((b1, t1, b2, t2), 1).ravel())
+        self.schedule(MAX, *(np.concatenate(v) for v in ((t1, t2), (a1, a2), (b1, b2))))
+        self.schedule(MIN, m1, old, t1)
+        self.schedule(MIN, m2, m1, t2)
+        self._relabel(t, base + 3, 4)
 
 
 def compile_mst_circuit(g: Graph) -> Circuit:
     """Straight-line program computing the MST weight of any weighting of g.
 
-    Mirrors `mst_puredp` op for op: the extension max-fold, n rounds of the
-    pair recurrence, n-2 zeroing-update rounds interleaved with the tree
-    walk, and the final chain of additions.  Structure depends on g alone.
+    Runs `mst_puredp`'s schedule over node ids: the extension max-fold, n
+    rounds of the pair recurrence, n-2 zeroing-update rounds interleaved
+    with the tree walk, and the final chain of additions.  Structure
+    depends on g alone.
     """
-    em, pairs = _Emitter(g), _Pairs(g.n)
-    cells = _extension(em, pairs)
-    _sweep(cells, em, pairs)
-    tree = fix_spanning_tree(g).edges
-    for pos, eidx in enumerate(tree):
-        u, v = g.edges[eidx]
-        em.add(cells[pairs.slot[u - 1, v - 1]])
-        if pos < len(tree) - 1:
-            _zero_round(cells, u - 1, v - 1, em, pairs)
+    em = _Emitter(g)
+    for _, cell in _puredp_schedule(g, fix_spanning_tree(g).edges, em.extension(), em.sweep, em.zero_update):
+        em.add(cell)
     return em.circuit()
 
 
 def compile_mst_circuit_naive(g: Graph) -> Circuit:
     """Straight-line counterpart of `mst_puredp_naive` (a fresh distance
     computation per tree edge; O(n^4) nodes)."""
-    em, pairs = _Emitter(g), _Pairs(g.n)
-    base = _extension(em, pairs)
-    for eidx in fix_spanning_tree(g).edges:
-        cells = base.copy()
-        _sweep(cells, em, pairs)
-        u, v = g.edges[eidx]
-        slot = pairs.slot[u - 1, v - 1]
-        em.add(cells[slot])
-        base[slot] = em.zero
+    em = _Emitter(g)
+    for _, cell in _naive_schedule(g, em.extension(), em.sweep, em.zero):
+        em.add(cell)
     return em.circuit()
 
 

@@ -17,11 +17,8 @@ from .circuit import compile_mst_circuit, format_circuit
 from .counting import OpCounts
 from .generate import DEFAULT_MAX_WEIGHT, random_connected_graph, random_weighting
 from .graphs import Graph, GraphError, Weighting, complete_graph, format_edge_list, parse_graph, fix_spanning_tree
-from .oracles import BRUTEFORCE_MAX_N, PreconditionError, bruteforce_mst, kruskal_mst, maggs_plotkin_mst
+from .oracles import PreconditionError, bruteforce_mst, kruskal_mst, maggs_plotkin_mst
 from .solver import mst_decomposition, mst_puredp, mst_puredp_naive, puredp_op_counts
-
-PURE_DP_ALGORITHMS = ("puredp", "puredp-naive")
-ALGORITHMS = PURE_DP_ALGORITHMS + ("kruskal", "maggs-plotkin", "bruteforce")
 
 
 @dataclass
@@ -73,20 +70,14 @@ def _load(path: str) -> tuple[Graph, Weighting]:
         return parse_graph(fh.read())
 
 
-def _run_algorithm(name: str, g: Graph, x: Weighting) -> tuple[float, OpCounts | None]:
-    if name == "puredp":
-        value, ops = mst_puredp(g, x)
-        return value, ops
-    if name == "puredp-naive":
-        value, ops = mst_puredp_naive(g, x)
-        return value, ops
-    if name == "kruskal":
-        return kruskal_mst(g, x), None
-    if name == "maggs-plotkin":
-        return maggs_plotkin_mst(g, x), None
-    if name == "bruteforce":
-        return bruteforce_mst(g, x), None
-    raise ValueError(f"unknown algorithm {name!r}")
+# name -> solver giving (MST weight, op counts or None); compare runs them in this order
+ALGORITHMS = {
+    "puredp": mst_puredp,
+    "puredp-naive": mst_puredp_naive,
+    "kruskal": lambda g, x: (kruskal_mst(g, x), None),
+    "bruteforce": lambda g, x: (bruteforce_mst(g, x), None),
+    "maggs-plotkin": lambda g, x: (maggs_plotkin_mst(g, x), None),
+}
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
@@ -98,7 +89,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
         dec = mst_decomposition(g, x, fix_spanning_tree(g))
         value, ops, decomposition = dec.total, puredp_op_counts(g.n, g.m), dec.terms
     else:
-        value, ops = _run_algorithm(args.algorithm, g, x)
+        value, ops = ALGORITHMS[args.algorithm](g, x)
     elapsed = round((time.perf_counter() - start) * 1000, 3)
     if args.decomposition and args.algorithm == "puredp-naive":
         decomposition = mst_decomposition(g, x, fix_spanning_tree(g)).terms
@@ -112,12 +103,12 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 def cmd_compare(args: argparse.Namespace) -> int:
     g, x = _load(args.file)
-    names = list(PURE_DP_ALGORITHMS) + ["kruskal"]
-    if g.n <= BRUTEFORCE_MAX_N:
-        names.append("bruteforce")
-    if len(set(x.values)) == g.m:
-        names.append("maggs-plotkin")
-    results = {name: _run_algorithm(name, g, x)[0] for name in names}
+    results = {}
+    for name, solve in ALGORITHMS.items():
+        try:
+            results[name] = solve(g, x)[0]
+        except PreconditionError:  # bruteforce above its size limit, maggs-plotkin on tied weights
+            pass
     width = max(len(name) for name in results)
     for name, value in results.items():
         print(f"{name:<{width}}  {_plain(value)}")

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import cached_property, reduce
 from itertools import chain
 from typing import Iterable, Sequence
 
@@ -52,6 +52,7 @@ class Graph:
         if self.n < 1:
             raise GraphError("graph must have at least one vertex")
         seen: set[tuple[int, int]] = set()
+        uf, merges = _UnionFind(self.n), 0
         for u, v in self.edges:
             if u == v:
                 raise GraphError(f"self-loop at vertex {u}")
@@ -60,24 +61,31 @@ class Graph:
             if (u, v) in seen:
                 raise GraphError(f"duplicate edge {{{u},{v}}}")
             seen.add((u, v))
-        if not self._is_connected():
+            if merges < self.n - 1:  # n-1 merges already connect every vertex
+                merges += uf.union(u, v)
+        if merges < self.n - 1:
             raise GraphError("disconnected graph")
 
-    def _is_connected(self) -> bool:
-        if self.n == 1:
-            return True
-        adj: dict[int, list[int]] = {v: [] for v in range(1, self.n + 1)}
-        for u, v in self.edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        seen = {1}
-        stack = [1]
+    @cached_property
+    def _tree(self) -> SpanningTree:
+        """fix_spanning_tree's tree, kept on the graph so it lives as long as the graph."""
+        adj = self.adjacency
+        index = self.edge_index
+        visited = [False] * (self.n + 1)
+        visited[1] = True
+        order: list[int] = []
+        stack = [(1, iter(adj[1]))]
         while stack:
-            for w in adj[stack.pop()]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == self.n
+            u, it = stack[-1]
+            for v in it:
+                if not visited[v]:
+                    visited[v] = True
+                    order.append(index[_normalize_edge(u, v)])
+                    stack.append((v, iter(adj[v])))
+                    break
+            else:
+                stack.pop()
+        return SpanningTree(order)
 
     @property
     def m(self) -> int:
@@ -176,30 +184,13 @@ def validate_spanning_tree(g: Graph, t: SpanningTree) -> None:
     # n-1 acyclic edges on n vertices necessarily span
 
 
-@lru_cache(maxsize=None)
 def fix_spanning_tree(g: Graph) -> SpanningTree:
     """Deterministic spanning tree of g, independent of any weighting.
 
     Depth-first search from vertex 1 exploring neighbors in ascending
-    order; tree edges are listed in discovery order.
+    order; tree edges in discovery order.  Kept on g, freed with it.
     """
-    adj = g.adjacency
-    index = g.edge_index
-    visited = [False] * (g.n + 1)
-    visited[1] = True
-    order: list[int] = []
-    stack = [(1, iter(adj[1]))]
-    while stack:
-        u, it = stack[-1]
-        for v in it:
-            if not visited[v]:
-                visited[v] = True
-                order.append(index[_normalize_edge(u, v)])
-                stack.append((v, iter(adj[v])))
-                break
-        else:
-            stack.pop()
-    return SpanningTree(order)
+    return g._tree
 
 
 def _check_square_symmetric(values: np.ndarray) -> None:
@@ -240,19 +231,20 @@ class ExtendedWeighting:
     dist = weight
 
 
-def _extension_table(g: Graph, x: Weighting) -> np.ndarray:
-    """Weight table of the complete extension as a fresh (n, n) array (0-based)."""
-    if g.m == 0:
-        return np.zeros((g.n, g.n))
-    biggest = reduce(lambda a, b: a if a >= b else b, x.values)  # m-1 max ops
-    table = np.full((g.n, g.n), biggest)
-    table.flat[:: g.n + 1] = 0.0
+def _extension_layout(g: Graph, edge_entries: np.ndarray, zero, biggest) -> np.ndarray:
+    """The extension's (n, n) layout, of weights or node ids: edges, `zero` diagonal, `biggest` elsewhere."""
+    table = np.full((g.n, g.n), biggest, dtype=edge_entries.dtype)
+    table.flat[:: g.n + 1] = zero
     ends = np.fromiter(chain.from_iterable(g.edges), np.intp, 2 * g.m) - 1
     u, v = ends[0::2], ends[1::2]
-    w = np.array(x.values)
-    table[u, v] = w
-    table[v, u] = w
+    table[u, v] = table[v, u] = edge_entries
     return table
+
+
+def _extension_table(g: Graph, x: Weighting) -> np.ndarray:
+    """Weight table of the complete extension as a fresh (n, n) array (0-based)."""
+    biggest = reduce(lambda a, b: a if a >= b else b, x.values) if g.m else 0.0  # m-1 max ops
+    return _extension_layout(g, np.array(x.values, dtype=float), 0.0, biggest)
 
 
 def complete_extension(g: Graph, x: Weighting) -> ExtendedWeighting:

@@ -14,7 +14,7 @@ from functools import lru_cache
 import numpy as np
 
 from .distances import DistanceMatrix, all_pairs_minmax
-from .graphs import Graph, Weighting, _check_weighting, _UnionFind
+from .graphs import Graph, Weighting, _check_weighting, _extension_layout, _UnionFind
 
 BRUTEFORCE_MAX_N = 8
 
@@ -42,7 +42,7 @@ def kruskal_mst(g: Graph, x: Weighting) -> float:
     return math.fsum(x.values[idx] for idx in kruskal_tree(g, x))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8)  # one K_8 array is 7 MB
 def _spanning_tree_array(g: Graph) -> np.ndarray:
     """All spanning trees of g as an array of edge-index rows (backtracking)."""
     n, m = g.n, g.m
@@ -104,11 +104,7 @@ def maggs_plotkin_mst(g: Graph, x: Weighting) -> float:
     _check_weighting(g, x)
     if len(set(x.values)) != g.m:
         raise PreconditionError("maggs_plotkin_mst requires pairwise distinct weights")
-    table = np.full((g.n, g.n), math.inf)
-    np.fill_diagonal(table, 0.0)
-    for idx, (u, v) in enumerate(g.edges):
-        table[u - 1, v - 1] = x.values[idx]
-        table[v - 1, u - 1] = x.values[idx]
+    table = _extension_layout(g, np.array(x.values, dtype=float), 0.0, math.inf)
     d = all_pairs_minmax(table).values
     return math.fsum(
         w for (u, v), w in zip(g.edges, x.values) if d[u - 1, v - 1] == w

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Any, Iterable, Iterator
 
 from .counting import OpCounts
 from .distances import _sweep, _zero_update
@@ -44,17 +44,31 @@ class Decomposition:
         object.__setattr__(self, "total", math.fsum(d for _, d in terms))
 
 
-def _decompose(g: Graph, x: Weighting, order: tuple[int, ...]) -> Decomposition:
-    d = _extension_table(g, x)
-    _sweep(d)
-    terms: list[tuple[int, float]] = []
+def _puredp_schedule(g: Graph, order, d, sweep, zero_update) -> Iterator[tuple[int, Any]]:
+    """The pure DP's walk over the extension table d, yielding (edge, cell) per tree edge.
+
+    One sweep, then along `order` read the tree edge's cell and zero it by
+    an update round; no update follows the last edge.  The caller's work
+    on each yielded cell happens before the next round.  The solver runs
+    it over floats, the circuit compiler over a table of node ids.
+    """
+    sweep(d)
     last = len(order) - 1
     for pos, eidx in enumerate(order):
         u, v = g.edges[eidx]
-        terms.append((eidx, d[u - 1, v - 1]))
-        if pos < last:  # no update needed after the final tree edge
-            _zero_update(d, u - 1, v - 1)
-    return Decomposition(terms)
+        yield eidx, d[u - 1, v - 1]
+        if pos < last:
+            zero_update(d, u - 1, v - 1)
+
+
+def _naive_schedule(g: Graph, d, sweep, zero) -> Iterator[tuple[int, Any]]:
+    """The naive walk: a fresh sweep of a copy of d per tree edge, then the edge's cell of d set to `zero`."""
+    for eidx in fix_spanning_tree(g).edges:
+        fresh = d.copy()
+        sweep(fresh)
+        u, v = g.edges[eidx]
+        yield eidx, fresh[u - 1, v - 1]
+        d[u - 1, v - 1] = d[v - 1, u - 1] = zero
 
 
 def mst_decomposition(g: Graph, x: Weighting, t: SpanningTree) -> Decomposition:
@@ -66,7 +80,8 @@ def mst_decomposition(g: Graph, x: Weighting, t: SpanningTree) -> Decomposition:
     """
     _check_weighting(g, x)
     validate_spanning_tree(g, t)
-    return _decompose(g, x, t.edges)
+    d = _extension_table(g, x)
+    return Decomposition(_puredp_schedule(g, t.edges, d, _sweep, _zero_update))
 
 
 def fw_pair_ops(n: int) -> int:
@@ -109,7 +124,8 @@ def mst_puredp(g: Graph, x: Weighting) -> tuple[float, OpCounts]:
     the compiled circuit tallies the same schedule op by op.
     """
     _check_weighting(g, x)
-    dec = _decompose(g, x, fix_spanning_tree(g).edges)
+    d = _extension_table(g, x)
+    dec = Decomposition(_puredp_schedule(g, fix_spanning_tree(g).edges, d, _sweep, _zero_update))
     return dec.total, puredp_op_counts(g.n, g.m)
 
 
@@ -121,12 +137,5 @@ def mst_puredp_naive(g: Graph, x: Weighting) -> tuple[float, OpCounts]:
     O(n^4) total.
     """
     _check_weighting(g, x)
-    base = _extension_table(g, x)
-    terms: list[float] = []
-    for eidx in fix_spanning_tree(g).edges:
-        d = base.copy()
-        _sweep(d)
-        u, v = g.edges[eidx]
-        terms.append(d[u - 1, v - 1])
-        base[u - 1, v - 1] = base[v - 1, u - 1] = 0.0
-    return math.fsum(terms), naive_op_counts(g.n, g.m)
+    terms = _naive_schedule(g, _extension_table(g, x), _sweep, 0.0)
+    return math.fsum(d for _, d in terms), naive_op_counts(g.n, g.m)

@@ -1,6 +1,7 @@
 import hashlib
 import random
 import re
+from dataclasses import replace
 
 import pytest
 
@@ -11,7 +12,9 @@ from minmaxmst import (
     complete_graph,
     count_ops,
     evaluate,
+    fix_spanning_tree,
     format_circuit,
+    mst_decomposition,
     mst_puredp,
     mst_puredp_naive,
     naive_op_counts,
@@ -162,6 +165,17 @@ class TestEvaluate:
             assert evaluate(c, integer) == solve(g, integer)[0]
             assert evaluate(c, one_decimal) == reference_evaluate(c, one_decimal.values)
             assert evaluate(c, list(one_decimal.values)) == evaluate(c, one_decimal)
+
+    @pytest.mark.parametrize("compile_circuit", [compile_mst_circuit, compile_mst_circuit_naive])
+    def test_add_chain_terms_are_the_decomposition(self, compile_circuit):
+        rng = random.Random(50)
+        for g in small_graphs_of_every_shape(51):
+            c = compile_circuit(g)
+            terms = [node[2] for node in c.nodes if node[0] == "add"]
+            for x in (Weighting([rng.randint(0, 100) for _ in range(g.m)]),
+                      Weighting([rng.randint(0, 9999) / 10 for _ in range(g.m)])):
+                dec = mst_decomposition(g, x, fix_spanning_tree(g))
+                assert [evaluate(replace(c, output=t), x) for t in terms] == [d for _, d in dec.terms]
 
     def test_arity_mismatch(self, triangle):
         g, _ = triangle

@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 
 import numpy as np
 import pytest
@@ -10,11 +12,13 @@ from minmaxmst import (
     ParseError,
     SpanningTree,
     Weighting,
+    compile_mst_circuit,
     complete_extension,
     complete_graph,
     fix_spanning_tree,
     format_edge_list,
     kruskal_mst,
+    mst_puredp,
     parse_graph,
     random_connected_graph,
     validate_spanning_tree,
@@ -105,6 +109,14 @@ class TestGraph:
     def test_rejects_out_of_range(self):
         with pytest.raises(GraphError, match="out of range"):
             Graph(2, [(1, 3)])
+
+    def test_rejects_disconnected(self):
+        with pytest.raises(GraphError, match="disconnected"):
+            Graph(5, [(1, 2), (2, 3), (1, 3), (4, 5)])
+
+    def test_checks_edges_after_it_is_connected(self):
+        with pytest.raises(GraphError, match="duplicate"):
+            Graph(3, [(1, 2), (2, 3), (1, 3), (3, 1)])
 
     def test_rejects_empty(self):
         with pytest.raises(GraphError):
@@ -200,6 +212,15 @@ class TestFixSpanningTree:
         g = complete_graph(6)
         assert fix_spanning_tree(g) == fix_spanning_tree(g)
         assert fix_spanning_tree(g) == fix_spanning_tree(complete_graph(6))
+
+    def test_solved_graph_is_freed(self):
+        g, x = random_connected_graph(12, 0.5, random.Random(6))
+        assert mst_puredp(g, x)[0] == kruskal_mst(g, x)
+        compile_mst_circuit(g)
+        ref = weakref.ref(g)
+        del g
+        gc.collect()
+        assert ref() is None
 
     @settings(max_examples=60, deadline=None)
     @given(weighted_graphs(max_n=9))

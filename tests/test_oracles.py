@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from minmaxmst import (
+    Graph,
     PreconditionError,
     Weighting,
     all_pairs_minmax,
@@ -18,6 +19,7 @@ from minmaxmst import (
     parse_graph,
     random_connected_graph,
 )
+from minmaxmst.oracles import _spanning_tree_array
 from conftest import random_instances
 
 
@@ -68,6 +70,14 @@ class TestBruteforce:
         kn = complete_graph(9)
         with pytest.raises(PreconditionError, match="n <= 8"):
             bruteforce_mst(kn, Weighting([1] * kn.m))
+
+    def test_tree_array_cache_is_bounded(self):
+        paths = [Graph(6, [(p[k], p[k + 1]) for k in range(5)]) for p in itertools.permutations(range(1, 7))]
+        for g in paths[:40]:
+            assert bruteforce_mst(g, Weighting([1] * 5)) == 5.0
+        info = _spanning_tree_array.cache_info()
+        assert info.maxsize is not None and info.maxsize <= 16
+        assert info.currsize <= info.maxsize
 
     def test_agrees_with_kruskal_exhaustive_small(self, small_graphs):
         rng = random.Random(21)
