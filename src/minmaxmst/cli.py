@@ -1,7 +1,8 @@
 """Command-line front end: solve, compare, bench, gen, emit-circuit.
 
 Exit codes: 0 success (and agreement for `compare`), 1 input parse or
-validation failure, 2 algorithm precondition violation.
+validation failure (an MST weight past the float range included), 2
+algorithm precondition violation.
 """
 
 from __future__ import annotations

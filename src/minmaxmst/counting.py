@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 
 @dataclass(frozen=True)
@@ -13,7 +14,7 @@ class OpCounts:
     max_count: int
     add_count: int
 
-    @property
+    @cached_property  # records are shared (`puredp_op_counts`), so is their total
     def total(self) -> int:
         return self.min_count + self.max_count + self.add_count
 

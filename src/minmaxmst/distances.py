@@ -24,12 +24,12 @@ DistanceMatrix = ExtendedWeighting  # a table of min-max distances
 
 
 def _sweep(d: np.ndarray) -> None:
-    """In-place bottleneck Floyd-Warshall on an (n, n) float array.
+    """In-place bottleneck Floyd-Warshall on an (n, n) table of any numeric dtype.
 
     Round k relaxes every pair through vertex k with one max and one min.
     Row and column k do not change during round k (d[k, k] = 0 and the
-    entries are nonnegative), so the in-place sweep realizes the
-    round-by-round recurrence exactly.
+    entries are nonnegative: weights, or their ranks, which are unsigned),
+    so the in-place sweep realizes the round-by-round recurrence exactly.
     """
     for k in range(d.shape[0]):
         np.minimum(d, np.maximum(d[:, k, None], d[None, k, :]), out=d)
@@ -39,12 +39,14 @@ def _zero_update(d: np.ndarray, a: int, b: int) -> None:
     """In place: distances after pair {a,b} (0-based) gets weight zero.
 
     Every pair becomes min(d[i,j], max(d[i,a], d[b,j]), max(d[i,b], d[a,j]))
-    over the old matrix.  By symmetry the second max table is the transpose
-    of the first, which is read from rows a and b before d is written.
+    over the old table, whose entries are nonnegative weights or ranks.  By
+    symmetry column a is row a, so both max tables are built from rows a
+    and b, each read contiguously, before d is written.
     """
-    via = np.maximum(d[a, :, None], d[b])  # a fresh array: no aliasing
-    np.minimum(d, via, out=d)
-    np.minimum(d, via.T, out=d)
+    via_a = np.maximum(d[a, :, None], d[b])  # fresh arrays: no aliasing
+    via_b = np.maximum(d[b, :, None], d[a])
+    np.minimum(d, via_a, out=d)
+    np.minimum(d, via_b, out=d)
 
 
 def all_pairs_minmax(xbar: ExtendedWeighting | np.ndarray) -> DistanceMatrix:

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property
 from itertools import chain
 from typing import Iterable, Sequence
 
@@ -31,6 +31,12 @@ def _normalize_edge(u: int, v: int) -> tuple[int, int]:
 # what a graph keeps.  Only validated graphs add to it, so it holds at most
 # n(n-1)/2 pairs for the largest n seen.
 _PAIRS: dict[tuple[int, int], tuple[int, int]] = {}
+
+# One float per weight text, shared by parsed weightings: float objects are
+# most of what a parsed weighting keeps, and files repeat weights (integer
+# weights most of all).  It stops growing at _WEIGHTS_MAX texts.
+_WEIGHTS: dict[str, float] = {}
+_WEIGHTS_MAX = 4096
 
 
 @dataclass(frozen=True, init=False)
@@ -143,6 +149,14 @@ class SpanningTree:
         return len(self.edges)
 
 
+def _weight_sum(weights: Iterable[float]) -> float:
+    """Exactly rounded sum of weights (`math.fsum`); GraphError when it passes the float range."""
+    try:
+        return math.fsum(weights)
+    except OverflowError:  # finite weights can sum past 1.8e308
+        raise GraphError("MST weight is too large for a 64-bit float") from None
+
+
 def _check_weighting(g: Graph, x: Weighting) -> None:
     if len(x) != g.m:
         raise GraphError(f"weighting has {len(x)} values for a graph with {g.m} edges")
@@ -232,7 +246,7 @@ class ExtendedWeighting:
 
 
 def _extension_layout(g: Graph, edge_entries: np.ndarray, zero, biggest) -> np.ndarray:
-    """The extension's (n, n) layout, of weights or node ids: edges, `zero` diagonal, `biggest` elsewhere."""
+    """The extension's (n, n) layout, of weight ranks, weights or node ids: edges, `zero` diagonal, `biggest` elsewhere."""
     table = np.full((g.n, g.n), biggest, dtype=edge_entries.dtype)
     table.flat[:: g.n + 1] = zero
     ends = np.fromiter(chain.from_iterable(g.edges), np.intp, 2 * g.m) - 1
@@ -241,21 +255,40 @@ def _extension_layout(g: Graph, edge_entries: np.ndarray, zero, biggest) -> np.n
     return table
 
 
-def _extension_table(g: Graph, x: Weighting) -> np.ndarray:
-    """Weight table of the complete extension as a fresh (n, n) array (0-based)."""
-    biggest = reduce(lambda a, b: a if a >= b else b, x.values) if g.m else 0.0  # m-1 max ops
-    return _extension_layout(g, np.array(x.values, dtype=float), 0.0, biggest)
+_SORT_IN_NUMPY = 64  # edges; with fewer, numpy's cost per call outweighs its faster sort
+
+
+def _rank_table(g: Graph, x: Weighting) -> tuple[np.ndarray, np.ndarray]:
+    """The complete extension on weight ranks: (levels, table).
+
+    `levels` holds 0 and the distinct weights in ascending order, so the
+    diagonal is level 0 and the non-edges are the top level, the maximum
+    weight M.  `table` lays the extension out with each entry's index into
+    `levels`, in the smallest unsigned dtype that holds the top index.
+    Every entry of the extension is a level, so `levels[table]` is its
+    weight table.
+    """
+    if g.m < _SORT_IN_NUMPY:
+        ordered = sorted({0.0, *x.values})  # the set keeps +0.0 over -0.0
+        rank = {w: i for i, w in enumerate(ordered)}
+        levels, ranks = np.array(ordered), [rank[w] for w in x.values]
+    else:
+        levels, ranks = np.unique((0.0, *x.values), return_inverse=True)
+        levels[0] = 0.0  # +0.0 even when a -0.0 weight sorted first
+        ranks = ranks[1:]
+    top = len(levels) - 1
+    return levels, _extension_layout(g, np.asarray(ranks, np.min_scalar_type(top)), 0, top)
 
 
 def complete_extension(g: Graph, x: Weighting) -> ExtendedWeighting:
     """Extend (g, x) to K_n, giving every non-edge the maximum edge weight.
 
-    The maximum M is computed by a left fold over the edge weights in index
-    order (m-1 max operations); pairs that are edges keep their weight and
-    the diagonal is zero.  MST weight is unchanged by the extension.
+    Pairs that are edges keep their weight and the diagonal is zero.  MST
+    weight is unchanged by the extension.
     """
     _check_weighting(g, x)
-    return ExtendedWeighting(_extension_table(g, x))
+    levels, table = _rank_table(g, x)
+    return ExtendedWeighting(levels[table])
 
 
 def _format_weight(w: float) -> str:
@@ -311,21 +344,26 @@ def parse_graph(text: str) -> tuple[Graph, Weighting]:
             u, v = int(tokens[0]), int(tokens[1])
         except ValueError:
             raise ParseError(f"non-integer vertex id on line {lineno}") from None
-        try:
-            w = float(tokens[2])
-        except ValueError:
-            raise ParseError(f"invalid weight on line {lineno}") from None
+        w = _WEIGHTS.get(tokens[2])
+        if w is None:
+            try:
+                w = float(tokens[2])
+            except ValueError:
+                raise ParseError(f"invalid weight on line {lineno}") from None
+            if len(_WEIGHTS) < _WEIGHTS_MAX and 0 <= w < math.inf:  # valid weights only
+                _WEIGHTS[tokens[2]] = w
         if u == v:
             raise ParseError(f"self-loop on line {lineno}")
         if not (1 <= u <= header[0] and 1 <= v <= header[0]):
             raise ParseError(f"vertex id out of range on line {lineno}")
-        if _normalize_edge(u, v) in seen:
+        pair = _normalize_edge(u, v)
+        if pair in seen:
             raise ParseError(f"duplicate edge on line {lineno}")
         if math.isnan(w) or w < 0:
             raise ParseError(f"negative weight on line {lineno}")
         if math.isinf(w):
             raise ParseError(f"non-finite weight on line {lineno}")
-        seen.add(_normalize_edge(u, v))
+        seen.add(pair)
         pairs.append((u, v))
         weights.append(w)
 

@@ -14,7 +14,7 @@ from functools import lru_cache
 import numpy as np
 
 from .distances import DistanceMatrix, all_pairs_minmax
-from .graphs import Graph, Weighting, _check_weighting, _extension_layout, _UnionFind
+from .graphs import Graph, Weighting, _check_weighting, _extension_layout, _UnionFind, _weight_sum
 
 BRUTEFORCE_MAX_N = 8
 
@@ -39,7 +39,7 @@ def kruskal_tree(g: Graph, x: Weighting) -> tuple[int, ...]:
 
 def kruskal_mst(g: Graph, x: Weighting) -> float:
     """MST weight via sort-edges-ascending plus union-find (exactly rounded sum)."""
-    return math.fsum(x.values[idx] for idx in kruskal_tree(g, x))
+    return _weight_sum(x.values[idx] for idx in kruskal_tree(g, x))
 
 
 @lru_cache(maxsize=8)  # one K_8 array is 7 MB
@@ -90,7 +90,9 @@ def bruteforce_mst(g: Graph, x: Weighting) -> float:
         return 0.0
     trees = _spanning_tree_array(g)
     weights = np.asarray(x.values, dtype=float)[trees]
-    return math.fsum(weights[np.argmin(weights.sum(axis=1))])
+    with np.errstate(over="ignore"):  # a sum past the float range is inf; _weight_sum then raises
+        sums = weights.sum(axis=1)
+    return _weight_sum(weights[np.argmin(sums)])
 
 
 def maggs_plotkin_mst(g: Graph, x: Weighting) -> float:
@@ -106,7 +108,7 @@ def maggs_plotkin_mst(g: Graph, x: Weighting) -> float:
         raise PreconditionError("maggs_plotkin_mst requires pairwise distinct weights")
     table = _extension_layout(g, np.array(x.values, dtype=float), 0.0, math.inf)
     d = all_pairs_minmax(table).values
-    return math.fsum(
+    return _weight_sum(
         w for (u, v), w in zip(g.edges, x.values) if d[u - 1, v - 1] == w
     )
 

@@ -6,12 +6,20 @@ e_i under the weighting in which e_1..e_{i-1} were already zeroed.  Working
 over the complete extension, one full distance computation plus n-2 cheap
 zeroing updates gives the weight in O(n^3) (min,max,+) operations; the naive
 driver recomputes distances from scratch each round in O(n^4).
+
+Until the final sum the schedule uses only min and max, and both commute
+with every non-decreasing map f: f(min(a, b)) = min(f(a), f(b)), and the
+same for max.  Ranks are such a map: sort the distinct weights once, with
+0 as the lowest level, and replace each weight by its index.  Run on the
+ranks, the schedule reads the rank of exactly the value it reads when run
+on the weights, so the solvers sweep and update a table of small unsigned
+integers and turn only the n-1 terms back into weights, to sum them.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Any, Iterable, Iterator
 
 from .counting import OpCounts
@@ -21,7 +29,8 @@ from .graphs import (
     SpanningTree,
     Weighting,
     _check_weighting,
-    _extension_table,
+    _rank_table,
+    _weight_sum,
     fix_spanning_tree,
     validate_spanning_tree,
 )
@@ -33,6 +42,7 @@ class Decomposition:
 
     The terms are the MST's edge weights in some order, so `total` is their
     exactly rounded sum (`math.fsum`), the same for every tree and order.
+    A sum past the float range raises GraphError.
     """
 
     terms: tuple[tuple[int, float], ...]
@@ -41,7 +51,7 @@ class Decomposition:
     def __init__(self, terms: Iterable[tuple[int, float]]):
         terms = tuple((int(e), float(d)) for e, d in terms)
         object.__setattr__(self, "terms", terms)
-        object.__setattr__(self, "total", math.fsum(d for _, d in terms))
+        object.__setattr__(self, "total", _weight_sum(d for _, d in terms))
 
 
 def _puredp_schedule(g: Graph, order, d, sweep, zero_update) -> Iterator[tuple[int, Any]]:
@@ -49,8 +59,8 @@ def _puredp_schedule(g: Graph, order, d, sweep, zero_update) -> Iterator[tuple[i
 
     One sweep, then along `order` read the tree edge's cell and zero it by
     an update round; no update follows the last edge.  The caller's work
-    on each yielded cell happens before the next round.  The solver runs
-    it over floats, the circuit compiler over a table of node ids.
+    on each yielded cell happens before the next round.  The solvers run
+    it over weight ranks, the circuit compiler over a table of node ids.
     """
     sweep(d)
     last = len(order) - 1
@@ -80,8 +90,13 @@ def mst_decomposition(g: Graph, x: Weighting, t: SpanningTree) -> Decomposition:
     """
     _check_weighting(g, x)
     validate_spanning_tree(g, t)
-    d = _extension_table(g, x)
-    return Decomposition(_puredp_schedule(g, t.edges, d, _sweep, _zero_update))
+    return _decompose(g, x, t.edges)
+
+
+def _decompose(g: Graph, x: Weighting, order) -> Decomposition:
+    """The pure DP's walk along `order` over the rank table, its cells read back as weights."""
+    levels, d = _rank_table(g, x)
+    return Decomposition((e, levels[r]) for e, r in _puredp_schedule(g, order, d, _sweep, _zero_update))
 
 
 def fw_pair_ops(n: int) -> int:
@@ -89,6 +104,7 @@ def fw_pair_ops(n: int) -> int:
     return n * (n * (n - 1) // 2)
 
 
+@lru_cache(maxsize=4096)  # one shared record per graph size, so repeated solves allocate none
 def puredp_op_counts(n: int, m: int) -> OpCounts:
     """Closed-form operation tally of `mst_puredp` from its loop bounds."""
     pairs = n * (n - 1) // 2
@@ -118,15 +134,16 @@ def mst_puredp(g: Graph, x: Weighting) -> tuple[float, OpCounts]:
     Extends to the complete graph, computes all min-max distances once,
     then walks the fixed spanning tree: read the current distance of the
     tree edge, add it to the accumulator, zero the edge and update the
-    matrix in O(n^2) (the update after the last edge is skipped).  The
-    operation sequence depends only on the graph, never on the weights,
-    so the counts returned are the schedule's closed form; `count_ops` of
-    the compiled circuit tallies the same schedule op by op.
+    matrix in O(n^2) (the update after the last edge is skipped).  It
+    runs on weight ranks, which gives the same terms (see the module
+    docstring).  The operation sequence depends only on the graph, never
+    on the weights, so the counts returned are the schedule's closed form;
+    `count_ops` of the compiled circuit tallies the same schedule op by op.
+    The counts include the extension's m-1 max fold, which the circuit
+    performs; the solver reads M off the sorted weights instead.
     """
     _check_weighting(g, x)
-    d = _extension_table(g, x)
-    dec = Decomposition(_puredp_schedule(g, fix_spanning_tree(g).edges, d, _sweep, _zero_update))
-    return dec.total, puredp_op_counts(g.n, g.m)
+    return _decompose(g, x, fix_spanning_tree(g).edges).total, puredp_op_counts(g.n, g.m)
 
 
 def mst_puredp_naive(g: Graph, x: Weighting) -> tuple[float, OpCounts]:
@@ -137,5 +154,6 @@ def mst_puredp_naive(g: Graph, x: Weighting) -> tuple[float, OpCounts]:
     O(n^4) total.
     """
     _check_weighting(g, x)
-    terms = _naive_schedule(g, _extension_table(g, x), _sweep, 0.0)
-    return math.fsum(d for _, d in terms), naive_op_counts(g.n, g.m)
+    levels, d = _rank_table(g, x)
+    terms = _naive_schedule(g, d, _sweep, 0)
+    return _weight_sum(levels[r] for _, r in terms), naive_op_counts(g.n, g.m)

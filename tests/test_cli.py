@@ -6,7 +6,7 @@ import subprocess
 import pytest
 
 from minmaxmst import compile_mst_circuit, evaluate, parse_graph, solver
-from minmaxmst.cli import main
+from minmaxmst.cli import ALGORITHMS, main
 from conftest import TRIANGLE
 
 # one-decimal weights on which tree-order and ascending-order float sums differ
@@ -16,6 +16,9 @@ ONE_DECIMAL = (
     "5 6 48.5\n5 7 71.3\n6 7 68\n7 8 6.6\n"
 )
 REPORT_KEYS = {"algorithm", "mst_weight", "ops", "decomposition", "time_ms"}
+# finite weights whose MST weight (2e308, 2.1e308) is past the largest float
+OVERFLOW = "3 3\n1 2 1e308\n1 3 1.7e308\n2 3 1e308\n"
+OVERFLOW_DISTINCT = "3 3\n1 2 1e308\n1 3 1.7e308\n2 3 1.1e308\n"
 
 
 @pytest.fixture()
@@ -104,6 +107,14 @@ class TestSolve:
         code, _, err = run(capsys, "solve", str(dup), "--algorithm", "maggs-plotkin")
         assert code == 2 and "distinct" in err
 
+    @pytest.mark.parametrize("algorithm", list(ALGORITHMS))
+    def test_overflowing_mst_weight_exits_1(self, capsys, tmp_path, algorithm):
+        f = tmp_path / "huge.el"
+        f.write_text(OVERFLOW_DISTINCT)  # distinct, so that maggs-plotkin runs too
+        code, out, err = run(capsys, "solve", str(f), "--algorithm", algorithm, "--decomposition")
+        assert code == 1 and out == ""
+        assert err == "error: MST weight is too large for a 64-bit float\n"
+
     def test_bruteforce_size_limit_exit_2(self, capsys, tmp_path):
         big = tmp_path / "big.el"
         lines = [f"1 {v} 1" for v in range(2, 10)]
@@ -139,6 +150,13 @@ class TestCompare:
         assert code == 0 and lines[-1] == "AGREE"
         assert {line.split()[1] for line in lines[:-1]} == {"184.79999999999998"}
         assert len(lines) == 6
+
+    def test_overflowing_mst_weight_exits_1(self, capsys, tmp_path):
+        f = tmp_path / "huge.el"
+        f.write_text(OVERFLOW)
+        code, out, err = run(capsys, "compare", str(f))
+        assert code == 1 and out == ""
+        assert err == "error: MST weight is too large for a 64-bit float\n"
 
     def test_corrupt_file_exits_1(self, capsys, tmp_path):
         f = tmp_path / "c.el"

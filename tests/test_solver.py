@@ -1,11 +1,13 @@
 import math
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
 from minmaxmst import (
+    Graph,
     GraphError,
     SpanningTree,
     Weighting,
@@ -16,6 +18,7 @@ from minmaxmst import (
     fix_spanning_tree,
     kruskal_mst,
     kruskal_tree,
+    maggs_plotkin_mst,
     mst_decomposition,
     mst_puredp,
     mst_puredp_naive,
@@ -25,8 +28,9 @@ from minmaxmst import (
     random_connected_graph,
     zero_edge_update,
 )
+from minmaxmst import distances, graphs, solver
 from conftest import random_instances
-from strategies import weighted_graphs
+from strategies import float_weighted_graphs, weighted_graphs
 
 
 def random_spanning_tree(g, rng):
@@ -136,6 +140,81 @@ class TestPureDP:
         expect = math.fsum(x.values[idx] for idx in kruskal_tree(g, x))
         assert mst_puredp(g, x)[0] == expect
         assert mst_puredp_naive(g, x)[0] == expect
+
+    def test_overflowing_mst_weight_raises(self):
+        g, x = parse_graph("3 3\n1 2 1e308\n1 3 1.7e308\n2 3 1.1e308\n")  # MST weight 2.1e308
+        for solve in (mst_puredp, mst_puredp_naive, kruskal_mst, bruteforce_mst, maggs_plotkin_mst,
+                      lambda g, x: mst_decomposition(g, x, fix_spanning_tree(g))):
+            with pytest.raises(GraphError, match="too large for a 64-bit float"):
+                solve(g, x)
+
+    @settings(max_examples=150, deadline=None)
+    @given(float_weighted_graphs())
+    def test_exact_on_extreme_and_tied_floats(self, gx):
+        g, x = gx
+        expect = kruskal_mst(g, x)
+        t = fix_spanning_tree(g)
+        dec = mst_decomposition(g, x, t)
+        assert sorted(d for _, d in dec.terms) == sorted(x.values[i] for i in kruskal_tree(g, x))
+        assert mst_puredp(g, x)[0] == mst_puredp_naive(g, x)[0] == dec.total == expect
+        # the same schedule on the weights themselves gives the same terms
+        weights = graphs._extension_layout(g, np.array(x.values), 0.0, max(x.values))
+        walk = solver._puredp_schedule(g, t.edges, weights, distances._sweep, distances._zero_update)
+        assert dec.terms == tuple((e, float(d)) for e, d in walk)
+
+
+def _distinct_weighting(g, distinct, rng):
+    """Weights 1..distinct on shuffled edges, the rest repeating them: distinct+1 levels with 0."""
+    weights = list(range(1, distinct + 1)) + [rng.randint(1, distinct) for _ in range(g.m - distinct)]
+    rng.shuffle(weights)
+    return Weighting(weights)
+
+
+class TestRankTable:
+    """The solvers run on ranks; the rank dtype widens at 256 and 65,536 levels."""
+
+    @pytest.mark.parametrize(
+        "n, distinct, dtype",
+        [(24, 254, np.uint8), (24, 255, np.uint8), (24, 256, np.uint16),
+         (363, 65534, np.uint16), (363, 65535, np.uint16), (363, 65536, np.uint32)],
+    )
+    def test_dtype_boundaries(self, n, distinct, dtype):
+        g = complete_graph(n)
+        x = _distinct_weighting(g, distinct, random.Random(distinct))
+        levels, table = graphs._rank_table(g, x)
+        assert len(levels) == distinct + 1 and table.dtype == dtype
+        assert mst_puredp(g, x)[0] == kruskal_mst(g, x)
+        dec = mst_decomposition(g, x, fix_spanning_tree(g))
+        assert sorted(d for _, d in dec.terms) == sorted(x.values[i] for i in kruskal_tree(g, x))
+
+    def test_zero_level_is_positive_zero(self):
+        # numpy's sort may put a -0.0 weight before the 0.0 level; the diagonal stays +0.0
+        g, rng = complete_graph(48), random.Random(0)
+        x = Weighting(rng.choice([-0.0, 0.0, 1.0, 2.0]) for _ in range(g.m))
+        levels, table = graphs._rank_table(g, x)
+        assert levels.tolist() == [0.0, 1.0, 2.0] and not np.signbit(levels[0])
+        assert not np.signbit(np.diagonal(complete_extension(g, x).values)).any()
+
+    def test_single_vertex_has_one_level(self):
+        g, x = Graph(1, []), Weighting([])
+        levels, table = graphs._rank_table(g, x)
+        assert levels.tolist() == [0.0] and table.tolist() == [[0]]
+        assert mst_decomposition(g, x, fix_spanning_tree(g)).terms == ()
+
+    @settings(max_examples=100, deadline=None)
+    @given(float_weighted_graphs(max_n=14))
+    def test_both_rankings_lay_out_the_extension(self, gx):
+        g, x = gx
+        expect = np.full((g.n, g.n), max(x.values))
+        np.fill_diagonal(expect, 0.0)
+        for (u, v), w in zip(g.edges, x.values):
+            expect[u - 1, v - 1] = expect[v - 1, u - 1] = w
+        for threshold in (0, g.m + 1):  # numpy's sort, then the dict
+            with mock.patch.object(graphs, "_SORT_IN_NUMPY", threshold):
+                levels, table = graphs._rank_table(g, x)
+            assert np.all(np.diff(levels) > 0) and math.copysign(1.0, levels[0]) == 1.0
+            assert np.array_equal(levels[table], expect)
+            assert table.dtype == np.min_scalar_type(len(levels) - 1)
 
 
 class TestOpCounts:
