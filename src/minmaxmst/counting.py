@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 
 @dataclass(frozen=True)
@@ -14,7 +13,7 @@ class OpCounts:
     max_count: int
     add_count: int
 
-    @cached_property  # records are shared (`puredp_op_counts`), so is their total
+    @property
     def total(self) -> int:
         return self.min_count + self.max_count + self.add_count
 

@@ -32,12 +32,6 @@ def _normalize_edge(u: int, v: int) -> tuple[int, int]:
 # n(n-1)/2 pairs for the largest n seen.
 _PAIRS: dict[tuple[int, int], tuple[int, int]] = {}
 
-# One float per weight text, shared by parsed weightings: float objects are
-# most of what a parsed weighting keeps, and files repeat weights (integer
-# weights most of all).  It stops growing at _WEIGHTS_MAX texts.
-_WEIGHTS: dict[str, float] = {}
-_WEIGHTS_MAX = 4096
-
 
 @dataclass(frozen=True, init=False)
 class Graph:
@@ -255,9 +249,6 @@ def _extension_layout(g: Graph, edge_entries: np.ndarray, zero, biggest) -> np.n
     return table
 
 
-_SORT_IN_NUMPY = 64  # edges; with fewer, numpy's cost per call outweighs its faster sort
-
-
 def _rank_table(g: Graph, x: Weighting) -> tuple[np.ndarray, np.ndarray]:
     """The complete extension on weight ranks: (levels, table).
 
@@ -268,16 +259,10 @@ def _rank_table(g: Graph, x: Weighting) -> tuple[np.ndarray, np.ndarray]:
     Every entry of the extension is a level, so `levels[table]` is its
     weight table.
     """
-    if g.m < _SORT_IN_NUMPY:
-        ordered = sorted({0.0, *x.values})  # the set keeps +0.0 over -0.0
-        rank = {w: i for i, w in enumerate(ordered)}
-        levels, ranks = np.array(ordered), [rank[w] for w in x.values]
-    else:
-        levels, ranks = np.unique((0.0, *x.values), return_inverse=True)
-        levels[0] = 0.0  # +0.0 even when a -0.0 weight sorted first
-        ranks = ranks[1:]
+    levels, ranks = np.unique((0.0, *x.values), return_inverse=True)
+    levels[0] = 0.0  # +0.0 even when a -0.0 weight sorted first
     top = len(levels) - 1
-    return levels, _extension_layout(g, np.asarray(ranks, np.min_scalar_type(top)), 0, top)
+    return levels, _extension_layout(g, ranks[1:].astype(np.min_scalar_type(top)), 0, top)
 
 
 def complete_extension(g: Graph, x: Weighting) -> ExtendedWeighting:
@@ -344,26 +329,21 @@ def parse_graph(text: str) -> tuple[Graph, Weighting]:
             u, v = int(tokens[0]), int(tokens[1])
         except ValueError:
             raise ParseError(f"non-integer vertex id on line {lineno}") from None
-        w = _WEIGHTS.get(tokens[2])
-        if w is None:
-            try:
-                w = float(tokens[2])
-            except ValueError:
-                raise ParseError(f"invalid weight on line {lineno}") from None
-            if len(_WEIGHTS) < _WEIGHTS_MAX and 0 <= w < math.inf:  # valid weights only
-                _WEIGHTS[tokens[2]] = w
+        try:
+            w = float(tokens[2])
+        except ValueError:
+            raise ParseError(f"invalid weight on line {lineno}") from None
         if u == v:
             raise ParseError(f"self-loop on line {lineno}")
         if not (1 <= u <= header[0] and 1 <= v <= header[0]):
             raise ParseError(f"vertex id out of range on line {lineno}")
-        pair = _normalize_edge(u, v)
-        if pair in seen:
+        if _normalize_edge(u, v) in seen:
             raise ParseError(f"duplicate edge on line {lineno}")
         if math.isnan(w) or w < 0:
             raise ParseError(f"negative weight on line {lineno}")
         if math.isinf(w):
             raise ParseError(f"non-finite weight on line {lineno}")
-        seen.add(pair)
+        seen.add(_normalize_edge(u, v))
         pairs.append((u, v))
         weights.append(w)
 

@@ -19,7 +19,6 @@ integers and turn only the n-1 terms back into weights, to sum them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Any, Iterable, Iterator
 
 from .counting import OpCounts
@@ -104,7 +103,6 @@ def fw_pair_ops(n: int) -> int:
     return n * (n * (n - 1) // 2)
 
 
-@lru_cache(maxsize=4096)  # one shared record per graph size, so repeated solves allocate none
 def puredp_op_counts(n: int, m: int) -> OpCounts:
     """Closed-form operation tally of `mst_puredp` from its loop bounds."""
     pairs = n * (n - 1) // 2

@@ -1,6 +1,5 @@
 import math
 import random
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -157,10 +156,26 @@ class TestPureDP:
         dec = mst_decomposition(g, x, t)
         assert sorted(d for _, d in dec.terms) == sorted(x.values[i] for i in kruskal_tree(g, x))
         assert mst_puredp(g, x)[0] == mst_puredp_naive(g, x)[0] == dec.total == expect
-        # the same schedule on the weights themselves gives the same terms
-        weights = graphs._extension_layout(g, np.array(x.values), 0.0, max(x.values))
-        walk = solver._puredp_schedule(g, t.edges, weights, distances._sweep, distances._zero_update)
-        assert dec.terms == tuple((e, float(d)) for e, d in walk)
+        assert dec.terms == _float_table_terms(g, x, t)
+
+    @pytest.mark.parametrize("weights", ["integer", "float"])
+    def test_exact_on_k256(self, weights):
+        g, rng = complete_graph(256), random.Random(256)
+        if weights == "integer":
+            x = Weighting(rng.randint(0, 2**20) for _ in range(g.m))
+        else:
+            x = Weighting(rng.choice([rng.random(), round(rng.uniform(0, 100), 1)]) for _ in range(g.m))
+        t = fix_spanning_tree(g)
+        dec = mst_decomposition(g, x, t)
+        assert dec.terms == _float_table_terms(g, x, t)
+        assert mst_puredp(g, x)[0] == dec.total == kruskal_mst(g, x)
+
+
+def _float_table_terms(g, x, t):
+    """The pure DP's terms along `t` with the schedule run on the weights themselves."""
+    weights = graphs._extension_layout(g, np.array(x.values), 0.0, max(x.values, default=0.0))
+    walk = solver._puredp_schedule(g, t.edges, weights, distances._sweep, distances._zero_update)
+    return tuple((e, float(d)) for e, d in walk)
 
 
 def _distinct_weighting(g, distinct, rng):
@@ -203,18 +218,16 @@ class TestRankTable:
 
     @settings(max_examples=100, deadline=None)
     @given(float_weighted_graphs(max_n=14))
-    def test_both_rankings_lay_out_the_extension(self, gx):
+    def test_rank_table_lays_out_the_extension(self, gx):
         g, x = gx
         expect = np.full((g.n, g.n), max(x.values))
         np.fill_diagonal(expect, 0.0)
         for (u, v), w in zip(g.edges, x.values):
             expect[u - 1, v - 1] = expect[v - 1, u - 1] = w
-        for threshold in (0, g.m + 1):  # numpy's sort, then the dict
-            with mock.patch.object(graphs, "_SORT_IN_NUMPY", threshold):
-                levels, table = graphs._rank_table(g, x)
-            assert np.all(np.diff(levels) > 0) and math.copysign(1.0, levels[0]) == 1.0
-            assert np.array_equal(levels[table], expect)
-            assert table.dtype == np.min_scalar_type(len(levels) - 1)
+        levels, table = graphs._rank_table(g, x)
+        assert np.all(np.diff(levels) > 0) and math.copysign(1.0, levels[0]) == 1.0
+        assert np.array_equal(levels[table], expect)
+        assert table.dtype == np.min_scalar_type(len(levels) - 1)
 
 
 class TestOpCounts:
