@@ -22,7 +22,7 @@ from typing import Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .counting import OpCounts
-from .graphs import Graph, Weighting, _extension_layout, fix_spanning_tree
+from .graphs import Graph, GraphError, Weighting, _extension_layout, fix_spanning_tree
 from .solver import _naive_schedule, _puredp_schedule
 
 INPUT, CONST, MIN, MAX, ADD = range(5)
@@ -225,12 +225,12 @@ def compile_mst_circuit_naive(g: Graph) -> Circuit:
 def evaluate(c: Circuit, x: Weighting | Sequence[float]) -> float:
     """Evaluate the circuit on a weighting with one value per input.
 
-    Runs the schedule block by block over one float64 array of node values.
-    The final additions run in tree order, so on non-integer weights the
-    result agrees with `mst_puredp` (an exactly rounded sum) only to within
-    rounding; on integer weights the two are equal.
+    A plain sequence is checked as a `Weighting`.  The additions run in tree
+    order, so the result agrees with `mst_puredp` (an exactly rounded sum)
+    to within rounding, exactly on integer weights; like the solvers, it
+    raises GraphError past the float range.
     """
-    values = x.values if isinstance(x, Weighting) else tuple(float(w) for w in x)
+    values = (x if isinstance(x, Weighting) else Weighting(x)).values
     if len(values) != c.m:
         raise ValueError(f"circuit expects {c.m} input values, got {len(values)}")
     vals = np.empty(len(c.kind))
@@ -239,7 +239,11 @@ def evaluate(c: Circuit, x: Weighting | Sequence[float]) -> float:
     for blk in c.blocks:
         op = _UFUNCS[blk.kind]
         if blk.fold:
-            vals[blk.ids] = op.accumulate(np.concatenate((vals[blk.a], vals[blk.b])))[1:]
+            try:
+                with np.errstate(over="raise"):  # the add chain, a fold, can pass the float range
+                    vals[blk.ids] = op.accumulate(np.concatenate((vals[blk.a], vals[blk.b])))[1:]
+            except FloatingPointError:
+                raise GraphError("MST weight is too large for a 64-bit float") from None
         else:
             vals[blk.ids] = op(vals[blk.a], vals[blk.b])
     return float(vals[c.output])

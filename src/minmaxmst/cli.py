@@ -19,7 +19,7 @@ from .counting import OpCounts
 from .generate import DEFAULT_MAX_WEIGHT, random_connected_graph, random_weighting
 from .graphs import Graph, GraphError, Weighting, complete_graph, format_edge_list, parse_graph, fix_spanning_tree
 from .oracles import PreconditionError, bruteforce_mst, kruskal_mst, maggs_plotkin_mst
-from .solver import mst_decomposition, mst_puredp, mst_puredp_naive, puredp_op_counts
+from .solver import mst_decomposition, mst_puredp, mst_puredp_naive, naive_op_counts, puredp_op_counts
 
 
 @dataclass
@@ -131,7 +131,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         g = complete_graph(n)
         x = random_weighting(g.m, rng)
         value, ops = mst_puredp(g, x)
-        _, ops_naive = mst_puredp_naive(g, x)
+        ops_naive = naive_op_counts(n, g.m)
         print(
             f"{n},{_plain(value)},{ops.total},{ops_naive.total},"
             f"{ops.total / n**3:.6f},{ops_naive.total / n**4:.6f}"

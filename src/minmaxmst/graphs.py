@@ -16,20 +16,26 @@ import numpy as np
 
 
 class GraphError(ValueError):
-    """Invalid graph structure (self-loop, duplicate edge, disconnected, ...)."""
+    """Invalid graph structure (self-loop, duplicate edge, disconnected, ...).
+
+    A fault of one edge keeps the bare reason in `args[0]` and the edge's index in `edge`.
+    """
+
+    def __init__(self, message: str, edge: int | None = None):
+        super().__init__(message)
+        self.edge = edge
+
+    def __str__(self) -> str:
+        return self.args[0] if self.edge is None else f"{self.args[0]} at edge index {self.edge}"
 
 
 class ParseError(GraphError):
     """Malformed edge-list input; message carries the offending line number."""
 
 
-def _normalize_edge(u: int, v: int) -> tuple[int, int]:
-    return (u, v) if u < v else (v, u)
-
-
 # One tuple per vertex pair, shared by all graphs: edge tuples are most of
-# what a graph keeps.  Only validated graphs add to it, so it holds at most
-# n(n-1)/2 pairs for the largest n seen.
+# what a graph keeps.  Only pairs that pass the range check are added, so it
+# holds at most n(n-1)/2 pairs for the largest n seen.
 _PAIRS: dict[tuple[int, int], tuple[int, int]] = {}
 
 
@@ -41,30 +47,27 @@ class Graph:
     edges: tuple[tuple[int, int], ...]
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
-        object.__setattr__(self, "n", n)
-        object.__setattr__(
-            self, "edges", tuple(_normalize_edge(u, v) for u, v in edges)
-        )
-        self._validate()
-        object.__setattr__(self, "edges", tuple(_PAIRS.setdefault(e, e) for e in self.edges))
-
-    def _validate(self) -> None:
-        if self.n < 1:
+        if n < 1:
             raise GraphError("graph must have at least one vertex")
-        seen: set[tuple[int, int]] = set()
-        uf, merges = _UnionFind(self.n), 0
-        for u, v in self.edges:
+        shared: dict[tuple[int, int], None] = {}  # insertion-ordered: the edge list
+        uf, merges = _UnionFind(n), 0
+        for i, (u, v) in enumerate(edges):
+            if u > v:
+                u, v = v, u
             if u == v:
-                raise GraphError(f"self-loop at vertex {u}")
-            if not (1 <= u <= self.n and 1 <= v <= self.n):
-                raise GraphError(f"vertex id out of range in edge {{{u},{v}}}")
-            if (u, v) in seen:
-                raise GraphError(f"duplicate edge {{{u},{v}}}")
-            seen.add((u, v))
-            if merges < self.n - 1:  # n-1 merges already connect every vertex
+                raise GraphError("self-loop", i)
+            if u < 1 or v > n:
+                raise GraphError("vertex id out of range", i)
+            e = _PAIRS.setdefault((u, v), (u, v))
+            if e in shared:
+                raise GraphError("duplicate edge", i)
+            shared[e] = None
+            if merges < n - 1:  # n-1 merges already connect every vertex
                 merges += uf.union(u, v)
-        if merges < self.n - 1:
+        if merges < n - 1:
             raise GraphError("disconnected graph")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "edges", tuple(shared))
 
     @cached_property
     def _tree(self) -> SpanningTree:
@@ -80,7 +83,7 @@ class Graph:
             for v in it:
                 if not visited[v]:
                     visited[v] = True
-                    order.append(index[_normalize_edge(u, v)])
+                    order.append(index[(u, v) if u < v else (v, u)])
                     stack.append((v, iter(adj[v])))
                     break
             else:
@@ -120,8 +123,10 @@ class Weighting:
     def __init__(self, values: Iterable[float]):
         object.__setattr__(self, "values", tuple(float(w) for w in values))
         for i, w in enumerate(self.values):
-            if not (w >= 0 and math.isfinite(w)):
-                raise GraphError(f"weight of edge {i} must be finite and >= 0, got {w}")
+            if not w >= 0:  # NaN too
+                raise GraphError("negative weight", i)
+            if w == math.inf:
+                raise GraphError("non-finite weight", i)
 
     def __len__(self) -> int:
         return len(self.values)
@@ -283,10 +288,8 @@ def _format_weight(w: float) -> str:
 def format_edge_list(g: Graph, x: Weighting) -> str:
     """Canonical edge-list text: header `n m`, then one `u v w` line per edge."""
     _check_weighting(g, x)
-    lines = [f"{g.n} {g.m}"]
-    for (u, v), w in zip(g.edges, x.values):
-        lines.append(f"{u} {v} {_format_weight(w)}")
-    return "\n".join(lines) + "\n"
+    lines = [f"{u} {v} {_format_weight(w)}" for (u, v), w in zip(g.edges, x.values)]
+    return "\n".join([f"{g.n} {g.m}", *lines]) + "\n"
 
 
 def parse_graph(text: str) -> tuple[Graph, Weighting]:
@@ -294,19 +297,20 @@ def parse_graph(text: str) -> tuple[Graph, Weighting]:
 
     Format: `#` comment lines and blank lines are skipped; the first data
     line is `n m`; exactly m data lines `u v w` follow, with 1-based vertex
-    ids and nonnegative finite decimal weights.
+    ids and nonnegative finite decimal weights.  Of several faults, the first
+    read-time one (syntax, header, edge count) is reported, else `Graph`'s
+    first structural fault, else `Weighting`'s first weight fault, by line.
     """
-    header: tuple[int, int] | None = None
+    n = m = None  # from the header line
     pairs: list[tuple[int, int]] = []
     weights: list[float] = []
-    seen: set[tuple[int, int]] = set()
+    linenos: list[int] = []
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in enumerate(text.splitlines(), start=1):
         tokens = line.split()
-        if header is None:
+        if not tokens or tokens[0].startswith("#"):
+            continue
+        if n is None:
             if len(tokens) != 2:
                 raise ParseError(f"expected header 'n m' on line {lineno}")
             try:
@@ -319,36 +323,28 @@ def parse_graph(text: str) -> tuple[Graph, Weighting]:
                 raise ParseError(f"edge count must be >= 0 on line {lineno}")
             if m < n - 1:  # rejected before n-sized structures are built
                 raise ParseError(f"disconnected graph: {m} edges cannot connect {n} vertices (line {lineno})")
-            header = (n, m)
             continue
-        if len(pairs) == header[1]:
+        if len(pairs) == m:
             raise ParseError(f"unexpected extra edge on line {lineno}")
         if len(tokens) != 3:
             raise ParseError(f"expected 'u v w' on line {lineno}")
         try:
-            u, v = int(tokens[0]), int(tokens[1])
+            pairs.append((int(tokens[0]), int(tokens[1])))
         except ValueError:
             raise ParseError(f"non-integer vertex id on line {lineno}") from None
         try:
-            w = float(tokens[2])
+            weights.append(float(tokens[2]))
         except ValueError:
             raise ParseError(f"invalid weight on line {lineno}") from None
-        if u == v:
-            raise ParseError(f"self-loop on line {lineno}")
-        if not (1 <= u <= header[0] and 1 <= v <= header[0]):
-            raise ParseError(f"vertex id out of range on line {lineno}")
-        if _normalize_edge(u, v) in seen:
-            raise ParseError(f"duplicate edge on line {lineno}")
-        if math.isnan(w) or w < 0:
-            raise ParseError(f"negative weight on line {lineno}")
-        if math.isinf(w):
-            raise ParseError(f"non-finite weight on line {lineno}")
-        seen.add(_normalize_edge(u, v))
-        pairs.append((u, v))
-        weights.append(w)
+        linenos.append(lineno)
 
-    if header is None:
+    if n is None:
         raise ParseError("empty input: missing 'n m' header")
-    if len(pairs) != header[1]:
-        raise ParseError(f"expected {header[1]} edges, got {len(pairs)}")
-    return Graph(header[0], pairs), Weighting(weights)
+    if len(pairs) != m:
+        raise ParseError(f"expected {m} edges, got {len(pairs)}")
+    try:
+        return Graph(n, pairs), Weighting(weights)
+    except GraphError as exc:
+        if exc.edge is None:
+            raise
+        raise ParseError(f"{exc.args[0]} on line {linenos[exc.edge]}") from None

@@ -1,11 +1,13 @@
 import hashlib
 import random
 import re
+import warnings
 from dataclasses import replace
 
 import pytest
 
 from minmaxmst import (
+    GraphError,
     Weighting,
     compile_mst_circuit,
     compile_mst_circuit_naive,
@@ -176,6 +178,25 @@ class TestEvaluate:
                       Weighting([rng.randint(0, 9999) / 10 for _ in range(g.m)])):
                 dec = mst_decomposition(g, x, fix_spanning_tree(g))
                 assert [evaluate(replace(c, output=t), x) for t in terms] == [d for _, d in dec.terms]
+
+    @pytest.mark.parametrize("compile_circuit", [compile_mst_circuit, compile_mst_circuit_naive])
+    def test_overflowing_sum_raises_like_the_solvers(self, compile_circuit):
+        g, x = parse_graph("3 3\n1 2 1e308\n1 3 1.7e308\n2 3 1e308\n")
+        c = compile_circuit(g)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(GraphError, match="^MST weight is too large for a 64-bit float$"):
+                evaluate(c, x)
+            assert evaluate(c, [1e308, 1.7e308, 0.7e308]) == 1.7e308
+
+    @pytest.mark.parametrize("values,reason", [([-5, 1, 2], "negative weight"),
+                                               ([1, float("nan"), 2], "negative weight"),
+                                               ([1, 2, float("inf")], "non-finite weight")])
+    def test_plain_values_are_checked_as_a_weighting(self, triangle, values, reason):
+        g, _ = triangle
+        with pytest.raises(GraphError) as info:
+            evaluate(compile_mst_circuit(g), values)
+        assert info.value.args[0] == reason
 
     def test_arity_mismatch(self, triangle):
         g, _ = triangle

@@ -5,7 +5,7 @@ import subprocess
 
 import pytest
 
-from minmaxmst import compile_mst_circuit, evaluate, parse_graph, solver
+from minmaxmst import cli, compile_mst_circuit, evaluate, parse_graph, solver
 from minmaxmst.cli import ALGORITHMS, main
 from conftest import TRIANGLE
 
@@ -187,6 +187,21 @@ class TestBench:
         _, first, _ = run(capsys, "bench", "--sizes", "4,6", "--seed", "9")
         _, second, _ = run(capsys, "bench", "--sizes", "4,6", "--seed", "9")
         assert first == second
+
+    def test_naive_column_is_the_closed_form(self, capsys, monkeypatch):
+        def refuse(g, x):
+            raise AssertionError("bench ran the O(n^4) naive solver")
+
+        monkeypatch.setattr(cli, "mst_puredp_naive", refuse)
+        monkeypatch.setattr(solver, "mst_puredp_naive", refuse)
+        code, out, _ = run(capsys, "bench", "--sizes", "3,5,8")
+        assert code == 0
+        assert out == (  # captured when this column came from running mst_puredp_naive
+            "n,mst_weight,ops_puredp,ops_naive,ops_puredp_per_n3,ops_naive_per_n4\n"
+            "3,1198730,34,40,1.259259,0.493827\n"
+            "5,1179548,233,413,1.864000,0.660800\n"
+            "8,1243300,1154,3170,2.253906,0.773926\n"
+        )
 
     def test_rejects_bad_sizes(self, capsys):
         code, _, err = run(capsys, "bench", "--sizes", "1,4")

@@ -97,6 +97,59 @@ class TestParse:
             assert g2 == g and x2 == x
 
 
+# (reason, edges of a 3-vertex graph, weights, index of the faulty edge)
+EDGE_FAULTS = [
+    ("self-loop", [(1, 2), (2, 2), (2, 3)], [1, 1, 1], 1),
+    ("vertex id out of range", [(1, 2), (2, 3), (3, 4)], [1, 1, 1], 2),
+    ("vertex id out of range", [(0, 1), (1, 2), (2, 3)], [1, 1, 1], 0),
+    ("duplicate edge", [(1, 2), (2, 3), (2, 1)], [1, 1, 1], 2),
+    ("negative weight", [(1, 2), (2, 3), (1, 3)], [1, 2, -1], 2),
+    ("negative weight", [(1, 2), (2, 3), (1, 3)], [1, float("nan"), 1], 1),
+    ("non-finite weight", [(1, 2), (2, 3), (1, 3)], [float("inf"), 1, 1], 0),
+]
+
+
+class TestEdgeFaults:
+    @pytest.mark.parametrize("reason,edges,weights,bad", EDGE_FAULTS)
+    def test_graph_weighting_and_parser_agree(self, reason, edges, weights, bad):
+        with pytest.raises(GraphError) as direct:
+            Graph(3, edges)
+            Weighting(weights)
+        assert direct.value.args[0] == reason and direct.value.edge == bad
+        assert str(direct.value) == f"{reason} at edge index {bad}"
+        # a comment and a blank line before each edge: edge i sits on line 3i + 5
+        text = "# three vertices\n3 3\n" + "".join(
+            f"# edge {i}\n\n{u} {v} {w}\n" for i, ((u, v), w) in enumerate(zip(edges, weights))
+        )
+        with pytest.raises(ParseError) as parsed:
+            parse_graph(text)
+        assert str(parsed.value) == f"{reason} on line {3 * bad + 5}"
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            # read-time faults first: syntax, then the edge count
+            ("3 3\n1 1 -1\n1 2 x\n2 3 1\n", "invalid weight on line 3"),
+            ("2 1\n1 1 -1\n1 2 1\n", "unexpected extra edge on line 3"),
+            ("3 3\n1 1 -1\n1 2 1\n", "expected 3 edges, got 2"),
+            # then the first structural fault, even after a weight fault
+            ("3 3\n1 2 -1\n2 3 inf\n3 3 1\n", "self-loop on line 4"),
+            ("3 3\n1 2 1\n2 9 1\n1 1 1\n", "vertex id out of range on line 3"),
+            ("3 3\n1 2 -1\n2 3 1\n3 2 1\n", "duplicate edge on line 4"),
+            # then the first weight fault
+            ("3 3\n1 2 1\n2 3 inf\n1 3 -1\n", "non-finite weight on line 3"),
+        ],
+    )
+    def test_precedence_of_several_faults(self, text, message):
+        with pytest.raises(ParseError) as info:
+            parse_graph(text)
+        assert str(info.value) == message
+
+    def test_disconnected_before_weight_faults(self):
+        with pytest.raises(GraphError, match="^disconnected graph$"):
+            parse_graph("5 4\n1 2 -1\n2 3 1\n1 3 1\n4 5 1\n")
+
+
 class TestGraph:
     def test_rejects_self_loop(self):
         with pytest.raises(GraphError, match="self-loop"):

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import numpy as np
@@ -16,6 +17,7 @@ from minmaxmst import (
     kruskal_mst,
     kruskal_tree,
     maggs_plotkin_mst,
+    mst_puredp,
     parse_graph,
     random_connected_graph,
 )
@@ -47,6 +49,24 @@ class TestKruskal:
     def test_tree_is_spanning(self, triangle):
         g, x = triangle
         assert kruskal_tree(g, x) == (0, 2)
+
+
+class TestNetworkx:
+    @pytest.mark.parametrize("n", [64, 128, 256, 512])
+    def test_puredp_matches_networkx_mst(self, n):
+        nx = pytest.importorskip("networkx")
+        rng = random.Random(n)
+        for density, weights in (
+            (0.01, lambda m: rng.sample(range(10 * m), m)),  # sparse, distinct
+            (0.5, lambda m: [rng.randint(0, 15) for _ in range(m)]),  # dense, tied, zeros
+            (0.1, lambda m: [rng.randint(0, 500) / 10 for _ in range(m)]),  # one decimal, tied
+        ):
+            g, _ = random_connected_graph(n, density, rng)
+            x = Weighting(weights(g.m))
+            nxg = nx.Graph()
+            nxg.add_weighted_edges_from((u, v, w) for (u, v), w in zip(g.edges, x.values))
+            tree = nx.minimum_spanning_edges(nxg, data=True)
+            assert mst_puredp(g, x)[0] == math.fsum(d["weight"] for _, _, d in tree)
 
 
 class TestBruteforce:
