@@ -7,11 +7,11 @@ weight-independent artifact: node counts are the solver's operation counts,
 and evaluating the circuit on any weighting reproduces the solver's output.
 
 The compiler runs the solver's own tree walk over a table of node ids and
-emits each round as one numpy block of nodes, stored as three arrays in
-node order.  It also records how to evaluate the result: groups of nodes
-of one kind that do not read each other, and the two chains (the
-extension's max-fold and the tree-order add chain) as left folds, so
-`evaluate` makes a few numpy calls per round.
+writes each round once, as its evaluation schedule: blocks of nodes of one
+kind that do not read each other, and the two chains (the extension's
+max-fold and the tree-order add chain) as left folds, so `evaluate` makes
+a few numpy calls per round.  The node-order view (`Circuit.nodes`, the
+text format) is scattered from the blocks when it is asked for.
 """
 
 from __future__ import annotations
@@ -52,16 +52,12 @@ class Block(NamedTuple):
 class Circuit:
     """Branch-free straight-line program over {input, const 0, min, max, add}.
 
-    `kind` (int8 codes INPUT..ADD), `a` and `b` (int32 operand ids) hold
-    the nodes in node order; an input keeps its edge index in `a`.  Nodes
-    0..m-1 are the inputs in edge order and node m is the constant 0.
-    `blocks` is the evaluation schedule, in an order that respects every
-    operand.
+    Nodes 0..m-1 are the inputs in edge order and node m is the constant 0.
+    Every other node, up to `size - 1`, is in exactly one of `blocks`, the
+    evaluation schedule, in an order that respects every operand.
     """
 
-    kind: np.ndarray
-    a: np.ndarray
-    b: np.ndarray
+    size: int
     output: int
     n: int
     m: int
@@ -81,27 +77,39 @@ class Circuit:
 
 
 def _chunks(c: Circuit) -> Iterator[tuple[int, list[int], list[int], list[int]]]:
-    """(first id, kinds, a, b) as Python lists, a bounded number of nodes at a time."""
-    for s in range(0, len(c.kind), _CHUNK):
+    """(first id, kinds, a, b) in node order as Python lists, a bounded number of nodes at a time.
+
+    The blocks are scattered into node order once per call.  An input keeps
+    its edge index in `a`; a fold's `a` is its start, then its ids but the last.
+    """
+    kind = np.full(c.size, CONST, dtype=np.int8)
+    a, b = np.zeros((2, c.size), dtype=np.intp)
+    kind[: c.m] = INPUT
+    a[: c.m] = np.arange(c.m)
+    for blk in c.blocks:
+        kind[blk.ids] = blk.kind
+        a[blk.ids] = np.concatenate((blk.a, blk.ids[:-1])) if blk.fold else blk.a
+        b[blk.ids] = blk.b
+    for s in range(0, c.size, _CHUNK):
         e = s + _CHUNK
-        yield s, c.kind[s:e].tolist(), c.a[s:e].tolist(), c.b[s:e].tolist()
+        yield s, kind[s:e].tolist(), a[s:e].tolist(), b[s:e].tolist()
 
 
 class _Emitter:
-    """Node arrays appended one block at a time, with their evaluation schedule.
+    """A circuit's blocks, written one round at a time.
 
-    Also the circuit backend of the solver's schedules: `extension`,
-    `sweep` and `zero_update` work on an (n, n) table holding the node id
-    of each vertex pair's current value, the constant 0 on the diagonal.
-    A round's nodes come in the row-major order of the pairs i < j
-    (`triu_indices`); `pair` maps both cells of a pair to its position p.
+    The circuit backend of the solver's schedules: `extension`, `sweep` and
+    `zero_update` work on an (n, n) table holding the node id of each
+    vertex pair's current value, the constant 0 on the diagonal.  A round
+    takes its ids from `reserve`, in the row-major order of the pairs i < j
+    (`triu_indices`), and describes its nodes only by the blocks it
+    schedules; `pair` maps both cells of a pair to its position p.
     """
 
     def __init__(self, g: Graph) -> None:
         self.g = g
         self.zero = g.m  # the constant 0 follows the m inputs
-        self.size = 0
-        self.parts: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+        self.size = g.m + 1
         self.blocks: list[Block] = []
         self.adds: list[int] = []
         self.terms: list[int] = []
@@ -110,13 +118,10 @@ class _Emitter:
         self.pair = np.zeros((g.n, g.n), dtype=np.intp)
         self.pair[self.i, self.j] = self.pair[self.j, self.i] = self.p
 
-    def emit(self, kind, a, b) -> int:
-        """Append the nodes (kind[t], a[t], b[t]); kind may be one code. Returns the first id."""
-        a = np.asarray(a, dtype=np.int32)
-        kind = np.broadcast_to(np.asarray(kind, dtype=np.int8), a.shape)
-        self.parts.append((kind, a, np.asarray(b, dtype=np.int32)))
+    def reserve(self, count: int) -> int:
+        """The ids of the next `count` nodes; returns the first."""
         base = self.size
-        self.size += len(a)
+        self.size += count
         return base
 
     def schedule(self, kind: int, ids, a, b, fold: bool = False) -> None:
@@ -125,14 +130,13 @@ class _Emitter:
 
     def add(self, term: int) -> None:
         """Next node of the tree-order add chain, which starts at the constant 0."""
-        self.adds.append(self.emit(ADD, [self.adds[-1] if self.adds else self.zero], [term]))
+        self.adds.append(self.reserve(1))
         self.terms.append(term)
 
     def circuit(self) -> Circuit:
         self.schedule(ADD, self.adds, [self.zero], self.terms, fold=True)
-        kind, a, b = (np.concatenate(col) for col in zip(*self.parts))
         output = self.adds[-1] if self.adds else self.zero
-        return Circuit(kind, a, b, output, self.g.n, self.g.m, tuple(self.blocks))
+        return Circuit(self.size, output, self.g.n, self.g.m, tuple(self.blocks))
 
     def _relabel(self, t: np.ndarray, first: int, stride: int) -> None:
         """Pair p's cells of t become node first + stride*p; the diagonal stays 0."""
@@ -140,14 +144,12 @@ class _Emitter:
         t.flat[:: len(t) + 1] = self.zero
 
     def extension(self) -> np.ndarray:
-        """Inputs, const 0 and the max-fold M; returns the extension's id table."""
+        """The max-fold M over the inputs; returns the extension's id table."""
         m = self.g.m
-        self.emit(INPUT, np.arange(m), np.zeros(m))
-        self.emit(CONST, [0], [0])
         biggest = 0  # M is input 0 itself when m == 1
         if m > 1:  # M = max(...max(max(x0, x1), x2)..., x_{m-1})
-            first = self.emit(MAX, np.r_[0, np.arange(m + 1, 2 * m - 1)], np.arange(1, m))
-            self.schedule(MAX, np.arange(first, first + m - 1), [0], np.arange(1, m), fold=True)
+            first = self.reserve(m - 1)
+            self.schedule(MAX, np.arange(first, self.size), [0], np.arange(1, m), fold=True)
             biggest = self.size - 1
         return _extension_layout(self.g, np.arange(m), self.zero, biggest)
 
@@ -162,9 +164,8 @@ class _Emitter:
         first, then all other pairs.
         """
         i, j = self.i, self.j
-        kinds = np.tile(np.array([MAX, MIN], dtype=np.int8), len(i))
         for k in range(len(t)):
-            base = self.size
+            base = self.reserve(2 * len(i))
             maxes = base + 2 * self.p
             mins = maxes + 1
             col = base + 1 + 2 * self.pair[k]  # the new ids of row and column k
@@ -172,7 +173,6 @@ class _Emitter:
             ta = np.where(k < j, col[i], t[i, k])
             tb = np.where(k < i, col[j], t[k, j])
             old = t[i, j]
-            self.emit(kinds, np.stack((ta, old), 1).ravel(), np.stack((tb, maxes), 1).ravel())
             on_k = (i == k) | (j == k)
             for sel in (on_k, ~on_k):
                 self.schedule(MAX, maxes[sel], ta[sel], tb[sel])
@@ -187,12 +187,10 @@ class _Emitter:
         all read from the table as it was before the round.
         """
         i, j = self.i, self.j
-        base = self.size
+        base = self.reserve(4 * len(i))
         t1 = base + 4 * self.p
         m1, t2, m2 = t1 + 1, t1 + 2, t1 + 3
         a1, b1, a2, b2, old = t[i, u], t[j, v], t[i, v], t[j, u], t[i, j]
-        kinds = np.tile(np.array([MAX, MIN, MAX, MIN], dtype=np.int8), len(i))
-        self.emit(kinds, np.stack((a1, old, a2, m1), 1).ravel(), np.stack((b1, t1, b2, t2), 1).ravel())
         self.schedule(MAX, *(np.concatenate(v) for v in ((t1, t2), (a1, a2), (b1, b2))))
         self.schedule(MIN, m1, old, t1)
         self.schedule(MIN, m2, m1, t2)
@@ -233,7 +231,7 @@ def evaluate(c: Circuit, x: Weighting | Sequence[float]) -> float:
     values = (x if isinstance(x, Weighting) else Weighting(x)).values
     if len(values) != c.m:
         raise ValueError(f"circuit expects {c.m} input values, got {len(values)}")
-    vals = np.empty(len(c.kind))
+    vals = np.empty(c.size)
     vals[: c.m] = values
     vals[c.m] = 0.0
     for blk in c.blocks:
@@ -250,8 +248,10 @@ def evaluate(c: Circuit, x: Weighting | Sequence[float]) -> float:
 
 
 def count_ops(c: Circuit) -> OpCounts:
-    """Tally of min/max/add nodes in the circuit."""
-    counts = np.bincount(c.kind, minlength=len(KIND_NAMES)).tolist()
+    """Tally of min/max/add nodes in the circuit, read off its block lengths."""
+    counts = [0] * len(KIND_NAMES)
+    for blk in c.blocks:
+        counts[blk.kind] += len(blk.ids)
     return OpCounts(counts[MIN], counts[MAX], counts[ADD])
 
 

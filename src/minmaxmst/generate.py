@@ -31,8 +31,6 @@ def random_connected_graph(
     yields a tree and density 1 yields the complete graph.  Edges are listed
     in sorted pair order and weighted after the edge list is fixed.
     """
-    if n < 1:
-        raise GraphError(f"need n >= 1, got {n}")
     if not 0.0 <= density <= 1.0:
         raise GraphError(f"density must be in [0, 1], got {density}")
     if max_weight < 0:

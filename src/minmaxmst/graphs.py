@@ -48,7 +48,7 @@ class Graph:
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         if n < 1:
-            raise GraphError("graph must have at least one vertex")
+            raise GraphError("vertex count must be >= 1")
         shared: dict[tuple[int, int], None] = {}  # insertion-ordered: the edge list
         uf, merges = _UnionFind(n), 0
         for i, (u, v) in enumerate(edges):
@@ -239,13 +239,26 @@ class ExtendedWeighting:
 
     def weight(self, u: int, v: int) -> float:
         """Entry of the vertex pair {u,v}, 1-based."""
+        n = self.n
+        if not (1 <= u <= n and 1 <= v <= n):
+            raise GraphError(f"vertex out of range: {{{u},{v}}} for n={n}")
         return float(self.values[u - 1, v - 1])
 
     dist = weight
 
 
+# Byte budget of one (n, n) extension table: a larger graph fails fast instead of exhausting memory.
+_TABLE_BYTES = 2**30
+
+
 def _extension_layout(g: Graph, edge_entries: np.ndarray, zero, biggest) -> np.ndarray:
-    """The extension's (n, n) layout, of weight ranks, weights or node ids: edges, `zero` diagonal, `biggest` elsewhere."""
+    """The extension's (n, n) layout, of weight ranks, weights or node ids: edges, `zero` diagonal, `biggest` elsewhere.
+
+    Raises GraphError, before allocating, when the table would pass `_TABLE_BYTES`.
+    """
+    nbytes = g.n * g.n * edge_entries.dtype.itemsize
+    if nbytes > _TABLE_BYTES:
+        raise GraphError(f"graph too large: n={g.n} needs a {nbytes:,}-byte table, over the {_TABLE_BYTES:,}-byte limit")
     table = np.full((g.n, g.n), biggest, dtype=edge_entries.dtype)
     table.flat[:: g.n + 1] = zero
     ends = np.fromiter(chain.from_iterable(g.edges), np.intp, 2 * g.m) - 1

@@ -2,12 +2,16 @@ import hashlib
 import random
 import re
 import warnings
-from dataclasses import replace
+from collections import Counter
+from dataclasses import fields, replace
 
+import numpy as np
 import pytest
 
 from minmaxmst import (
+    Circuit,
     GraphError,
+    OpCounts,
     Weighting,
     compile_mst_circuit,
     compile_mst_circuit_naive,
@@ -24,6 +28,7 @@ from minmaxmst import (
     puredp_op_counts,
     random_connected_graph,
 )
+from minmaxmst.circuit import ADD, MAX
 from conftest import TRIANGLE, random_instances
 
 LINE_RE = re.compile(
@@ -128,6 +133,41 @@ class TestCompile:
         c = compile_mst_circuit(g)
         assert evaluate(c, []) == 0.0
         assert count_ops(c).total == 0
+
+
+class TestBlocks:
+    """The blocks are the only description of a compiled circuit's nodes."""
+
+    def test_circuit_holds_no_node_order_arrays(self):
+        assert [f.name for f in fields(Circuit)] == ["size", "output", "n", "m", "blocks"]
+
+    @pytest.mark.parametrize("compile_circuit", [compile_mst_circuit, compile_mst_circuit_naive])
+    def test_blocks_partition_the_computed_nodes(self, compile_circuit):
+        for g in small_graphs_of_every_shape(52) + [complete_graph(16)]:
+            c = compile_circuit(g)
+            ids = np.concatenate([blk.ids for blk in c.blocks] + [np.zeros(0, dtype=np.intp)])
+            assert np.array_equal(np.sort(ids), np.arange(g.m + 1, c.size))
+
+    @pytest.mark.parametrize("compile_circuit", [compile_mst_circuit, compile_mst_circuit_naive])
+    def test_folds_are_chains(self, compile_circuit):
+        """A fold's ids ascend from its one start.  The extension's max-fold takes
+        the ids right after the constant 0; the add chain's ids lie between rounds."""
+        for g in small_graphs_of_every_shape(53) + [complete_graph(16)]:
+            folds = [blk for blk in compile_circuit(g).blocks if blk.fold]
+            assert [blk.kind for blk in folds] == [MAX] * (g.m > 1) + [ADD] * (g.n > 1)
+            for blk in folds:
+                assert len(blk.a) == 1 and blk.a[0] < blk.ids[0] and np.all(np.diff(blk.ids) > 0)
+                if blk.kind == MAX:
+                    assert np.array_equal(blk.ids, np.arange(g.m + 1, 2 * g.m))
+
+    @pytest.mark.parametrize("compile_circuit", [compile_mst_circuit, compile_mst_circuit_naive])
+    def test_count_ops_matches_the_node_order_view(self, compile_circuit):
+        for g in small_graphs_of_every_shape(54) + [complete_graph(16)]:
+            c = compile_circuit(g)
+            tally = Counter(node[0] for node in c.nodes)
+            assert count_ops(c) == OpCounts(tally["min"], tally["max"], tally["add"])
+            assert tally["input"] == g.m and tally["const"] == 1
+            assert sum(tally.values()) == c.size
 
 
 class TestEvaluate:

@@ -5,7 +5,17 @@ import subprocess
 
 import pytest
 
-from minmaxmst import cli, compile_mst_circuit, evaluate, parse_graph, solver
+from minmaxmst import (
+    Weighting,
+    cli,
+    compile_mst_circuit,
+    complete_graph,
+    evaluate,
+    format_edge_list,
+    graphs,
+    parse_graph,
+    solver,
+)
 from minmaxmst.cli import ALGORITHMS, main
 from conftest import TRIANGLE
 
@@ -96,6 +106,15 @@ class TestSolve:
         code, out, err = run(capsys, "solve", str(bad))
         assert code == 1 and out == ""
         assert "negative weight on line 3" in err
+
+    def test_graph_over_the_table_budget_exits_1(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr(graphs, "_TABLE_BYTES", 1024)
+        g = complete_graph(64)
+        f = tmp_path / "k64.el"
+        f.write_text(format_edge_list(g, Weighting(range(g.m))))
+        code, out, err = run(capsys, "solve", str(f))
+        assert code == 1 and out == ""
+        assert err == "error: graph too large: n=64 needs a 8,192-byte table, over the 1,024-byte limit\n"
 
     def test_missing_file_exits_1(self, capsys):
         code, _, err = run(capsys, "solve", "/nonexistent/file.el")

@@ -46,3 +46,7 @@ class TestRandomConnectedGraph:
             gen(4, 1.5, seed=1)
         with pytest.raises(GraphError):
             gen(4, -0.1, seed=1)
+
+    def test_vertex_count_checked_by_graph(self):
+        with pytest.raises(GraphError, match=r"^vertex count must be >= 1$"):
+            gen(0, 0.5, seed=1)

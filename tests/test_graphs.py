@@ -12,12 +12,14 @@ from minmaxmst import (
     ParseError,
     SpanningTree,
     Weighting,
+    all_pairs_minmax,
     compile_mst_circuit,
     complete_extension,
     complete_graph,
     fix_spanning_tree,
     format_edge_list,
     kruskal_mst,
+    maggs_plotkin_mst,
     mst_puredp,
     parse_graph,
     random_connected_graph,
@@ -175,6 +177,12 @@ class TestGraph:
         with pytest.raises(GraphError):
             Graph(0, [])
 
+    def test_vertex_count_worded_as_the_header_check(self):
+        with pytest.raises(GraphError, match=r"^vertex count must be >= 1$"):
+            Graph(0, [])
+        with pytest.raises(ParseError, match=r"^vertex count must be >= 1 on line 1$"):
+            parse_graph("0 0\n")
+
     def test_normalizes_pair_order(self):
         g = Graph(3, [(2, 1), (3, 2)])
         assert g.edges == ((1, 2), (2, 3))
@@ -227,6 +235,16 @@ class TestCompleteExtension:
         with pytest.raises(GraphError):
             complete_extension(g, Weighting([1.0]))
 
+    def test_weight_and_dist_check_their_vertices(self):
+        g, x = parse_graph(TRIANGLE)
+        xbar = complete_extension(g, x)
+        with pytest.raises(GraphError, match=r"^vertex out of range: \{0,1\} for n=3$"):
+            xbar.weight(0, 1)  # would wrap to the last row
+        with pytest.raises(GraphError, match=r"^vertex out of range: \{-1,2\} for n=3$"):
+            all_pairs_minmax(xbar).dist(-1, 2)
+        with pytest.raises(GraphError, match=r"^vertex out of range: \{4,1\} for n=3$"):
+            xbar.weight(4, 1)
+
     def test_preserves_mst_weight_exhaustive_small(self, small_graphs):
         rng = random.Random(11)
         for n in range(1, 6):
@@ -245,6 +263,40 @@ class TestCompleteExtension:
             kn = complete_graph(g.n)
             xk = Weighting([xbar.weight(u, v) for u, v in kn.edges])
             assert kruskal_mst(kn, xk) == kruskal_mst(g, x)
+
+
+class TestTableBudget:
+    """A graph whose (n, n) table would pass `graphs._TABLE_BYTES` is refused before allocating."""
+
+    BUDGET = r"over the 1,024-byte limit$"
+
+    def test_every_table_builder_refuses(self, monkeypatch):
+        monkeypatch.setattr(graphs, "_TABLE_BYTES", 1024)
+        g = complete_graph(64)
+        x = Weighting(range(g.m))  # 2,016 distinct weights: a uint16 rank table of 8,192 bytes
+        with pytest.raises(GraphError, match=r"^graph too large: n=64 needs a 8,192-byte table, " + self.BUDGET):
+            mst_puredp(g, x)
+        for build in (lambda: complete_extension(g, x), lambda: maggs_plotkin_mst(g, x),
+                      lambda: compile_mst_circuit(g)):
+            with pytest.raises(GraphError, match=self.BUDGET):
+                build()
+
+    def test_refused_before_allocating(self, monkeypatch):
+        monkeypatch.setattr(graphs, "_TABLE_BYTES", 1024)
+        g = complete_graph(64)
+        x = Weighting(range(g.m))
+        monkeypatch.setattr(graphs.np, "full", lambda *a, **k: pytest.fail("allocated a table"))
+        with pytest.raises(GraphError, match=self.BUDGET):
+            mst_puredp(g, x)
+
+    def test_tables_within_the_budget_are_built(self, monkeypatch):
+        monkeypatch.setattr(graphs, "_TABLE_BYTES", 1024)
+        g = complete_graph(32)  # 496 distinct weights: a uint16 rank table of 2,048 bytes
+        x = Weighting(range(g.m))
+        with pytest.raises(GraphError, match=self.BUDGET):
+            mst_puredp(g, x)
+        x = Weighting([w % 200 for w in range(g.m)])  # 200 levels: a uint8 table of 1,024 bytes
+        assert mst_puredp(g, x)[0] == kruskal_mst(g, x)
 
 
 class TestFixSpanningTree:
