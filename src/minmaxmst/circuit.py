@@ -22,13 +22,14 @@ from typing import Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .counting import OpCounts
-from .graphs import Graph, GraphError, Weighting, _extension_layout, fix_spanning_tree
-from .solver import _naive_schedule, _puredp_schedule
+from .graphs import Graph, GraphError, Weighting, _check_bytes, _extension_layout, fix_spanning_tree
+from .solver import _naive_schedule, _puredp_schedule, naive_op_counts, puredp_op_counts
 
 INPUT, CONST, MIN, MAX, ADD = range(5)
 KIND_NAMES = ("input", "const", "min", "max", "add")
 _UFUNCS = {MIN: np.minimum, MAX: np.maximum, ADD: np.add}
 _CHUNK = 1 << 16  # nodes turned into Python objects at a time
+_NODE_BYTES = 3 * np.dtype(np.intp).itemsize  # a node's id and operands in its block
 
 Node = tuple  # ("input", edge) | ("const", 0.0) | ("min"|"max"|"add", a, b)
 
@@ -93,6 +94,12 @@ def _chunks(c: Circuit) -> Iterator[tuple[int, list[int], list[int], list[int]]]
     for s in range(0, c.size, _CHUNK):
         e = s + _CHUNK
         yield s, kind[s:e].tolist(), a[s:e].tolist(), b[s:e].tolist()
+
+
+def _check_nodes(g: Graph, ops: OpCounts) -> None:
+    """Raise GraphError, before anything is allocated, when the circuit's blocks would pass the byte budget."""
+    nodes = g.m + 1 + ops.total
+    _check_bytes(g, nodes * _NODE_BYTES, f"circuit of {nodes:,} nodes")
 
 
 class _Emitter:
@@ -203,8 +210,10 @@ def compile_mst_circuit(g: Graph) -> Circuit:
     Runs `mst_puredp`'s schedule over node ids: the extension max-fold, n
     rounds of the pair recurrence, n-2 zeroing-update rounds interleaved
     with the tree walk, and the final chain of additions.  Structure
-    depends on g alone.
+    depends on g alone.  A graph whose circuit would pass the byte budget
+    of `graphs._TABLE_BYTES` raises GraphError before anything is built.
     """
+    _check_nodes(g, puredp_op_counts(g.n, g.m))
     em = _Emitter(g)
     for _, cell in _puredp_schedule(g, fix_spanning_tree(g).edges, em.extension(), em.sweep, em.zero_update):
         em.add(cell)
@@ -213,7 +222,8 @@ def compile_mst_circuit(g: Graph) -> Circuit:
 
 def compile_mst_circuit_naive(g: Graph) -> Circuit:
     """Straight-line counterpart of `mst_puredp_naive` (a fresh distance
-    computation per tree edge; O(n^4) nodes)."""
+    computation per tree edge; O(n^4) nodes), under the same byte budget."""
+    _check_nodes(g, naive_op_counts(g.n, g.m))
     em = _Emitter(g)
     for _, cell in _naive_schedule(g, em.extension(), em.sweep, em.zero):
         em.add(cell)
@@ -228,7 +238,7 @@ def evaluate(c: Circuit, x: Weighting | Sequence[float]) -> float:
     to within rounding, exactly on integer weights; like the solvers, it
     raises GraphError past the float range.
     """
-    values = (x if isinstance(x, Weighting) else Weighting(x)).values
+    values = (x if isinstance(x, Weighting) else Weighting(x)).array
     if len(values) != c.m:
         raise ValueError(f"circuit expects {c.m} input values, got {len(values)}")
     vals = np.empty(c.size)

@@ -53,13 +53,17 @@ def all_pairs_minmax(xbar: ExtendedWeighting | np.ndarray) -> DistanceMatrix:
     """All-pairs min-max distances of a complete weight table.
 
     Initial values are the pair weights; n rounds of the pair recurrence
-    perform n * n(n-1)/2 min and as many max operations.  The input is
+    perform n * n(n-1)/2 min and as many max operations.  The rounds run
+    on the entries' ranks, which gives the same distances (see the
+    `solver` module docstring); an `inf` entry ranks last.  The input is
     not modified.
     """
     d = np.array(getattr(xbar, "values", xbar), dtype=float)
     _check_square_symmetric(d)
-    _sweep(d)
-    return DistanceMatrix(d)
+    levels, ranks = np.unique(d, return_inverse=True)
+    table = ranks.astype(np.min_scalar_type(len(levels) - 1)).reshape(d.shape)
+    _sweep(table)
+    return DistanceMatrix(levels[table])
 
 
 def zero_edge_update(d: DistanceMatrix, a: int, b: int) -> DistanceMatrix:

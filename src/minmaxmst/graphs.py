@@ -7,7 +7,7 @@ position in the edge list (file order for parsed graphs).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
 from typing import Iterable, Sequence
@@ -90,6 +90,17 @@ class Graph:
                 stack.pop()
         return SpanningTree(order)
 
+    @cached_property
+    def _ends(self) -> np.ndarray:
+        """Read-only (2, m) array of 0-based edge ends, in the smallest unsigned dtype that holds n-1.
+
+        The extension layouts scatter through it; kept on the graph, like `_tree`.
+        """
+        ends = np.fromiter(chain.from_iterable(self.edges), np.intp, 2 * self.m) - 1
+        ends = ends.astype(np.min_scalar_type(self.n - 1)).reshape(self.m, 2).T.copy()
+        ends.setflags(write=False)
+        return ends
+
     @property
     def m(self) -> int:
         return len(self.edges)
@@ -116,17 +127,24 @@ def complete_graph(n: int) -> Graph:
 
 @dataclass(frozen=True, init=False)
 class Weighting:
-    """One nonnegative weight per edge index of a host graph."""
+    """One nonnegative weight per edge index of a host graph.
+
+    `values` holds the weights as floats and `array` the same weights as a
+    read-only float64 array, the form the solvers read.
+    """
 
     values: tuple[float, ...]
+    array: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __init__(self, values: Iterable[float]):
-        object.__setattr__(self, "values", tuple(float(w) for w in values))
-        for i, w in enumerate(self.values):
-            if not w >= 0:  # NaN too
-                raise GraphError("negative weight", i)
-            if w == math.inf:
-                raise GraphError("non-finite weight", i)
+        values = tuple(map(float, values))
+        arr = np.array(values, dtype=float)
+        if not (arr.min(initial=0.0) >= 0 and arr.max(initial=0.0) < math.inf):  # NaN fails both
+            i = int(np.argmax(~(arr >= 0) | (arr == math.inf)))  # the first faulty weight
+            raise GraphError("negative weight" if not arr[i] >= 0 else "non-finite weight", i)
+        arr.setflags(write=False)
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "array", arr)
 
     def __len__(self) -> int:
         return len(self.values)
@@ -247,8 +265,14 @@ class ExtendedWeighting:
     dist = weight
 
 
-# Byte budget of one (n, n) extension table: a larger graph fails fast instead of exhausting memory.
+# Byte budget of one (n, n) extension table or one compiled circuit: a larger graph fails fast instead of exhausting memory.
 _TABLE_BYTES = 2**30
+
+
+def _check_bytes(g: Graph, nbytes: int, what: str) -> None:
+    """Raise GraphError when a `what` of `nbytes` bytes for g would pass `_TABLE_BYTES`."""
+    if nbytes > _TABLE_BYTES:
+        raise GraphError(f"graph too large: n={g.n} needs a {nbytes:,}-byte {what}, over the {_TABLE_BYTES:,}-byte limit")
 
 
 def _extension_layout(g: Graph, edge_entries: np.ndarray, zero, biggest) -> np.ndarray:
@@ -256,13 +280,10 @@ def _extension_layout(g: Graph, edge_entries: np.ndarray, zero, biggest) -> np.n
 
     Raises GraphError, before allocating, when the table would pass `_TABLE_BYTES`.
     """
-    nbytes = g.n * g.n * edge_entries.dtype.itemsize
-    if nbytes > _TABLE_BYTES:
-        raise GraphError(f"graph too large: n={g.n} needs a {nbytes:,}-byte table, over the {_TABLE_BYTES:,}-byte limit")
+    _check_bytes(g, g.n * g.n * edge_entries.dtype.itemsize, "table")
     table = np.full((g.n, g.n), biggest, dtype=edge_entries.dtype)
     table.flat[:: g.n + 1] = zero
-    ends = np.fromiter(chain.from_iterable(g.edges), np.intp, 2 * g.m) - 1
-    u, v = ends[0::2], ends[1::2]
+    u, v = g._ends
     table[u, v] = table[v, u] = edge_entries
     return table
 
@@ -277,7 +298,7 @@ def _rank_table(g: Graph, x: Weighting) -> tuple[np.ndarray, np.ndarray]:
     Every entry of the extension is a level, so `levels[table]` is its
     weight table.
     """
-    levels, ranks = np.unique((0.0, *x.values), return_inverse=True)
+    levels, ranks = np.unique(np.concatenate(([0.0], x.array)), return_inverse=True)
     levels[0] = 0.0  # +0.0 even when a -0.0 weight sorted first
     top = len(levels) - 1
     return levels, _extension_layout(g, ranks[1:].astype(np.min_scalar_type(top)), 0, top)

@@ -89,7 +89,7 @@ def bruteforce_mst(g: Graph, x: Weighting) -> float:
     if g.n == 1:
         return 0.0
     trees = _spanning_tree_array(g)
-    weights = np.asarray(x.values, dtype=float)[trees]
+    weights = x.array[trees]
     with np.errstate(over="ignore"):  # a sum past the float range is inf; _weight_sum then raises
         sums = weights.sum(axis=1)
     return _weight_sum(weights[np.argmin(sums)])
@@ -106,11 +106,9 @@ def maggs_plotkin_mst(g: Graph, x: Weighting) -> float:
     _check_weighting(g, x)
     if len(set(x.values)) != g.m:
         raise PreconditionError("maggs_plotkin_mst requires pairwise distinct weights")
-    table = _extension_layout(g, np.array(x.values, dtype=float), 0.0, math.inf)
-    d = all_pairs_minmax(table).values
-    return _weight_sum(
-        w for (u, v), w in zip(g.edges, x.values) if d[u - 1, v - 1] == w
-    )
+    d = all_pairs_minmax(_extension_layout(g, x.array, 0.0, math.inf)).values
+    u, v = g._ends
+    return _weight_sum(x.array[d[u, v] == x.array])
 
 
 def hu_minmax_via_mst(g: Graph, x: Weighting) -> DistanceMatrix:

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from minmaxmst import Graph, Weighting, parse_graph, random_connected_graph
+from minmaxmst import Graph, Weighting, complete_graph, parse_graph, random_connected_graph
 
 TRIANGLE = "3 3\n1 2 1\n1 3 3\n2 3 2\n"
 
@@ -61,3 +61,12 @@ def random_instances(count: int, seed: int, min_n: int = 2, max_n: int = 16,
         n = rng.randint(min_n, max_n)
         out.append(random_connected_graph(n, rng.random(), rng, max_weight))
     return out
+
+
+def small_graphs_of_every_shape(seed):
+    """n = 1, a single edge, trees, and random graphs with n <= 12."""
+    rng = random.Random(seed)
+    graphs = [parse_graph("1 0\n")[0], parse_graph("2 1\n1 2 7\n")[0], complete_graph(3)]
+    graphs += [random_connected_graph(rng.randint(2, 12), 0.0, rng)[0] for _ in range(8)]
+    graphs += [random_connected_graph(rng.randint(2, 12), rng.random(), rng)[0] for _ in range(24)]
+    return graphs

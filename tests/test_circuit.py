@@ -10,6 +10,7 @@ import pytest
 
 from minmaxmst import (
     Circuit,
+    Graph,
     GraphError,
     OpCounts,
     Weighting,
@@ -28,8 +29,9 @@ from minmaxmst import (
     puredp_op_counts,
     random_connected_graph,
 )
+from minmaxmst import graphs
 from minmaxmst.circuit import ADD, MAX
-from conftest import TRIANGLE, random_instances
+from conftest import TRIANGLE, random_instances, small_graphs_of_every_shape
 
 LINE_RE = re.compile(
     r"^\d+ = (input \d+|const 0|min \d+ \d+|max \d+ \d+|add \d+ \d+)$"
@@ -70,15 +72,6 @@ def reference_evaluate(c, values):
         else:  # const
             vals.append(node[1])
     return vals[c.output]
-
-
-def small_graphs_of_every_shape(seed):
-    """n = 1, a single edge, trees, and random graphs with n <= 12."""
-    rng = random.Random(seed)
-    graphs = [parse_graph("1 0\n")[0], parse_graph("2 1\n1 2 7\n")[0], complete_graph(3)]
-    graphs += [random_connected_graph(rng.randint(2, 12), 0.0, rng)[0] for _ in range(8)]
-    graphs += [random_connected_graph(rng.randint(2, 12), rng.random(), rng)[0] for _ in range(24)]
-    return graphs
 
 
 def golden_graph(name):
@@ -133,6 +126,38 @@ class TestCompile:
         c = compile_mst_circuit(g)
         assert evaluate(c, []) == 0.0
         assert count_ops(c).total == 0
+
+
+class TestNodeBudget:
+    """A circuit whose blocks (24 bytes a node) would pass `graphs._TABLE_BYTES` is refused before anything is built."""
+
+    @pytest.fixture
+    def no_emitter(self, monkeypatch):
+        monkeypatch.setattr(np, "triu_indices", lambda *a, **k: pytest.fail("built the emitter"))
+
+    @pytest.mark.parametrize("compile_circuit,op_counts", [(compile_mst_circuit, puredp_op_counts),
+                                                           (compile_mst_circuit_naive, naive_op_counts)])
+    def test_refused_by_its_node_count(self, monkeypatch, no_emitter, compile_circuit, op_counts):
+        monkeypatch.setattr(graphs, "_TABLE_BYTES", 2**20)
+        g = complete_graph(32)
+        nodes = g.m + 1 + op_counts(g.n, g.m).total
+        with pytest.raises(GraphError, match=f"^graph too large: n=32 needs a {24 * nodes:,}-byte circuit "
+                                             f"of {nodes:,} nodes, over the 1,048,576-byte limit$"):
+            compile_circuit(g)
+
+    def test_circuits_within_the_budget_are_built(self, monkeypatch):
+        monkeypatch.setattr(graphs, "_TABLE_BYTES", 2**20)
+        g = complete_graph(16)  # 10,815 nodes: 259,560 bytes
+        assert count_ops(compile_mst_circuit(g)) == puredp_op_counts(g.n, g.m)
+        g = complete_graph(8)
+        assert count_ops(compile_mst_circuit_naive(g)) == naive_op_counts(g.n, g.m)
+
+    def test_huge_sparse_graph_refused_under_the_real_budget(self, no_emitter):
+        n = 10**5  # a path: its (n, n) tables alone would be tens of GB
+        with pytest.raises(GraphError, match=r"^graph too large: n=100000 needs a [\d,]+-byte circuit"):
+            compile_mst_circuit(Graph(n, [(v, v + 1) for v in range(1, n)]))
+        g = complete_graph(64)
+        assert 24 * (g.m + 1 + puredp_op_counts(g.n, g.m).total) < graphs._TABLE_BYTES
 
 
 class TestBlocks:

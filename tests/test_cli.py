@@ -289,3 +289,11 @@ class TestEmitCircuit:
         f.write_text("oops\n")
         code, _, err = run(capsys, "emit-circuit", str(f))
         assert code == 1 and err
+
+    def test_circuit_over_the_budget_exits_1(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr(graphs, "_TABLE_BYTES", 2**20)
+        f = tmp_path / "k32.el"
+        f.write_text(format_edge_list(complete_graph(32), Weighting([1] * 496)))
+        code, out, err = run(capsys, "emit-circuit", str(f))
+        assert code == 1 and out == ""
+        assert err == "error: graph too large: n=32 needs a 2,214,888-byte circuit of 92,287 nodes, over the 1,048,576-byte limit\n"

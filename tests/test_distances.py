@@ -15,6 +15,7 @@ from minmaxmst import (
     random_connected_graph,
     zero_edge_update,
 )
+from minmaxmst import distances, graphs
 from conftest import random_instances
 from strategies import weighted_graphs
 
@@ -97,6 +98,19 @@ class TestAllPairsMinmax:
             all_pairs_minmax(np.array([[1.0, 1.0], [1.0, 0.0]]))
         with pytest.raises(GraphError, match="nonnegative"):
             all_pairs_minmax(np.array([[0.0, -1.0], [-1.0, 0.0]]))
+
+    def test_ranked_sweep_equals_the_float_sweep(self):
+        """The sweep runs on ranks; the float64 kernel on the same table is the reference.
+        Non-edges are `inf`, as in Maggs-Plotkin, and rank last."""
+        rng = random.Random(21)
+        for k in range(40):
+            g, x = random_connected_graph(rng.randint(1, 24), rng.random(), rng, 10**6)
+            if k % 2:
+                x = Weighting(rng.choice([0.0, -0.0, 0.5, rng.random(), 1e300]) for _ in range(g.m))
+            table = graphs._extension_layout(g, x.array, 0.0, math.inf)
+            expect = table.copy()
+            distances._sweep(expect)
+            assert np.array_equal(all_pairs_minmax(table).values, expect)
 
     def test_input_not_modified(self):
         g, x = parse_graph("4 4\n1 2 1\n2 3 2\n3 4 3\n1 4 4\n")

@@ -26,7 +26,7 @@ from minmaxmst import (
     validate_spanning_tree,
 )
 from minmaxmst import graphs
-from conftest import TRIANGLE
+from conftest import TRIANGLE, small_graphs_of_every_shape
 from strategies import weighted_graphs
 
 
@@ -263,6 +263,76 @@ class TestCompleteExtension:
             kn = complete_graph(g.n)
             xk = Weighting([xbar.weight(u, v) for u, v in kn.edges])
             assert kruskal_mst(kn, xk) == kruskal_mst(g, x)
+
+
+class TestWeighting:
+    @pytest.mark.parametrize("values", [[], [3], [0, 1.5, -0.0, 2**53 + 1, 1e300, 5e-324], range(10),
+                                        (w / 10 for w in range(5))])
+    def test_array_is_read_only_and_equals_values(self, values):
+        x = Weighting(values)
+        assert x.array.dtype == np.float64 and x.array.shape == (len(x),)
+        assert x.array.tolist() == list(x.values)
+        assert np.signbit(x.array).tolist() == [np.signbit(w) for w in x.values]
+        with pytest.raises(ValueError, match="read-only"):
+            x.array[:1] = 7.0
+
+    def test_array_is_not_part_of_equality_or_repr(self):
+        x, y = Weighting([1, 2]), Weighting((1.0, 2.0))
+        assert x == y and hash(x) == hash(y) and x.array is not y.array
+        assert repr(x) == "Weighting(values=(1.0, 2.0))"
+
+    # (weights, reason, index of the first faulty weight): the first fault wins, whatever its kind
+    MIXED_FAULTS = [
+        ([1, float("nan"), float("inf")], "negative weight", 1),
+        ([float("inf"), 1, -1], "non-finite weight", 0),
+        ([-0.0, 2, float("inf"), float("nan"), -2], "non-finite weight", 2),
+        ([0.0, -0.0, float("-inf"), float("inf")], "negative weight", 2),
+        ([5, 4, -1e-300, float("nan")], "negative weight", 2),
+    ]
+
+    @pytest.mark.parametrize("weights,reason,bad", MIXED_FAULTS)
+    def test_first_fault_reported(self, weights, reason, bad):
+        with pytest.raises(GraphError) as exc:
+            Weighting(weights)
+        assert exc.value.args[0] == reason and exc.value.edge == bad
+        edges = "".join(f"\n1 {v} {w}" for v, w in enumerate(weights, start=2))
+        with pytest.raises(ParseError, match=f"^{reason} on line {bad + 2}$"):
+            parse_graph(f"{len(weights) + 1} {len(weights)}{edges}\n")
+
+    def test_negative_zero_accepted(self):
+        x = Weighting([-0.0, 0.0])
+        assert np.signbit(x.array).tolist() == [True, False]
+        g, y = parse_graph("2 1\n1 2 -0\n")
+        assert mst_puredp(g, y)[0] == 0.0
+
+
+class TestEdgeEnds:
+    """`Graph._ends`, the 0-based edge ends that every extension layout scatters through."""
+
+    def test_ends_are_the_edges_less_one(self):
+        for g in small_graphs_of_every_shape(31) + [complete_graph(256)]:
+            ends = g._ends
+            assert ends.shape == (2, g.m) and ends.dtype == np.min_scalar_type(g.n - 1)
+            assert ends.T.tolist() == [[u - 1, v - 1] for u, v in g.edges]
+            assert not ends.flags.writeable
+        assert complete_graph(256)._ends.dtype == np.uint8
+        assert complete_graph(257)._ends.dtype == np.uint16
+
+    def test_built_once_and_freed_with_the_graph(self, monkeypatch):
+        g = complete_graph(12)
+        x = Weighting(range(g.m))
+        built = []
+        fromiter = np.fromiter
+        monkeypatch.setattr(graphs.np, "fromiter", lambda *a, **k: built.append(1) or fromiter(*a, **k))
+        ends = g._ends
+        for use in (mst_puredp, mst_puredp, complete_extension, maggs_plotkin_mst,
+                    lambda g, x: compile_mst_circuit(g)):
+            use(g, x)
+        assert g._ends is ends and len(built) == 1
+        refs = weakref.ref(g), weakref.ref(ends)
+        del g, ends
+        gc.collect()
+        assert [r() for r in refs] == [None, None]
 
 
 class TestTableBudget:
