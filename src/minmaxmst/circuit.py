@@ -6,17 +6,22 @@ operation sequence of the corresponding solver, so the circuit is a
 weight-independent artifact: node counts are the solver's operation counts,
 and evaluating the circuit on any weighting reproduces the solver's output.
 
-The compiler runs the solver's own tree walk over a table of node ids and
-writes each round once, as its evaluation schedule: blocks of nodes of one
-kind that do not read each other, and the two chains (the extension's
-max-fold and the tree-order add chain) as left folds, so `evaluate` makes
-a few numpy calls per round.  The node-order view (`Circuit.nodes`, the
-text format) is scattered from the blocks when it is asked for.
+The compiler runs the solver's own tree walk over a table of evaluation
+slots and writes each round once, as its evaluation schedule: blocks of
+nodes of one kind that do not read each other, and the two chains (the
+extension's max-fold and the tree-order add chain) as left folds.  Slots
+number the values in block order, so each block writes one contiguous
+range and `evaluate` makes a few numpy calls per round with no scatter;
+an operand that is one ascending run of slots is stored as a slice.  Node
+ids, the numbering of the text format, stay with the blocks: the
+node-order view (`Circuit.nodes`, the text format) is scattered from the
+blocks when it is asked for.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -29,7 +34,7 @@ INPUT, CONST, MIN, MAX, ADD = range(5)
 KIND_NAMES = ("input", "const", "min", "max", "add")
 _UFUNCS = {MIN: np.minimum, MAX: np.maximum, ADD: np.add}
 _CHUNK = 1 << 16  # nodes turned into Python objects at a time
-_NODE_BYTES = 3 * np.dtype(np.intp).itemsize  # a node's id and operands in its block
+_NODE_BYTES = 3 * np.dtype(np.intp).itemsize  # at most a node's id and operands in its block
 
 Node = tuple  # ("input", edge) | ("const", 0.0) | ("min"|"max"|"add", a, b)
 
@@ -37,15 +42,20 @@ Node = tuple  # ("input", edge) | ("const", 0.0) | ("min"|"max"|"add", a, b)
 class Block(NamedTuple):
     """One step of a circuit's evaluation schedule: nodes of one kind.
 
-    Plain: node `ids[t]` is `kind(a[t], b[t])` and no operand is in `ids`.
-    Fold: the nodes form a chain, `ids[0] = kind(a[0], b[0])` and
-    `ids[t] = kind(ids[t-1], b[t])`; `a` holds only the chain's start.
+    A block owns the next `len(ids)` evaluation slots after the blocks
+    before it; `ids` are its nodes' ids, in slot order, and `a` and `b`
+    are slots, each an index array or, where the compiler wrote a run of
+    consecutive slots, a slice.
+    Plain: the node in the block's slot s + t is `kind(a[t], b[t])`, and
+    every operand lies below s.  Fold: the nodes form a chain, slot
+    s = `kind(a[0], b[0])` and slot s + t = `kind(slot s+t-1, b[t])`; `a`
+    is an array holding only the chain's start.
     """
 
     kind: int
     ids: np.ndarray
-    a: np.ndarray
-    b: np.ndarray
+    a: np.ndarray | slice
+    b: np.ndarray | slice
     fold: bool
 
 
@@ -53,9 +63,11 @@ class Block(NamedTuple):
 class Circuit:
     """Branch-free straight-line program over {input, const 0, min, max, add}.
 
-    Nodes 0..m-1 are the inputs in edge order and node m is the constant 0.
-    Every other node, up to `size - 1`, is in exactly one of `blocks`, the
-    evaluation schedule, in an order that respects every operand.
+    Nodes 0..m-1 are the inputs in edge order and node m is the constant 0;
+    they are also evaluation slots 0..m.  Every other node, up to
+    `size - 1`, is in exactly one of `blocks`, the evaluation schedule, in
+    an order that respects every operand; the blocks' slot ranges tile
+    [m+1, size) in block order.  `output` is a node id.
     """
 
     size: int
@@ -76,21 +88,36 @@ class Circuit:
                 else:
                     yield (KIND_NAMES[k], x, y)
 
+    @cached_property
+    def _output_slot(self) -> int:
+        """The evaluation slot of node `output`, found once per circuit."""
+        if not 0 <= self.output < self.size:
+            raise ValueError(f"output {self.output} is not a node id of this {self.size}-node circuit")
+        return int(np.flatnonzero(_slot_nodes(self) == self.output)[0])
+
+
+def _slot_nodes(c: Circuit) -> np.ndarray:
+    """The node id held in each evaluation slot."""
+    return np.concatenate([np.arange(c.m + 1)] + [blk.ids for blk in c.blocks])
+
 
 def _chunks(c: Circuit) -> Iterator[tuple[int, list[int], list[int], list[int]]]:
     """(first id, kinds, a, b) in node order as Python lists, a bounded number of nodes at a time.
 
-    The blocks are scattered into node order once per call.  An input keeps
+    The blocks are scattered into node order once per call, their operand
+    slots turned into node ids through one slot→node map.  An input keeps
     its edge index in `a`; a fold's `a` is its start, then its ids but the last.
     """
+    node = _slot_nodes(c)
     kind = np.full(c.size, CONST, dtype=np.int8)
     a, b = np.zeros((2, c.size), dtype=np.intp)
     kind[: c.m] = INPUT
     a[: c.m] = np.arange(c.m)
     for blk in c.blocks:
         kind[blk.ids] = blk.kind
-        a[blk.ids] = np.concatenate((blk.a, blk.ids[:-1])) if blk.fold else blk.a
-        b[blk.ids] = blk.b
+        a[blk.ids] = np.concatenate((node[blk.a], blk.ids[:-1])) if blk.fold else node[blk.a]
+        b[blk.ids] = node[blk.b]
+    del node
     for s in range(0, c.size, _CHUNK):
         e = s + _CHUNK
         yield s, kind[s:e].tolist(), a[s:e].tolist(), b[s:e].tolist()
@@ -106,17 +133,21 @@ class _Emitter:
     """A circuit's blocks, written one round at a time.
 
     The circuit backend of the solver's schedules: `extension`, `sweep` and
-    `zero_update` work on an (n, n) table holding the node id of each
-    vertex pair's current value, the constant 0 on the diagonal.  A round
-    takes its ids from `reserve`, in the row-major order of the pairs i < j
-    (`triu_indices`), and describes its nodes only by the blocks it
-    schedules; `pair` maps both cells of a pair to its position p.
+    `zero_update` work on an (n, n) table holding the slot of each vertex
+    pair's current value, the constant 0 on the diagonal.  A round takes
+    its node ids from `reserve`, in the row-major order of the pairs i < j
+    (`triu_indices`), and its slots from `schedule`, block after block; it
+    describes its nodes only by the blocks it schedules.  `pair` maps both
+    cells of a pair to its position p.  The table is symmetric, so a round
+    reads column k as row k.  A schedule writes the table only through
+    these rounds, so after an update round its pairs are the run `run`.
     """
 
     def __init__(self, g: Graph) -> None:
         self.g = g
-        self.zero = g.m  # the constant 0 follows the m inputs
-        self.size = g.m + 1
+        self.zero = g.m  # the constant 0 follows the m inputs, as node and as slot
+        self.size = g.m + 1  # nodes reserved
+        self.slots = g.m + 1  # slots scheduled
         self.blocks: list[Block] = []
         self.adds: list[int] = []
         self.terms: list[int] = []
@@ -124,6 +155,8 @@ class _Emitter:
         self.p = np.arange(len(self.i))
         self.pair = np.zeros((g.n, g.n), dtype=np.intp)
         self.pair[self.i, self.j] = self.pair[self.j, self.i] = self.p
+        self.cell = self.i * g.n + self.j  # pair p's cell (i, j) in the flattened table
+        self.run: slice | None = None  # the table's pair p is at slot run[p], where an update round left it
 
     def reserve(self, count: int) -> int:
         """The ids of the next `count` nodes; returns the first."""
@@ -131,9 +164,14 @@ class _Emitter:
         self.size += count
         return base
 
-    def schedule(self, kind: int, ids, a, b, fold: bool = False) -> None:
+    def schedule(self, kind: int, ids, a, b, fold: bool = False) -> int:
+        """Append a block, which takes the next len(ids) slots; returns the first."""
+        first = self.slots
         if len(ids):
-            self.blocks.append(Block(kind, *(np.asarray(v, dtype=np.intp) for v in (ids, a, b)), fold))
+            self.blocks.append(Block(kind, *(v if isinstance(v, slice) else np.asarray(v, dtype=np.intp)
+                                             for v in (ids, a, b)), fold))
+            self.slots += len(ids)
+        return first
 
     def add(self, term: int) -> None:
         """Next node of the tree-order add chain, which starts at the constant 0."""
@@ -145,72 +183,84 @@ class _Emitter:
         output = self.adds[-1] if self.adds else self.zero
         return Circuit(self.size, output, self.g.n, self.g.m, tuple(self.blocks))
 
-    def _relabel(self, t: np.ndarray, first: int, stride: int) -> None:
-        """Pair p's cells of t become node first + stride*p; the diagonal stays 0."""
-        np.add(first, stride * self.pair, out=t)
+    def _relabel(self, t: np.ndarray, slots: np.ndarray) -> None:
+        """Pair p's cells of t become slots[p]; the diagonal stays 0."""
+        np.take(slots, self.pair, out=t)
         t.flat[:: len(t) + 1] = self.zero
 
     def extension(self) -> np.ndarray:
-        """The max-fold M over the inputs; returns the extension's id table."""
+        """The max-fold M over the inputs; returns the extension's slot table."""
         m = self.g.m
         biggest = 0  # M is input 0 itself when m == 1
         if m > 1:  # M = max(...max(max(x0, x1), x2)..., x_{m-1})
             first = self.reserve(m - 1)
-            self.schedule(MAX, np.arange(first, self.size), [0], np.arange(1, m), fold=True)
-            biggest = self.size - 1
+            biggest = self.schedule(MAX, np.arange(first, self.size), [0], np.arange(1, m), fold=True) + m - 2
         return _extension_layout(self.g, np.arange(m), self.zero, biggest)
 
     def sweep(self, t: np.ndarray) -> None:
-        """The n rounds of the pair recurrence, in place on the id table.
+        """The n rounds of the pair recurrence, in place on the slot table.
 
-        In round k pair p = (i, j) gets max = base+2p of cells (i,k) and
-        (k,j), then min = base+2p+1 of cell (i,j) and that max.  A cell of
-        row or column k that an earlier pair rewrote this round, (i,k) with
-        k < j or (k,j) with k < i, is read as its new min node.  The
+        In round k pair p = (i, j) gets node max = base+2p of cells (i,k)
+        and (k,j), then node min = base+2p+1 of cell (i,j) and that max.  A
+        cell of row or column k that an earlier pair rewrote this round,
+        (i,k) with k < j or (k,j) with k < i, is read as its new min.  The
         row/column-k pairs read only old cells, so they are evaluated
-        first, then all other pairs.
+        first, then all other pairs: four blocks, whose slots are the
+        row/column-k maxes, their mins, the other maxes, their mins.
         """
-        i, j = self.i, self.j
+        self.run = None
+        i, j, npairs = self.i, self.j, len(self.i)
+        if not npairs:  # one vertex: its rounds have no nodes
+            return
+        ids = 2 * self.p
+        mins = np.empty(npairs, dtype=np.intp)
         for k in range(len(t)):
-            base = self.reserve(2 * len(i))
-            maxes = base + 2 * self.p
-            mins = maxes + 1
-            col = base + 1 + 2 * self.pair[k]  # the new ids of row and column k
+            base = self.reserve(2 * npairs)
+            on_k = np.delete(self.pair[k], k)  # ascending, as pair[k] is
+            rest = np.delete(self.p, on_k)
+            s, nk = self.slots, len(on_k)
+            mins[on_k] = np.arange(s + nk, s + 2 * nk)
+            mins[rest] = np.arange(s + nk + npairs, s + 2 * npairs)
+            row = t[k]  # the old slots of row and column k
+            col = mins[self.pair[k]]  # their new slots
             col[k] = self.zero
-            ta = np.where(k < j, col[i], t[i, k])
-            tb = np.where(k < i, col[j], t[k, j])
-            old = t[i, j]
-            on_k = (i == k) | (j == k)
-            for sel in (on_k, ~on_k):
-                self.schedule(MAX, maxes[sel], ta[sel], tb[sel])
-                self.schedule(MIN, mins[sel], old[sel], maxes[sel])
-            self._relabel(t, base + 1, 2)
+            for sel in (on_k, rest):
+                ii, jj = i[sel], j[sel]
+                ta = np.where(k < jj, col[ii], row[ii])
+                tb = np.where(k < ii, col[jj], row[jj])
+                maxes = base + ids[sel]
+                first = self.schedule(MAX, maxes, ta, tb)
+                self.schedule(MIN, maxes + 1, t.take(self.cell[sel]), slice(first, first + len(sel)))
+            self._relabel(t, mins)
 
     def zero_update(self, t: np.ndarray, u: int, v: int) -> None:
-        """Zeroing update of the pair {u, v} (0-based), in place on the id table.
+        """Zeroing update of the pair {u, v} (0-based), in place on the slot table.
 
-        Pair p = (i, j) gets t1 = max(t[i,u], t[j,v]), m1 = min(t[i,j], t1),
+        Pair p = (i, j) gets nodes t1 = max(t[i,u], t[j,v]), m1 = min(t[i,j], t1),
         t2 = max(t[i,v], t[j,u]) and m2 = min(m1, t2) at base+4p .. base+4p+3,
-        all read from the table as it was before the round.
+        all read from the table as it was before the round, in three
+        blocks: both maxes, the m1s, the m2s.  So t1, t2 and m1 are runs
+        of slots, and so is the table's pair order after the round.
         """
-        i, j = self.i, self.j
-        base = self.reserve(4 * len(i))
-        t1 = base + 4 * self.p
-        m1, t2, m2 = t1 + 1, t1 + 2, t1 + 3
-        a1, b1, a2, b2, old = t[i, u], t[j, v], t[i, v], t[j, u], t[i, j]
-        self.schedule(MAX, *(np.concatenate(v) for v in ((t1, t2), (a1, a2), (b1, b2))))
-        self.schedule(MIN, m1, old, t1)
-        self.schedule(MIN, m2, m1, t2)
-        self._relabel(t, base + 3, 4)
+        i, j, npairs = self.i, self.j, len(self.i)
+        t1 = self.reserve(4 * npairs) + 4 * self.p
+        tu, tv = t[u], t[v]
+        old = t.take(self.cell) if self.run is None else self.run
+        a, b = np.concatenate((tu[i], tv[i])), np.concatenate((tv[j], tu[j]))
+        s = self.schedule(MAX, np.concatenate((t1, t1 + 2)), a, b)
+        m1 = self.schedule(MIN, t1 + 1, old, slice(s, s + npairs))
+        m2 = self.schedule(MIN, t1 + 3, slice(m1, m1 + npairs), slice(s + npairs, s + 2 * npairs))
+        self._relabel(t, np.arange(m2, m2 + npairs))
+        self.run = slice(m2, m2 + npairs)
 
 
 def compile_mst_circuit(g: Graph) -> Circuit:
     """Straight-line program computing the MST weight of any weighting of g.
 
-    Runs `mst_puredp`'s schedule over node ids: the extension max-fold, n
-    rounds of the pair recurrence, n-2 zeroing-update rounds interleaved
-    with the tree walk, and the final chain of additions.  Structure
-    depends on g alone.  A graph whose circuit would pass the byte budget
+    Runs `mst_puredp`'s schedule over evaluation slots: the extension
+    max-fold, n rounds of the pair recurrence, n-2 zeroing-update rounds
+    interleaved with the tree walk, and the final chain of additions.
+    Structure depends on g alone.  A graph whose circuit would pass the byte budget
     of `graphs._TABLE_BYTES` raises GraphError before anything is built.
     """
     _check_nodes(g, puredp_op_counts(g.n, g.m))
@@ -233,28 +283,35 @@ def compile_mst_circuit_naive(g: Graph) -> Circuit:
 def evaluate(c: Circuit, x: Weighting | Sequence[float]) -> float:
     """Evaluate the circuit on a weighting with one value per input.
 
-    A plain sequence is checked as a `Weighting`.  The additions run in tree
+    A plain sequence is checked as a `Weighting`.  One float64 array holds
+    a value per slot; each block writes its own range of it, so a plain
+    block is one ufunc call into that range.  The additions run in tree
     order, so the result agrees with `mst_puredp` (an exactly rounded sum)
     to within rounding, exactly on integer weights; like the solvers, it
-    raises GraphError past the float range.
+    raises GraphError past the float range.  An `output` that is no node
+    id of the circuit raises ValueError.
     """
     values = (x if isinstance(x, Weighting) else Weighting(x)).array
     if len(values) != c.m:
         raise ValueError(f"circuit expects {c.m} input values, got {len(values)}")
+    out = c._output_slot
     vals = np.empty(c.size)
     vals[: c.m] = values
     vals[c.m] = 0.0
+    s = c.m + 1
     for blk in c.blocks:
+        e = s + len(blk.ids)
         op = _UFUNCS[blk.kind]
         if blk.fold:
             try:
                 with np.errstate(over="raise"):  # the add chain, a fold, can pass the float range
-                    vals[blk.ids] = op.accumulate(np.concatenate((vals[blk.a], vals[blk.b])))[1:]
+                    vals[s:e] = op.accumulate(np.concatenate((vals[blk.a], vals[blk.b])))[1:]
             except FloatingPointError:
                 raise GraphError("MST weight is too large for a 64-bit float") from None
         else:
-            vals[blk.ids] = op(vals[blk.a], vals[blk.b])
-    return float(vals[c.output])
+            op(vals[blk.a], vals[blk.b], out=vals[s:e])
+        s = e
+    return float(vals[out])
 
 
 def count_ops(c: Circuit) -> OpCounts:

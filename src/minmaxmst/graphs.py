@@ -229,9 +229,9 @@ def _check_square_symmetric(values: np.ndarray) -> None:
         raise GraphError(f"expected a square matrix, got shape {values.shape}")
     if np.any(np.diagonal(values) != 0):
         raise GraphError("matrix diagonal must be zero")
-    if not np.array_equal(values, values.T):
+    if not np.array_equal(values, values.T, equal_nan=True):
         raise GraphError("matrix must be symmetric")
-    if np.any(values < 0):
+    if not np.all(values >= 0):  # NaN is not nonnegative, as in a Weighting
         raise GraphError("matrix entries must be nonnegative")
 
 
@@ -276,7 +276,7 @@ def _check_bytes(g: Graph, nbytes: int, what: str) -> None:
 
 
 def _extension_layout(g: Graph, edge_entries: np.ndarray, zero, biggest) -> np.ndarray:
-    """The extension's (n, n) layout, of weight ranks, weights or node ids: edges, `zero` diagonal, `biggest` elsewhere.
+    """The extension's (n, n) layout, of weight ranks, weights or evaluation slots: edges, `zero` diagonal, `biggest` elsewhere.
 
     Raises GraphError, before allocating, when the table would pass `_TABLE_BYTES`.
     """

@@ -59,7 +59,7 @@ def _puredp_schedule(g: Graph, order, d, sweep, zero_update) -> Iterator[tuple[i
     One sweep, then along `order` read the tree edge's cell and zero it by
     an update round; no update follows the last edge.  The caller's work
     on each yielded cell happens before the next round.  The solvers run
-    it over weight ranks, the circuit compiler over a table of node ids.
+    it over weight ranks, the circuit compiler over a table of evaluation slots.
     """
     sweep(d)
     last = len(order) - 1

@@ -30,7 +30,7 @@ from minmaxmst import (
     random_connected_graph,
 )
 from minmaxmst import graphs
-from minmaxmst.circuit import ADD, MAX
+from minmaxmst.circuit import ADD, MAX, MIN
 from conftest import TRIANGLE, random_instances, small_graphs_of_every_shape
 
 LINE_RE = re.compile(
@@ -193,6 +193,80 @@ class TestBlocks:
             assert count_ops(c) == OpCounts(tally["min"], tally["max"], tally["add"])
             assert tally["input"] == g.m and tally["const"] == 1
             assert sum(tally.values()) == c.size
+
+
+def slot_ranges(c):
+    """(first, end) of each block's evaluation slots, blocks taking slots in order after the constant."""
+    ends = c.m + 1 + np.cumsum([len(blk.ids) for blk in c.blocks], dtype=np.intp)
+    return list(zip([c.m + 1, *ends[:-1]], ends))
+
+
+def operand_slots(v):
+    return np.arange(v.start, v.stop) if isinstance(v, slice) else v
+
+
+class TestSlots:
+    """Evaluation slots number the values in block order; node ids stay the text's numbering."""
+
+    @pytest.mark.parametrize("compile_circuit", [compile_mst_circuit, compile_mst_circuit_naive])
+    def test_slot_ranges_tile_the_computed_nodes(self, compile_circuit):
+        for g in small_graphs_of_every_shape(56) + [complete_graph(16)]:
+            c = compile_circuit(g)
+            ranges = slot_ranges(c)
+            assert all(s < e for s, e in ranges)
+            assert (ranges[-1][1] if ranges else g.m + 1) == c.size
+
+    @pytest.mark.parametrize("compile_circuit", [compile_mst_circuit, compile_mst_circuit_naive])
+    def test_operands_lie_below_the_block(self, compile_circuit):
+        for g in small_graphs_of_every_shape(57) + [complete_graph(16)]:
+            c = compile_circuit(g)
+            for blk, (s, e) in zip(c.blocks, slot_ranges(c)):
+                a, b = operand_slots(blk.a), operand_slots(blk.b)
+                assert (len(a), len(b)) == ((1, e - s) if blk.fold else (e - s, e - s))
+                assert min(a.min(), b.min()) >= 0 and max(a.max(), b.max()) < s
+                for v in (blk.a, blk.b):
+                    assert not isinstance(v, slice) or (not blk.fold and v.step is None)
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 8])
+    def test_update_rounds_min_blocks_read_slices(self, n):
+        """After the extension's fold and four blocks per sweep round, each update
+        round is its maxes, its first mins and its second mins.  Both mins read
+        their maxes and the second reads the first as runs, and so does the first
+        min of a round that follows another update round."""
+        c = compile_mst_circuit(complete_graph(n))
+        updates = c.blocks[1 + 4 * n : -1]
+        assert len(updates) == 3 * (n - 2)
+        for r in range(n - 2):
+            maxes, m1, m2 = updates[3 * r : 3 * r + 3]
+            assert (maxes.kind, m1.kind, m2.kind) == (MAX, MIN, MIN)
+            assert isinstance(m1.b, slice) and isinstance(m2.a, slice) and isinstance(m2.b, slice)
+            assert isinstance(m1.a, slice) == (r > 0)
+
+    @pytest.mark.parametrize("compile_circuit", [compile_mst_circuit, compile_mst_circuit_naive])
+    def test_every_node_evaluates_like_the_reference(self, compile_circuit):
+        rng = random.Random(58)
+        shapes = [g for g in small_graphs_of_every_shape(59) if g.n <= 5][:8]
+        for g in [complete_graph(5)] + shapes:
+            c = compile_circuit(g)
+            x = Weighting([rng.randint(0, 9999) / 10 for _ in range(g.m)])
+            for t in range(c.size):
+                assert evaluate(replace(c, output=t), x) == reference_evaluate(replace(c, output=t), x.values)
+
+    def test_k32_matches_solver(self):
+        rng = random.Random(60)
+        g = complete_graph(32)
+        c = compile_mst_circuit(g)
+        for _ in range(3):
+            x = Weighting([rng.randint(0, 2**20) for _ in range(g.m)])
+            assert evaluate(c, x) == mst_puredp(g, x)[0]
+
+    @pytest.mark.parametrize("output", [-1, "size", "size+1"])
+    def test_output_outside_the_nodes_raises(self, triangle, output):
+        g, x = triangle
+        c = compile_mst_circuit(g)
+        t = {"size": c.size, "size+1": c.size + 1}.get(output, output)
+        with pytest.raises(ValueError, match=f"^output {t} is not a node id of this {c.size}-node circuit$"):
+            evaluate(replace(c, output=t), x)
 
 
 class TestEvaluate:

@@ -99,6 +99,17 @@ class TestAllPairsMinmax:
         with pytest.raises(GraphError, match="nonnegative"):
             all_pairs_minmax(np.array([[0.0, -1.0], [-1.0, 0.0]]))
 
+    @pytest.mark.parametrize("build", [all_pairs_minmax, graphs.ExtendedWeighting])
+    def test_nan_entries_are_not_nonnegative(self, build):
+        """A symmetric NaN is judged like a NaN weight; an unmatched one is still asymmetry."""
+        nan = float("nan")
+        with pytest.raises(GraphError, match="^matrix entries must be nonnegative$"):
+            build([[0.0, nan], [nan, 0.0]])
+        with pytest.raises(GraphError, match="^matrix must be symmetric$"):
+            build([[0.0, nan], [1.0, 0.0]])
+        with pytest.raises(GraphError, match="^matrix diagonal must be zero$"):
+            build([[nan, 1.0], [1.0, 0.0]])
+
     def test_ranked_sweep_equals_the_float_sweep(self):
         """The sweep runs on ranks; the float64 kernel on the same table is the reference.
         Non-edges are `inf`, as in Maggs-Plotkin, and rank last."""
