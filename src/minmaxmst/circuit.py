@@ -126,7 +126,7 @@ def _chunks(c: Circuit) -> Iterator[tuple[int, list[int], list[int], list[int]]]
 def _check_nodes(g: Graph, ops: OpCounts) -> None:
     """Raise GraphError, before anything is allocated, when the circuit's blocks would pass the byte budget."""
     nodes = g.m + 1 + ops.total
-    _check_bytes(g, nodes * _NODE_BYTES, f"circuit of {nodes:,} nodes")
+    _check_bytes(g.n, nodes * _NODE_BYTES, f"circuit of {nodes:,} nodes")
 
 
 class _Emitter:

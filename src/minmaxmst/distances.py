@@ -18,6 +18,7 @@ from .graphs import (
     Weighting,
     _check_square_symmetric,
     _check_weighting,
+    _ranks,
 )
 
 DistanceMatrix = ExtendedWeighting  # a table of min-max distances
@@ -60,8 +61,8 @@ def all_pairs_minmax(xbar: ExtendedWeighting | np.ndarray) -> DistanceMatrix:
     """
     d = np.array(getattr(xbar, "values", xbar), dtype=float)
     _check_square_symmetric(d)
-    levels, ranks = np.unique(d, return_inverse=True)
-    table = ranks.astype(np.min_scalar_type(len(levels) - 1)).reshape(d.shape)
+    levels, ranks = _ranks(d)
+    table = ranks.reshape(d.shape)
     _sweep(table)
     return DistanceMatrix(levels[table])
 
@@ -94,7 +95,7 @@ def minmax_distance_bruteforce(g: Graph, x: Weighting, u: int, v: int) -> float:
     if u == v:
         return 0.0
     adj = g.adjacency
-    index = g.edge_index
+    weight = dict(zip(g.edges, x.values))
     best = float("inf")
     visited = [False] * (g.n + 1)
     visited[u] = True
@@ -107,7 +108,7 @@ def minmax_distance_bruteforce(g: Graph, x: Weighting, u: int, v: int) -> float:
             return
         for nb in adj[w]:
             if not visited[nb]:
-                ew = x.values[index[(w, nb) if w < nb else (nb, w)]]
+                ew = weight[(w, nb) if w < nb else (nb, w)]
                 visited[nb] = True
                 walk(nb, path_max if path_max >= ew else ew)
                 visited[nb] = False

@@ -7,7 +7,7 @@ position in the edge list (file order for parsed graphs).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
 from typing import Iterable, Sequence
@@ -33,23 +33,21 @@ class ParseError(GraphError):
     """Malformed edge-list input; message carries the offending line number."""
 
 
-# One tuple per vertex pair, shared by all graphs: edge tuples are most of
-# what a graph keeps.  Only pairs that pass the range check are added, so it
-# holds at most n(n-1)/2 pairs for the largest n seen.
-_PAIRS: dict[tuple[int, int], tuple[int, int]] = {}
-
-
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, eq=False, repr=False, init=False)
 class Graph:
-    """Connected undirected simple graph on vertices 1..n."""
+    """Connected undirected simple graph on vertices 1..n.
+
+    Its edges are kept once, as `_ends`: a read-only (2, m) array of 0-based
+    ends, in the smallest unsigned dtype that holds n-1.
+    """
 
     n: int
-    edges: tuple[tuple[int, int], ...]
+    _ends: np.ndarray
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         if n < 1:
             raise GraphError("vertex count must be >= 1")
-        shared: dict[tuple[int, int], None] = {}  # insertion-ordered: the edge list
+        pairs: dict[tuple[int, int], None] = {}  # insertion-ordered: the edge list
         uf, merges = _UnionFind(n), 0
         for i, (u, v) in enumerate(edges):
             if u > v:
@@ -58,52 +56,60 @@ class Graph:
                 raise GraphError("self-loop", i)
             if u < 1 or v > n:
                 raise GraphError("vertex id out of range", i)
-            e = _PAIRS.setdefault((u, v), (u, v))
-            if e in shared:
+            if (u, v) in pairs:
                 raise GraphError("duplicate edge", i)
-            shared[e] = None
+            pairs[u, v] = None
             if merges < n - 1:  # n-1 merges already connect every vertex
                 merges += uf.union(u, v)
         if merges < n - 1:
             raise GraphError("disconnected graph")
+        ends = np.fromiter(chain.from_iterable(pairs), np.intp, 2 * len(pairs)) - 1
+        ends = ends.astype(np.min_scalar_type(n - 1)).reshape(len(pairs), 2).T.copy()
+        ends.setflags(write=False)
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "edges", tuple(shared))
+        object.__setattr__(self, "_ends", ends)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Graph):
+            return NotImplemented
+        return self.n == other.n and np.array_equal(self._ends, other._ends)
+
+    def __hash__(self) -> int:
+        return hash((self.n, self._ends.tobytes()))  # equal graphs share n, so their ends share a dtype
+
+    def __repr__(self) -> str:
+        return f"Graph(n={self.n}, edges={self.edges})"
 
     @cached_property
     def _tree(self) -> SpanningTree:
         """fix_spanning_tree's tree, kept on the graph so it lives as long as the graph."""
-        adj = self.adjacency
-        index = self.edge_index
-        visited = [False] * (self.n + 1)
-        visited[1] = True
+        adj: list[list[tuple[int, int]]] = [[] for _ in range(self.n)]  # (neighbour, edge index)
+        for i, (u, v) in enumerate(self._ends.T.tolist()):
+            adj[u].append((v, i))
+            adj[v].append((u, i))
+        visited = [False] * self.n
+        visited[0] = True
         order: list[int] = []
-        stack = [(1, iter(adj[1]))]
+        stack = [iter(sorted(adj[0]))]
         while stack:
-            u, it = stack[-1]
-            for v in it:
+            for v, i in stack[-1]:
                 if not visited[v]:
                     visited[v] = True
-                    order.append(index[(u, v) if u < v else (v, u)])
-                    stack.append((v, iter(adj[v])))
+                    order.append(i)
+                    stack.append(iter(sorted(adj[v])))
                     break
             else:
                 stack.pop()
         return SpanningTree(order)
 
-    @cached_property
-    def _ends(self) -> np.ndarray:
-        """Read-only (2, m) array of 0-based edge ends, in the smallest unsigned dtype that holds n-1.
-
-        The extension layouts scatter through it; kept on the graph, like `_tree`.
-        """
-        ends = np.fromiter(chain.from_iterable(self.edges), np.intp, 2 * self.m) - 1
-        ends = ends.astype(np.min_scalar_type(self.n - 1)).reshape(self.m, 2).T.copy()
-        ends.setflags(write=False)
-        return ends
+    @property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        """The edges as 1-based pairs (u, v) with u < v, by edge index; built on each call."""
+        return tuple(zip(*(self._ends.astype(np.intp) + 1).tolist()))
 
     @property
     def m(self) -> int:
-        return len(self.edges)
+        return self._ends.shape[1]
 
     @property
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
@@ -125,32 +131,45 @@ def complete_graph(n: int) -> Graph:
     return Graph(n, [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)])
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, eq=False, repr=False, init=False)
 class Weighting:
     """One nonnegative weight per edge index of a host graph.
 
-    `values` holds the weights as floats and `array` the same weights as a
-    read-only float64 array, the form the solvers read.
+    The weights are kept only as `array`, a read-only float64 array, the
+    form the solvers read; `values` gives them as a tuple of floats.
     """
 
-    values: tuple[float, ...]
-    array: np.ndarray = field(init=False, repr=False, compare=False)
+    array: np.ndarray
 
     def __init__(self, values: Iterable[float]):
-        values = tuple(map(float, values))
-        arr = np.array(values, dtype=float)
+        arr = np.fromiter(map(float, values), float)
         if not (arr.min(initial=0.0) >= 0 and arr.max(initial=0.0) < math.inf):  # NaN fails both
             i = int(np.argmax(~(arr >= 0) | (arr == math.inf)))  # the first faulty weight
             raise GraphError("negative weight" if not arr[i] >= 0 else "non-finite weight", i)
         arr.setflags(write=False)
-        object.__setattr__(self, "values", values)
         object.__setattr__(self, "array", arr)
 
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Weighting):
+            return NotImplemented
+        return np.array_equal(self.array, other.array)  # -0.0 == 0.0
+
+    def __hash__(self) -> int:
+        return hash(self.values)
+
+    def __repr__(self) -> str:
+        return f"Weighting(values={self.values})"
+
+    @property
+    def values(self) -> tuple[float, ...]:
+        """The weights as a tuple of floats; built on each call."""
+        return tuple(self.array.tolist())
+
     def __len__(self) -> int:
-        return len(self.values)
+        return len(self.array)
 
     def __getitem__(self, i: int) -> float:
-        return self.values[i]
+        return float(self.array[i])
 
 
 @dataclass(frozen=True, init=False)
@@ -206,11 +225,12 @@ def validate_spanning_tree(g: Graph, t: SpanningTree) -> None:
         raise GraphError(f"spanning tree needs {g.n - 1} edges, got {len(t.edges)}")
     if len(set(t.edges)) != len(t.edges):
         raise GraphError("spanning tree repeats an edge index")
-    uf = _UnionFind(g.n)
     for idx in t.edges:
         if not 0 <= idx < g.m:
             raise GraphError(f"edge index {idx} out of range")
-        if not uf.union(*g.edges[idx]):
+    uf = _UnionFind(g.n)
+    for u, v in g._ends[:, t.edges].T.tolist():
+        if not uf.union(u, v):
             raise GraphError("spanning tree contains a cycle")
     # n-1 acyclic edges on n vertices necessarily span
 
@@ -269,10 +289,10 @@ class ExtendedWeighting:
 _TABLE_BYTES = 2**30
 
 
-def _check_bytes(g: Graph, nbytes: int, what: str) -> None:
-    """Raise GraphError when a `what` of `nbytes` bytes for g would pass `_TABLE_BYTES`."""
+def _check_bytes(n: int, nbytes: int, what: str) -> None:
+    """Raise GraphError when a `what` of `nbytes` bytes for a graph on n vertices would pass `_TABLE_BYTES`."""
     if nbytes > _TABLE_BYTES:
-        raise GraphError(f"graph too large: n={g.n} needs a {nbytes:,}-byte {what}, over the {_TABLE_BYTES:,}-byte limit")
+        raise GraphError(f"graph too large: n={n} needs a {nbytes:,}-byte {what}, over the {_TABLE_BYTES:,}-byte limit")
 
 
 def _extension_layout(g: Graph, edge_entries: np.ndarray, zero, biggest) -> np.ndarray:
@@ -280,12 +300,18 @@ def _extension_layout(g: Graph, edge_entries: np.ndarray, zero, biggest) -> np.n
 
     Raises GraphError, before allocating, when the table would pass `_TABLE_BYTES`.
     """
-    _check_bytes(g, g.n * g.n * edge_entries.dtype.itemsize, "table")
+    _check_bytes(g.n, g.n * g.n * edge_entries.dtype.itemsize, "table")
     table = np.full((g.n, g.n), biggest, dtype=edge_entries.dtype)
     table.flat[:: g.n + 1] = zero
     u, v = g._ends
     table[u, v] = table[v, u] = edge_entries
     return table
+
+
+def _ranks(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct values ascending, and each value's index into them in the smallest unsigned dtype that holds it."""
+    levels, ranks = np.unique(values, return_inverse=True)
+    return levels, ranks.astype(np.min_scalar_type(len(levels) - 1))
 
 
 def _rank_table(g: Graph, x: Weighting) -> tuple[np.ndarray, np.ndarray]:
@@ -298,10 +324,9 @@ def _rank_table(g: Graph, x: Weighting) -> tuple[np.ndarray, np.ndarray]:
     Every entry of the extension is a level, so `levels[table]` is its
     weight table.
     """
-    levels, ranks = np.unique(np.concatenate(([0.0], x.array)), return_inverse=True)
+    levels, ranks = _ranks(np.concatenate(([0.0], x.array)))
     levels[0] = 0.0  # +0.0 even when a -0.0 weight sorted first
-    top = len(levels) - 1
-    return levels, _extension_layout(g, ranks[1:].astype(np.min_scalar_type(top)), 0, top)
+    return levels, _extension_layout(g, ranks[1:], 0, len(levels) - 1)
 
 
 def complete_extension(g: Graph, x: Weighting) -> ExtendedWeighting:

@@ -28,8 +28,8 @@ def kruskal_tree(g: Graph, x: Weighting) -> tuple[int, ...]:
     _check_weighting(g, x)
     uf = _UnionFind(g.n)
     chosen: list[int] = []
-    for idx in sorted(range(g.m), key=lambda i: (x.values[i], i)):
-        u, v = g.edges[idx]
+    order = np.argsort(x.array, kind="stable")  # stable: equal weights keep edge-index order
+    for idx, (u, v) in zip(order.tolist(), g._ends[:, order].T.tolist()):
         if uf.union(u, v):
             chosen.append(idx)
             if len(chosen) == g.n - 1:
@@ -39,13 +39,13 @@ def kruskal_tree(g: Graph, x: Weighting) -> tuple[int, ...]:
 
 def kruskal_mst(g: Graph, x: Weighting) -> float:
     """MST weight via sort-edges-ascending plus union-find (exactly rounded sum)."""
-    return _weight_sum(x.values[idx] for idx in kruskal_tree(g, x))
+    return _weight_sum(x.array[list(kruskal_tree(g, x))].tolist())
 
 
 @lru_cache(maxsize=8)  # one K_8 array is 7 MB
 def _spanning_tree_array(g: Graph) -> np.ndarray:
     """All spanning trees of g as an array of edge-index rows (backtracking)."""
-    n, m = g.n, g.m
+    n, m, edges = g.n, g.m, g.edges
     trees: list[tuple[int, ...]] = []
     chosen: list[int] = []
     parent = list(range(n + 1))
@@ -62,7 +62,7 @@ def _spanning_tree_array(g: Graph) -> np.ndarray:
             return
         # not enough edges left to finish the tree
         for idx in range(start, m - (n - 1 - len(chosen)) + 1):
-            u, v = g.edges[idx]
+            u, v = edges[idx]
             ru, rv = find(u), find(v)
             if ru == rv:
                 continue
@@ -104,7 +104,7 @@ def maggs_plotkin_mst(g: Graph, x: Weighting) -> float:
     with distinct weights those edges are exactly the unique MST.
     """
     _check_weighting(g, x)
-    if len(set(x.values)) != g.m:
+    if len(np.unique(x.array)) != g.m:
         raise PreconditionError("maggs_plotkin_mst requires pairwise distinct weights")
     d = all_pairs_minmax(_extension_layout(g, x.array, 0.0, math.inf)).values
     u, v = g._ends
@@ -119,10 +119,11 @@ def hu_minmax_via_mst(g: Graph, x: Weighting) -> DistanceMatrix:
     all-pairs min-max distances of g itself.
     """
     tree = kruskal_tree(g, x)
+    edges, weights = g.edges, x.values
     adj: list[list[tuple[int, float]]] = [[] for _ in range(g.n + 1)]
     for idx in tree:
-        u, v = g.edges[idx]
-        w = x.values[idx]
+        u, v = edges[idx]
+        w = weights[idx]
         adj[u].append((v, w))
         adj[v].append((u, w))
     out = [[0.0] * g.n for _ in range(g.n)]

@@ -63,21 +63,20 @@ def _puredp_schedule(g: Graph, order, d, sweep, zero_update) -> Iterator[tuple[i
     """
     sweep(d)
     last = len(order) - 1
-    for pos, eidx in enumerate(order):
-        u, v = g.edges[eidx]
-        yield eidx, d[u - 1, v - 1]
+    for pos, (eidx, (u, v)) in enumerate(zip(order, g._ends[:, order].T.tolist())):
+        yield eidx, d[u, v]
         if pos < last:
-            zero_update(d, u - 1, v - 1)
+            zero_update(d, u, v)
 
 
 def _naive_schedule(g: Graph, d, sweep, zero) -> Iterator[tuple[int, Any]]:
     """The naive walk: a fresh sweep of a copy of d per tree edge, then the edge's cell of d set to `zero`."""
-    for eidx in fix_spanning_tree(g).edges:
+    order = fix_spanning_tree(g).edges
+    for eidx, (u, v) in zip(order, g._ends[:, order].T.tolist()):
         fresh = d.copy()
         sweep(fresh)
-        u, v = g.edges[eidx]
-        yield eidx, fresh[u - 1, v - 1]
-        d[u - 1, v - 1] = d[v - 1, u - 1] = zero
+        yield eidx, fresh[u, v]
+        d[u, v] = d[v, u] = zero
 
 
 def mst_decomposition(g: Graph, x: Weighting, t: SpanningTree) -> Decomposition:

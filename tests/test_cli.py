@@ -222,6 +222,13 @@ class TestBench:
             "8,1243300,1154,3170,2.253906,0.773926\n"
         )
 
+    def test_huge_size_refused_before_building_the_graph(self, capsys, monkeypatch):
+        monkeypatch.setattr(graphs, "_TABLE_BYTES", 1024)
+        monkeypatch.setattr(cli, "complete_graph", lambda n: pytest.fail(f"built K_{n}"))
+        code, out, err = run(capsys, "bench", "--sizes", "17")
+        assert code == 1 and out == ""
+        assert err == "error: graph too large: n=17 needs a 1,156-byte table, over the 1,024-byte limit\n"
+
     def test_rejects_bad_sizes(self, capsys):
         code, _, err = run(capsys, "bench", "--sizes", "1,4")
         assert code == 1 and err

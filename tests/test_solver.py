@@ -13,8 +13,11 @@ from minmaxmst import (
     Weighting,
     all_pairs_minmax,
     bruteforce_mst,
+    compile_mst_circuit,
+    compile_mst_circuit_naive,
     complete_extension,
     complete_graph,
+    evaluate,
     fix_spanning_tree,
     kruskal_mst,
     kruskal_tree,
@@ -92,6 +95,19 @@ class TestPureDP:
     def test_k4_uniform(self):
         kn = complete_graph(4)
         assert mst_puredp(kn, Weighting([5] * 6))[0] == 15.0
+
+    def test_reads_neither_edge_nor_weight_tuples(self, monkeypatch):
+        g, x = random_connected_graph(12, 0.5, random.Random(4))  # its tree is not built yet
+        expect = kruskal_mst(g, x)
+
+        def refuse(self):
+            raise AssertionError("read the edge or weight tuples")
+
+        monkeypatch.setattr(Graph, "edges", property(refuse))
+        monkeypatch.setattr(Weighting, "values", property(refuse))
+        assert mst_puredp(g, x)[0] == mst_puredp_naive(g, x)[0] == expect
+        assert mst_decomposition(g, x, fix_spanning_tree(g)).total == expect
+        assert evaluate(compile_mst_circuit(g), x) == evaluate(compile_mst_circuit_naive(g), x) == expect
 
     def test_single_edge(self):
         g, x = parse_graph("2 1\n1 2 9\n")
