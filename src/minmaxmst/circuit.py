@@ -197,8 +197,8 @@ class _Emitter:
             biggest = self.schedule(MAX, np.arange(first, self.size), [0], np.arange(1, m), fold=True) + m - 2
         return _extension_layout(self.g, np.arange(m), self.zero, biggest)
 
-    def sweep(self, t: np.ndarray) -> None:
-        """The n rounds of the pair recurrence, in place on the slot table.
+    def sweep(self, t: np.ndarray) -> np.ndarray:
+        """The n rounds of the pair recurrence, in place on the slot table; returns t.
 
         In round k pair p = (i, j) gets node max = base+2p of cells (i,k)
         and (k,j), then node min = base+2p+1 of cell (i,j) and that max.  A
@@ -211,7 +211,7 @@ class _Emitter:
         self.run = None
         i, j, npairs = self.i, self.j, len(self.i)
         if not npairs:  # one vertex: its rounds have no nodes
-            return
+            return t
         ids = 2 * self.p
         mins = np.empty(npairs, dtype=np.intp)
         for k in range(len(t)):
@@ -232,6 +232,7 @@ class _Emitter:
                 first = self.schedule(MAX, maxes, ta, tb)
                 self.schedule(MIN, maxes + 1, t.take(self.cell[sel]), slice(first, first + len(sel)))
             self._relabel(t, mins)
+        return t
 
     def zero_update(self, t: np.ndarray, u: int, v: int) -> None:
         """Zeroing update of the pair {u, v} (0-based), in place on the slot table.

@@ -24,8 +24,8 @@ from .graphs import (
 DistanceMatrix = ExtendedWeighting  # a table of min-max distances
 
 
-def _sweep(d: np.ndarray) -> None:
-    """In-place bottleneck Floyd-Warshall on an (n, n) table of any numeric dtype.
+def _sweep(d: np.ndarray) -> np.ndarray:
+    """In-place bottleneck Floyd-Warshall on an (n, n) table of any numeric dtype; returns d.
 
     Round k relaxes every pair through vertex k with one max and one min.
     Row and column k do not change during round k (d[k, k] = 0 and the
@@ -34,6 +34,7 @@ def _sweep(d: np.ndarray) -> None:
     """
     for k in range(d.shape[0]):
         np.minimum(d, np.maximum(d[:, k, None], d[None, k, :]), out=d)
+    return d
 
 
 def _zero_update(d: np.ndarray, a: int, b: int) -> None:

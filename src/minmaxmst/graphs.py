@@ -314,6 +314,26 @@ def _ranks(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return levels, ranks.astype(np.min_scalar_type(len(levels) - 1))
 
 
+def _rerank_swept(levels: np.ndarray, table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A swept (n, n) rank table re-ranked to the levels it still holds, when n levels fit a narrower dtype.
+
+    Each swept entry is 0 or a bottleneck distance, the weight of an MST
+    edge (Hu 1961), so at most n levels remain and index n-1 is the top
+    rank.  A table already that narrow comes back as it is.  Otherwise the
+    kept levels and a new table of ranks into them are returned; the
+    ranks keep their order, so min and max read the same levels.
+    """
+    dtype = np.min_scalar_type(len(table) - 1)
+    if dtype.itemsize >= table.dtype.itemsize:
+        return levels, table
+    present = np.zeros(len(levels), dtype=bool)
+    present[table] = True
+    kept = np.flatnonzero(present)  # level 0, on the diagonal, keeps rank 0
+    lut = np.zeros(len(levels), dtype)
+    lut[kept] = np.arange(len(kept))
+    return levels[kept], lut[table]  # a narrow lut: the lookup allocates only the new table
+
+
 def _rank_table(g: Graph, x: Weighting) -> tuple[np.ndarray, np.ndarray]:
     """The complete extension on weight ranks: (levels, table).
 

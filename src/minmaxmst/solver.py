@@ -14,6 +14,16 @@ same for max.  Ranks are such a map: sort the distinct weights once, with
 ranks, the schedule reads the rank of exactly the value it reads when run
 on the weights, so the solvers sweep and update a table of small unsigned
 integers and turn only the n-1 terms back into weights, to sum them.
+
+After the sweep at most n levels remain.  Each swept entry off the
+diagonal is a bottleneck distance, and every bottleneck distance is the
+weight of an MST edge (Hu 1961): the max on the MST path between the two
+vertices.  So the swept table holds 0 and at most n-1 MST weights.  A
+zeroing update only takes mins and maxes of entries already there, so
+it adds no level.  `mst_puredp` therefore re-ranks the swept table to
+the levels it holds, in the smallest dtype for index n-1, and runs the
+updates on that: on K_256 the sweep runs on uint16 (about 32,000
+levels) and the 254 updates on uint8.
 """
 
 from __future__ import annotations
@@ -29,6 +39,7 @@ from .graphs import (
     Weighting,
     _check_weighting,
     _rank_table,
+    _rerank_swept,
     _weight_sum,
     fix_spanning_tree,
     validate_spanning_tree,
@@ -56,12 +67,13 @@ class Decomposition:
 def _puredp_schedule(g: Graph, order, d, sweep, zero_update) -> Iterator[tuple[int, Any]]:
     """The pure DP's walk over the extension table d, yielding (edge, cell) per tree edge.
 
-    One sweep, then along `order` read the tree edge's cell and zero it by
-    an update round; no update follows the last edge.  The caller's work
-    on each yielded cell happens before the next round.  The solvers run
-    it over weight ranks, the circuit compiler over a table of evaluation slots.
+    One sweep, which returns the table to walk on (d itself, or d re-ranked),
+    then along `order` read the tree edge's cell and zero it by an update
+    round; no update follows the last edge.  The caller's work on each
+    yielded cell happens before the next round.  The solvers run it over
+    weight ranks, the circuit compiler over a table of evaluation slots.
     """
-    sweep(d)
+    d = sweep(d)
     last = len(order) - 1
     for pos, (eidx, (u, v)) in enumerate(zip(order, g._ends[:, order].T.tolist())):
         yield eidx, d[u, v]
@@ -92,9 +104,22 @@ def mst_decomposition(g: Graph, x: Weighting, t: SpanningTree) -> Decomposition:
 
 
 def _decompose(g: Graph, x: Weighting, order) -> Decomposition:
-    """The pure DP's walk along `order` over the rank table, its cells read back as weights."""
-    levels, d = _rank_table(g, x)
-    return Decomposition((e, levels[r]) for e, r in _puredp_schedule(g, order, d, _sweep, _zero_update))
+    """The pure DP's walk along `order` over the rank table, its cells read back as weights.
+
+    The swept table is re-ranked to the at most n levels it still holds, so
+    the updates may walk a narrower table; the wide one is freed first.
+    """
+    levels, table = _rank_table(g, x)
+
+    def sweep(d):
+        nonlocal levels  # the terms below are read through the re-ranked levels
+        _sweep(d)
+        levels, d = _rerank_swept(levels, d)
+        return d
+
+    walk = _puredp_schedule(g, order, table, sweep, _zero_update)
+    del table  # the walk holds the table alone, and drops it for the re-ranked one
+    return Decomposition((e, levels[r]) for e, r in walk)
 
 
 def fw_pair_ops(n: int) -> int:
@@ -132,12 +157,14 @@ def mst_puredp(g: Graph, x: Weighting) -> tuple[float, OpCounts]:
     then walks the fixed spanning tree: read the current distance of the
     tree edge, add it to the accumulator, zero the edge and update the
     matrix in O(n^2) (the update after the last edge is skipped).  It
-    runs on weight ranks, which gives the same terms (see the module
-    docstring).  The operation sequence depends only on the graph, never
-    on the weights, so the counts returned are the schedule's closed form;
-    `count_ops` of the compiled circuit tallies the same schedule op by op.
-    The counts include the extension's m-1 max fold, which the circuit
-    performs; the solver reads M off the sorted weights instead.
+    runs on weight ranks, which gives the same terms, and the updates run
+    on the swept table re-ranked to the at most n levels it holds: 0 and
+    MST weights (see the module docstring).  The operation sequence
+    depends only on the graph, never on the weights, so the counts
+    returned are the schedule's closed form; `count_ops` of the compiled
+    circuit tallies the same schedule op by op.  The counts include the
+    extension's m-1 max fold, which the circuit performs; the solver
+    reads M off the sorted weights instead.
     """
     _check_weighting(g, x)
     return _decompose(g, x, fix_spanning_tree(g).edges).total, puredp_op_counts(g.n, g.m)

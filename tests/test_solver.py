@@ -1,6 +1,7 @@
 import hashlib
 import math
 import random
+import weakref
 
 import numpy as np
 import pytest
@@ -211,6 +212,22 @@ def _float_table_terms(g, x, t):
     return tuple((e, float(d)) for e, d in walk)
 
 
+def _walk_both_orders(g, x, rng, monkeypatch):
+    """(dtype, top rank) of each table the solver's updates walk, along the fixed tree and a
+    shuffled order of it; the terms of both walks equal the float table's."""
+    walked, zero_update = [], solver._zero_update
+
+    def spy(d, a, b):
+        walked.append((d.dtype, int(d.max())))
+        zero_update(d, a, b)
+
+    monkeypatch.setattr(solver, "_zero_update", spy)
+    fixed = fix_spanning_tree(g)
+    for t in (fixed, SpanningTree(rng.sample(fixed.edges, len(fixed)))):
+        assert mst_decomposition(g, x, t).terms == _float_table_terms(g, x, t)
+    return walked
+
+
 def _distinct_weighting(g, distinct, rng):
     """Weights 1..distinct on shuffled edges, the rest repeating them: distinct+1 levels with 0."""
     weights = list(range(1, distinct + 1)) + [rng.randint(1, distinct) for _ in range(g.m - distinct)]
@@ -219,21 +236,78 @@ def _distinct_weighting(g, distinct, rng):
 
 
 class TestRankTable:
-    """The solvers run on ranks; the rank dtype widens at 256 and 65,536 levels."""
+    """The solvers run on ranks; the rank dtype widens at 256 and 65,536 levels.
+
+    The updates walk the swept table re-ranked to its at most n levels.
+    """
 
     @pytest.mark.parametrize(
         "n, distinct, dtype",
         [(24, 254, np.uint8), (24, 255, np.uint8), (24, 256, np.uint16),
          (363, 65534, np.uint16), (363, 65535, np.uint16), (363, 65536, np.uint32)],
     )
-    def test_dtype_boundaries(self, n, distinct, dtype):
+    def test_dtype_boundaries(self, n, distinct, dtype, monkeypatch):
         g = complete_graph(n)
-        x = _distinct_weighting(g, distinct, random.Random(distinct))
+        rng = random.Random(distinct)
+        x = _distinct_weighting(g, distinct, rng)
         levels, table = graphs._rank_table(g, x)
         assert len(levels) == distinct + 1 and table.dtype == dtype
         assert mst_puredp(g, x)[0] == kruskal_mst(g, x)
         dec = mst_decomposition(g, x, fix_spanning_tree(g))
         assert sorted(d for _, d in dec.terms) == sorted(x.values[i] for i in kruskal_tree(g, x))
+        # at most n levels survive the sweep, so the updates walk the dtype of n-1 whatever the weights
+        walked = {dt for dt, _ in _walk_both_orders(g, x, rng, monkeypatch)}
+        assert walked == {np.dtype({24: np.uint8, 363: np.uint16}[n])}
+
+    def test_k256_keeps_exactly_256_levels(self, monkeypatch):
+        """All-distinct positive weights: 0 and the 255 MST weights fill uint8 to its top rank."""
+        g, rng = complete_graph(256), random.Random(256)
+        x = Weighting(rng.sample(range(1, 10**6), g.m))
+        assert graphs._rank_table(g, x)[1].dtype == np.uint16
+        walked = _walk_both_orders(g, x, rng, monkeypatch)
+        assert {dt for dt, _ in walked} == {np.dtype(np.uint8)} and walked[0][1] == 255
+
+    def test_zero_level_stays_positive_after_reranking(self, monkeypatch):
+        # K_26: 25 weights -0.0 and 300 distinct positive ones, so the swept table is re-ranked
+        g, rng = complete_graph(26), random.Random(26)
+        weights = [-0.0] * 25 + list(range(1, 301))
+        rng.shuffle(weights)
+        x = Weighting(weights)
+        assert graphs._rank_table(g, x)[1].dtype == np.uint16
+        assert {dt for dt, _ in _walk_both_orders(g, x, rng, monkeypatch)} == {np.dtype(np.uint8)}
+        terms = [d for _, d in mst_decomposition(g, x, fix_spanning_tree(g)).terms]
+        assert 0.0 in terms and not np.signbit(terms).any()
+
+    def test_wide_table_is_freed_before_the_updates(self, monkeypatch):
+        g = complete_graph(24)
+        x = _distinct_weighting(g, 256, random.Random(1))
+        refs, alive = [], []
+        rank_table, zero_update = graphs._rank_table, solver._zero_update
+
+        def spy_table(g, x):
+            levels, table = rank_table(g, x)
+            refs.append(weakref.ref(table))
+            return levels, table
+
+        def spy_update(d, a, b):
+            alive.append(refs[-1]() is not None)
+            zero_update(d, a, b)
+
+        monkeypatch.setattr(solver, "_rank_table", spy_table)
+        monkeypatch.setattr(solver, "_zero_update", spy_update)
+        assert mst_puredp(g, x)[0] == kruskal_mst(g, x)
+        assert len(alive) == g.n - 2 and not any(alive)
+
+    @settings(max_examples=100, deadline=None)
+    @given(float_weighted_graphs(max_n=14))
+    def test_swept_ranks_are_kruskal_tree_levels(self, gx):
+        """Hu (1961): every bottleneck distance is the weight of an MST edge, so at most n levels survive the sweep."""
+        g, x = gx
+        levels, table = graphs._rank_table(g, x)
+        swept = distances._sweep(table)
+        assert len(np.unique(swept)) <= g.n
+        off_diagonal = levels[swept[~np.eye(g.n, dtype=bool)]]
+        assert set(off_diagonal.tolist()) <= {x[i] for i in kruskal_tree(g, x)}
 
     def test_zero_level_is_positive_zero(self):
         # numpy's sort may put a -0.0 weight before the 0.0 level; the diagonal stays +0.0
