@@ -12,58 +12,12 @@ import json
 import random
 import sys
 import time
-from dataclasses import dataclass
 
 from .circuit import compile_mst_circuit, format_circuit
-from .counting import OpCounts
 from .generate import DEFAULT_MAX_WEIGHT, random_connected_graph, random_weighting
-from .graphs import Graph, GraphError, Weighting, _check_bytes, complete_graph, format_edge_list, parse_graph, fix_spanning_tree
+from .graphs import Graph, GraphError, Weighting, _check_bytes, _plain, complete_graph, format_edge_list, parse_graph, fix_spanning_tree
 from .oracles import PreconditionError, bruteforce_mst, kruskal_mst, maggs_plotkin_mst
 from .solver import mst_decomposition, mst_puredp, mst_puredp_naive, naive_op_counts, puredp_op_counts
-
-
-@dataclass
-class RunReport:
-    algorithm: str
-    mst_weight: float
-    ops: OpCounts | None
-    decomposition: tuple[tuple[int, float], ...] | None
-    time_ms: float
-
-    def to_json_dict(self) -> dict:
-        return {
-            "algorithm": self.algorithm,
-            "mst_weight": _plain(self.mst_weight),
-            "ops": self.ops.as_dict() if self.ops is not None else None,
-            "decomposition": (
-                [[e, _plain(d)] for e, d in self.decomposition]
-                if self.decomposition is not None
-                else None
-            ),
-            "time_ms": self.time_ms,
-        }
-
-    def to_text(self) -> str:
-        lines = [
-            f"algorithm      {self.algorithm}",
-            f"mst_weight     {_plain(self.mst_weight)}",
-        ]
-        if self.ops is not None:
-            o = self.ops
-            lines.append(
-                f"ops            min={o.min_count} max={o.max_count} "
-                f"add={o.add_count} total={o.total}"
-            )
-        if self.decomposition is not None:
-            terms = " ".join(f"{e}:{_plain(d)}" for e, d in self.decomposition)
-            lines.append(f"decomposition  {terms}")
-        lines.append(f"time_ms        {self.time_ms}")
-        return "\n".join(lines)
-
-
-def _plain(w: float):
-    """Integral weights print as integers (canonical for the integer test data)."""
-    return int(w) if w == int(w) else w
 
 
 def _load(path: str) -> tuple[Graph, Weighting]:
@@ -83,22 +37,34 @@ ALGORITHMS = {
 
 def cmd_solve(args: argparse.Namespace) -> int:
     g, x = _load(args.file)
-    decomposition = None
+    dec = None
     start = time.perf_counter()
     if args.decomposition and args.algorithm == "puredp":
         # the decomposition is mst_puredp's own schedule: run it once for both
         dec = mst_decomposition(g, x, fix_spanning_tree(g))
-        value, ops, decomposition = dec.total, puredp_op_counts(g.n, g.m), dec.terms
+        value, ops = dec.total, puredp_op_counts(g.n, g.m)
     else:
         value, ops = ALGORITHMS[args.algorithm](g, x)
     elapsed = round((time.perf_counter() - start) * 1000, 3)
     if args.decomposition and args.algorithm == "puredp-naive":
-        decomposition = mst_decomposition(g, x, fix_spanning_tree(g)).terms
-    report = RunReport(args.algorithm, value, ops, decomposition, elapsed)
+        dec = mst_decomposition(g, x, fix_spanning_tree(g))
+    report = {
+        "algorithm": args.algorithm,
+        "mst_weight": _plain(value),
+        "ops": None if ops is None else ops.as_dict(),
+        "decomposition": None if dec is None else [[e, _plain(d)] for e, d in dec.terms],
+        "time_ms": elapsed,
+    }
     if args.format == "json":
-        print(json.dumps(report.to_json_dict()))
-    else:
-        print(report.to_text())
+        print(json.dumps(report))
+    else:  # one line per key that is not null: a dict as k=v pairs, a list as e:d pairs
+        for key, field in report.items():
+            if isinstance(field, dict):
+                field = " ".join(f"{k}={v}" for k, v in field.items())
+            elif isinstance(field, list):
+                field = " ".join(f"{e}:{d}" for e, d in field)
+            if field is not None:
+                print(f"{key:<15}{field}")
     return 0
 
 

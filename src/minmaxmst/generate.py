@@ -29,7 +29,9 @@ def random_connected_graph(
     A random spanning tree guarantees connectivity; of the remaining
     non-tree pairs, round(density * count) extras are sampled, so density 0
     yields a tree and density 1 yields the complete graph.  Edges are listed
-    in sorted pair order and weighted after the edge list is fixed.
+    in sorted pair order and weighted after the edge list is fixed.  A tree
+    takes O(n) time and memory; extras are drawn from a list of all
+    n(n-1)/2 - (n-1) non-tree pairs, so with density > 0 both grow as n^2.
     """
     if not 0.0 <= density <= 1.0:
         raise GraphError(f"density must be in [0, 1], got {density}")
@@ -37,16 +39,19 @@ def random_connected_graph(
         raise GraphError(f"max-weight must be >= 0, got {max_weight}")
     order = list(range(1, n + 1))
     rng.shuffle(order)
+    # order[randrange(i)] makes the same draw as choice(order[:i]), without the copy
     edges = {
-        tuple(sorted((v, rng.choice(order[:i])))) for i, v in enumerate(order) if i > 0
+        tuple(sorted((v, order[rng.randrange(i)]))) for i, v in enumerate(order) if i > 0
     }
-    pool = sorted(
-        (u, v)
-        for u in range(1, n + 1)
-        for v in range(u + 1, n + 1)
-        if (u, v) not in edges
-    )
-    extra = round(density * len(pool))
-    edges.update(rng.sample(pool, extra))
+    k = len(order)  # n, or 0 when n < 1 (Graph rejects that)
+    extra = round(density * (k * (k - 1) // 2 - len(edges)))
+    if extra > 0:  # sample(pool, 0) draws nothing, so a tree skips the pool
+        pool = sorted(
+            (u, v)
+            for u in range(1, n + 1)
+            for v in range(u + 1, n + 1)
+            if (u, v) not in edges
+        )
+        edges.update(rng.sample(pool, extra))
     g = Graph(n, sorted(edges))
     return g, random_weighting(g.m, rng, max_weight)

@@ -360,14 +360,19 @@ def complete_extension(g: Graph, x: Weighting) -> ExtendedWeighting:
     return ExtendedWeighting(levels[table])
 
 
-def _format_weight(w: float) -> str:
-    return str(int(w)) if w == int(w) else repr(w)
+def _plain(w: float):
+    """The weight to print: an int if integral, else the float itself.
+
+    Integral weights print as integers (canonical for the integer test
+    data); a float prints as its shortest round-trip repr, in text and JSON.
+    """
+    return int(w) if w == int(w) else w
 
 
 def format_edge_list(g: Graph, x: Weighting) -> str:
     """Canonical edge-list text: header `n m`, then one `u v w` line per edge."""
     _check_weighting(g, x)
-    lines = [f"{u} {v} {_format_weight(w)}" for (u, v), w in zip(g.edges, x.values)]
+    lines = [f"{u} {v} {_plain(w)}" for (u, v), w in zip(g.edges, x.values)]
     return "\n".join([f"{g.n} {g.m}", *lines]) + "\n"
 
 

@@ -1,5 +1,7 @@
+import hashlib
 import json
 import random
+import re
 import shutil
 import subprocess
 
@@ -26,6 +28,18 @@ ONE_DECIMAL = (
     "5 6 48.5\n5 7 71.3\n6 7 68\n7 8 6.6\n"
 )
 REPORT_KEYS = {"algorithm", "mst_weight", "ops", "decomposition", "time_ms"}
+# SHA-256 of `solve --format FMT` on each file, for every algorithm in sorted
+# order, first without and then with --decomposition, time_ms masked as "T"
+GOLDEN_FILES = {"triangle": TRIANGLE, "one_decimal": ONE_DECIMAL, "single_vertex": "1 0\n"}
+GOLDEN_SOLVE_SHA256 = {
+    ("triangle", "json"): "f6a2fc82e2895cdaece5e5e99ac8b3a03ffb6814decac93e267c9fad607bfa59",
+    ("triangle", "text"): "e724d84cb060ff710935984d2573d476cad1fce71ac4b3cbe7a9aed44e0027a6",
+    ("one_decimal", "json"): "31bc2c15c0db4e9147968ff3e8375fcad4b8cf761465da3dbf0fd9ac1e4f94f8",
+    ("one_decimal", "text"): "85c007969118800ecc8e250a6e77bbd29084f2a1ffc842bab0827f1503e2f09d",
+    ("single_vertex", "json"): "918848602e39e2600f815c3aca5f6aab9163cdd8dd1e498d39084c800b171c40",
+    ("single_vertex", "text"): "0aafd7fda8b3327e1cdf699a7f104f2a3355f2688fdf9ba45d219c82feed78ec",
+}
+TIME_MS = re.compile(r"(time_ms\W+)\d+\.\d+")
 # finite weights whose MST weight (2e308, 2.1e308) is past the largest float
 OVERFLOW = "3 3\n1 2 1e308\n1 3 1.7e308\n2 3 1e308\n"
 OVERFLOW_DISTINCT = "3 3\n1 2 1e308\n1 3 1.7e308\n2 3 1.1e308\n"
@@ -140,6 +154,41 @@ class TestSolve:
         big.write_text("9 8\n" + "\n".join(lines) + "\n")
         code, _, err = run(capsys, "solve", str(big), "--algorithm", "bruteforce")
         assert code == 2 and "n <= 8" in err
+
+
+class TestSolveGolden:
+    def solve_masked(self, capsys, path, *argv):
+        code, out, err = run(capsys, "solve", path, *argv)
+        masked, count = TIME_MS.subn(r"\1T", out)
+        assert code == 0 and err == "" and count == 1
+        return masked
+
+    @pytest.mark.parametrize("name, fmt", sorted(GOLDEN_SOLVE_SHA256))
+    def test_report_matches_golden_digest(self, capsys, tmp_path, name, fmt):
+        f = tmp_path / "g.el"
+        f.write_text(GOLDEN_FILES[name])
+        text = "".join(
+            self.solve_masked(capsys, str(f), "--algorithm", algorithm, "--format", fmt, *flags)
+            for algorithm in sorted(ALGORITHMS)
+            for flags in ([], ["--decomposition"])
+        )
+        assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_SOLVE_SHA256[name, fmt], text
+
+    def test_empty_decomposition_keeps_its_text_line(self, capsys, tmp_path):
+        f = tmp_path / "one.el"
+        f.write_text("1 0\n")
+        assert self.solve_masked(capsys, str(f), "--format", "text", "--decomposition") == (
+            "algorithm      puredp\n"
+            "mst_weight     0\n"
+            "ops            min=0 max=0 add=0 total=0\n"
+            "decomposition  \n"
+            "time_ms        T\n"
+        )
+        assert self.solve_masked(capsys, str(f), "--decomposition") == (
+            '{"algorithm": "puredp", "mst_weight": 0, '
+            '"ops": {"min": 0, "max": 0, "add": 0, "total": 0}, '
+            '"decomposition": [], "time_ms": T}\n'
+        )
 
 
 class TestCompare:

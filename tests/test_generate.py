@@ -1,8 +1,15 @@
+import hashlib
 import random
+import tracemalloc
 
 import pytest
 
 from minmaxmst import GraphError, format_edge_list, parse_graph, random_connected_graph
+
+
+# SHA-256 of format_edge_list over 60 seeded graphs, n in 1..40 and densities
+# 0, random and 1 (test_seeded_output_is_pinned); the draws of every seed are fixed
+SEEDED_SHA256 = "d4b32cd6b0369618048cd245fae68b6e03bd1c5f984610eec15ecc25c240465e"
 
 
 def gen(n, density, seed, max_weight=10**6):
@@ -50,3 +57,26 @@ class TestRandomConnectedGraph:
     def test_vertex_count_checked_by_graph(self):
         with pytest.raises(GraphError, match=r"^vertex count must be >= 1$"):
             gen(0, 0.5, seed=1)
+
+    def test_negative_vertex_count_checked_by_graph(self):
+        with pytest.raises(GraphError, match=r"^vertex count must be >= 1$"):
+            gen(-3, 0.5, seed=1)
+
+    def test_seeded_output_is_pinned(self):
+        h = hashlib.sha256()
+        for seed in range(60):
+            rng = random.Random(seed)
+            n = rng.randint(1, 40)
+            density = (0.0, rng.random(), 1.0)[seed % 3]
+            h.update(format_edge_list(*random_connected_graph(n, density, rng)).encode())
+        assert h.hexdigest() == SEEDED_SHA256
+
+    def test_tree_memory_is_linear(self):
+        # a list of all n(n-1)/2 non-tree pairs would peak at about 100 MiB
+        tracemalloc.start()
+        try:
+            g, _ = gen(1500, 0.0, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert g.m == 1499 and peak < 5 * 2**20
