@@ -16,7 +16,6 @@ from .circuit import (
     evaluate,
     format_circuit,
 )
-from .counting import OpCounts
 from .distances import (
     DistanceMatrix,
     all_pairs_minmax,
@@ -48,6 +47,7 @@ from .oracles import (
 )
 from .solver import (
     Decomposition,
+    OpCounts,
     mst_decomposition,
     mst_puredp,
     mst_puredp_naive,

@@ -26,9 +26,8 @@ from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .counting import OpCounts
 from .graphs import Graph, GraphError, Weighting, _check_bytes, _extension_layout, fix_spanning_tree
-from .solver import _naive_schedule, _puredp_schedule, naive_op_counts, puredp_op_counts
+from .solver import OpCounts, _naive_schedule, _puredp_schedule, naive_op_counts, puredp_op_counts
 
 INPUT, CONST, MIN, MAX, ADD = range(5)
 KIND_NAMES = ("input", "const", "min", "max", "add")
@@ -123,12 +122,6 @@ def _chunks(c: Circuit) -> Iterator[tuple[int, list[int], list[int], list[int]]]
         yield s, kind[s:e].tolist(), a[s:e].tolist(), b[s:e].tolist()
 
 
-def _check_nodes(g: Graph, ops: OpCounts) -> None:
-    """Raise GraphError, before anything is allocated, when the circuit's blocks would pass the byte budget."""
-    nodes = g.m + 1 + ops.total
-    _check_bytes(g.n, nodes * _NODE_BYTES, f"circuit of {nodes:,} nodes")
-
-
 class _Emitter:
     """A circuit's blocks, written one round at a time.
 
@@ -143,14 +136,14 @@ class _Emitter:
     these rounds, so after an update round its pairs are the run `run`.
     """
 
-    def __init__(self, g: Graph) -> None:
+    def __init__(self, g: Graph, ops: OpCounts) -> None:
+        nodes = g.m + 1 + ops.total  # GraphError, before anything is allocated, past the byte budget
+        _check_bytes(g.n, nodes * _NODE_BYTES, f"circuit of {nodes:,} nodes")
         self.g = g
         self.zero = g.m  # the constant 0 follows the m inputs, as node and as slot
         self.size = g.m + 1  # nodes reserved
         self.slots = g.m + 1  # slots scheduled
         self.blocks: list[Block] = []
-        self.adds: list[int] = []
-        self.terms: list[int] = []
         self.i, self.j = np.triu_indices(g.n, 1)
         self.p = np.arange(len(self.i))
         self.pair = np.zeros((g.n, g.n), dtype=np.intp)
@@ -173,14 +166,14 @@ class _Emitter:
             self.slots += len(ids)
         return first
 
-    def add(self, term: int) -> None:
-        """Next node of the tree-order add chain, which starts at the constant 0."""
-        self.adds.append(self.reserve(1))
-        self.terms.append(term)
-
-    def circuit(self) -> Circuit:
-        self.schedule(ADD, self.adds, [self.zero], self.terms, fold=True)
-        output = self.adds[-1] if self.adds else self.zero
+    def circuit(self, walk: Iterator[tuple[int, int]]) -> Circuit:
+        """The circuit ending in the add chain from the constant 0 over the walk's cells, in walk order."""
+        adds, terms = [], []
+        for _, cell in walk:
+            adds.append(self.reserve(1))
+            terms.append(cell)
+        self.schedule(ADD, adds, [self.zero], terms, fold=True)
+        output = adds[-1] if adds else self.zero
         return Circuit(self.size, output, self.g.n, self.g.m, tuple(self.blocks))
 
     def _relabel(self, t: np.ndarray, slots: np.ndarray) -> None:
@@ -264,21 +257,15 @@ def compile_mst_circuit(g: Graph) -> Circuit:
     Structure depends on g alone.  A graph whose circuit would pass the byte budget
     of `graphs._TABLE_BYTES` raises GraphError before anything is built.
     """
-    _check_nodes(g, puredp_op_counts(g.n, g.m))
-    em = _Emitter(g)
-    for _, cell in _puredp_schedule(g, fix_spanning_tree(g).edges, em.extension(), em.sweep, em.zero_update):
-        em.add(cell)
-    return em.circuit()
+    em = _Emitter(g, puredp_op_counts(g.n, g.m))
+    return em.circuit(_puredp_schedule(g, fix_spanning_tree(g).edges, em.sweep(em.extension()), em.zero_update))
 
 
 def compile_mst_circuit_naive(g: Graph) -> Circuit:
     """Straight-line counterpart of `mst_puredp_naive` (a fresh distance
     computation per tree edge; O(n^4) nodes), under the same byte budget."""
-    _check_nodes(g, naive_op_counts(g.n, g.m))
-    em = _Emitter(g)
-    for _, cell in _naive_schedule(g, em.extension(), em.sweep, em.zero):
-        em.add(cell)
-    return em.circuit()
+    em = _Emitter(g, naive_op_counts(g.n, g.m))
+    return em.circuit(_naive_schedule(g, em.extension(), em.sweep, em.zero))
 
 
 def evaluate(c: Circuit, x: Weighting | Sequence[float]) -> float:

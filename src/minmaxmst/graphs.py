@@ -48,7 +48,6 @@ class Graph:
         if n < 1:
             raise GraphError("vertex count must be >= 1")
         pairs: dict[tuple[int, int], None] = {}  # insertion-ordered: the edge list
-        uf, merges = _UnionFind(n), 0
         for i, (u, v) in enumerate(edges):
             if u > v:
                 u, v = v, u
@@ -59,8 +58,12 @@ class Graph:
             if (u, v) in pairs:
                 raise GraphError("duplicate edge", i)
             pairs[u, v] = None
-            if merges < n - 1:  # n-1 merges already connect every vertex
-                merges += uf.union(u, v)
+        merges = 0
+        if len(pairs) >= n - 1:  # fewer edges cannot connect n vertices: build nothing of size n for them
+            uf = _UnionFind(n)
+            for u, v in pairs:
+                if merges < n - 1:  # n-1 merges already connect every vertex
+                    merges += uf.union(u, v)
         if merges < n - 1:
             raise GraphError("disconnected graph")
         ends = np.fromiter(chain.from_iterable(pairs), np.intp, 2 * len(pairs)) - 1

@@ -31,7 +31,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Iterable, Iterator
 
-from .counting import OpCounts
 from .distances import _sweep, _zero_update
 from .graphs import (
     Graph,
@@ -44,6 +43,27 @@ from .graphs import (
     fix_spanning_tree,
     validate_spanning_tree,
 )
+
+
+@dataclass(frozen=True)
+class OpCounts:
+    """Immutable record of how many min/max/add operations a run performed."""
+
+    min_count: int
+    max_count: int
+    add_count: int
+
+    @property
+    def total(self) -> int:
+        return self.min_count + self.max_count + self.add_count
+
+    def as_dict(self) -> dict[str, int]:
+        return {
+            "min": self.min_count,
+            "max": self.max_count,
+            "add": self.add_count,
+            "total": self.total,
+        }
 
 
 @dataclass(frozen=True, init=False)
@@ -64,16 +84,15 @@ class Decomposition:
         object.__setattr__(self, "total", _weight_sum(d for _, d in terms))
 
 
-def _puredp_schedule(g: Graph, order, d, sweep, zero_update) -> Iterator[tuple[int, Any]]:
-    """The pure DP's walk over the extension table d, yielding (edge, cell) per tree edge.
+def _puredp_schedule(g: Graph, order, d, zero_update) -> Iterator[tuple[int, Any]]:
+    """The pure DP's walk over the swept extension table d, yielding (edge, cell) per tree edge.
 
-    One sweep, which returns the table to walk on (d itself, or d re-ranked),
-    then along `order` read the tree edge's cell and zero it by an update
+    Along `order`, read the tree edge's cell and zero it by an update
     round; no update follows the last edge.  The caller's work on each
     yielded cell happens before the next round.  The solvers run it over
-    weight ranks, the circuit compiler over a table of evaluation slots.
+    weight ranks, the circuit compiler over a table of evaluation slots;
+    each sweeps d with its own sweep first.
     """
-    d = sweep(d)
     last = len(order) - 1
     for pos, (eidx, (u, v)) in enumerate(zip(order, g._ends[:, order].T.tolist())):
         yield eidx, d[u, v]
@@ -107,47 +126,33 @@ def _decompose(g: Graph, x: Weighting, order) -> Decomposition:
     """The pure DP's walk along `order` over the rank table, its cells read back as weights.
 
     The swept table is re-ranked to the at most n levels it still holds, so
-    the updates may walk a narrower table; the wide one is freed first.
+    the updates may walk a narrower table; rebinding `table` frees the wide one.
     """
     levels, table = _rank_table(g, x)
-
-    def sweep(d):
-        nonlocal levels  # the terms below are read through the re-ranked levels
-        _sweep(d)
-        levels, d = _rerank_swept(levels, d)
-        return d
-
-    walk = _puredp_schedule(g, order, table, sweep, _zero_update)
-    del table  # the walk holds the table alone, and drops it for the re-ranked one
-    return Decomposition((e, levels[r]) for e, r in walk)
+    _sweep(table)
+    levels, table = _rerank_swept(levels, table)
+    return Decomposition((e, levels[r]) for e, r in _puredp_schedule(g, order, table, _zero_update))
 
 
-def fw_pair_ops(n: int) -> int:
-    """Unordered-pair relaxations in one full distance run: n * n(n-1)/2."""
-    return n * (n * (n - 1) // 2)
+def _op_counts(n: int, m: int, sweeps: int, rounds: int) -> OpCounts:
+    """Closed-form tally of `sweeps` full distance runs and `rounds` zeroing update rounds on K_n.
+
+    Each relaxes every pair n times or twice, with one min and one max; the
+    extension's max fold adds m-1 maxes and the tree-order sum n-1 adds.
+    """
+    pairs = n * (n - 1) // 2
+    relax = (sweeps * n + 2 * rounds) * pairs
+    return OpCounts(min_count=relax, max_count=max(m - 1, 0) + relax, add_count=max(n - 1, 0))
 
 
 def puredp_op_counts(n: int, m: int) -> OpCounts:
-    """Closed-form operation tally of `mst_puredp` from its loop bounds."""
-    pairs = n * (n - 1) // 2
-    fw = fw_pair_ops(n)
-    rounds = max(n - 2, 0)
-    return OpCounts(
-        min_count=fw + rounds * 2 * pairs,
-        max_count=max(m - 1, 0) + fw + rounds * 2 * pairs,
-        add_count=max(n - 1, 0),
-    )
+    """Closed-form operation tally of `mst_puredp`: one sweep, then n-2 update rounds."""
+    return _op_counts(n, m, 1, n - 2)
 
 
 def naive_op_counts(n: int, m: int) -> OpCounts:
-    """Closed-form operation tally of `mst_puredp_naive`."""
-    fw = fw_pair_ops(n)
-    runs = max(n - 1, 0)
-    return OpCounts(
-        min_count=runs * fw,
-        max_count=max(m - 1, 0) + runs * fw,
-        add_count=max(n - 1, 0),
-    )
+    """Closed-form operation tally of `mst_puredp_naive`: a sweep per tree edge."""
+    return _op_counts(n, m, n - 1, 0)
 
 
 def mst_puredp(g: Graph, x: Weighting) -> tuple[float, OpCounts]:

@@ -1,4 +1,4 @@
-"""Every demo script runs to completion against the package in src/."""
+"""Every demo script, and the README's library quick tour, runs to completion against the package in src/."""
 
 import os
 import subprocess
@@ -21,3 +21,10 @@ def test_demo_runs(demo):
     done = subprocess.run([sys.executable, str(demo)], env=env, cwd=ROOT,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
+
+
+def test_readme_quick_tour_runs():
+    """The first python block under "Library quick tour" in README.md, whose asserts state its values."""
+    readme = (ROOT / "README.md").read_text()
+    tour = readme.split("## Library quick tour", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(tour, "README.md quick tour", "exec"), {})

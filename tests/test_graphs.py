@@ -178,6 +178,16 @@ class TestGraph:
         with pytest.raises(GraphError, match="disconnected"):
             Graph(5, [(1, 2), (2, 3), (1, 3), (4, 5)])
 
+    def test_too_few_edges_build_nothing_of_size_n(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(GraphError, match="^disconnected graph$"):
+                Graph(10**6, [(1, 2)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
     def test_checks_edges_after_it_is_connected(self):
         with pytest.raises(GraphError, match="duplicate"):
             Graph(3, [(1, 2), (2, 3), (1, 3), (3, 1)])

@@ -208,7 +208,7 @@ class TestPureDP:
 def _float_table_terms(g, x, t):
     """The pure DP's terms along `t` with the schedule run on the weights themselves."""
     weights = graphs._extension_layout(g, np.array(x.values), 0.0, max(x.values, default=0.0))
-    walk = solver._puredp_schedule(g, t.edges, weights, distances._sweep, distances._zero_update)
+    walk = solver._puredp_schedule(g, t.edges, distances._sweep(weights), distances._zero_update)
     return tuple((e, float(d)) for e, d in walk)
 
 
@@ -351,13 +351,15 @@ class TestOpCounts:
         assert len(counts) == 1
 
     def test_closed_form_total_formula(self):
-        # total = N + (n-2)K + (n-1) + (m-1) with N = n^2(n-1), K = 2n(n-1)
+        # pure: N + (n-2)K + (n-1) + (m-1); naive: (n-1)N + (n-1) + (m-1); N = n^2(n-1), K = 2n(n-1)
+        assert puredp_op_counts(1, 0).total == naive_op_counts(1, 0).total == 0
         for n in (2, 3, 5, 8, 16, 33):
             m = n * (n - 1) // 2
             big_n = n * n * (n - 1)
             big_k = 2 * n * (n - 1)
             expect = big_n + max(n - 2, 0) * big_k + (n - 1) + (m - 1)
             assert puredp_op_counts(n, m).total == expect
+            assert naive_op_counts(n, m).total == (n - 1) * big_n + (n - 1) + (m - 1)
 
     def test_naive_strictly_larger_from_n3(self):
         for n in (3, 4, 8):
