@@ -6,7 +6,7 @@ operation sequence of the corresponding solver, so the circuit is a
 weight-independent artifact: node counts are the solver's operation counts,
 and evaluating the circuit on any weighting reproduces the solver's output.
 
-The compiler runs the solver's own tree walk over a table of evaluation
+The compilers run the solvers' own tree walk over a table of evaluation
 slots and writes each round once, as its evaluation schedule: blocks of
 nodes of one kind that do not read each other, and the two chains (the
 extension's max-fold and the tree-order add chain) as left folds.  Slots
@@ -21,13 +21,13 @@ blocks when it is asked for.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from .graphs import Graph, GraphError, Weighting, _check_bytes, _extension_layout, fix_spanning_tree
-from .solver import OpCounts, _naive_schedule, _puredp_schedule, naive_op_counts, puredp_op_counts
+from .solver import OpCounts, _puredp_schedule, _resweep, naive_op_counts, puredp_op_counts
 
 INPUT, CONST, MIN, MAX, ADD = range(5)
 KIND_NAMES = ("input", "const", "min", "max", "add")
@@ -125,15 +125,16 @@ def _chunks(c: Circuit) -> Iterator[tuple[int, list[int], list[int], list[int]]]
 class _Emitter:
     """A circuit's blocks, written one round at a time.
 
-    The circuit backend of the solver's schedules: `extension`, `sweep` and
+    The circuit backend of the solvers' walk: `extension`, `sweep` and
     `zero_update` work on an (n, n) table holding the slot of each vertex
     pair's current value, the constant 0 on the diagonal.  A round takes
     its node ids from `reserve`, in the row-major order of the pairs i < j
     (`triu_indices`), and its slots from `schedule`, block after block; it
     describes its nodes only by the blocks it schedules.  `pair` maps both
     cells of a pair to its position p.  The table is symmetric, so a round
-    reads column k as row k.  A schedule writes the table only through
-    these rounds, so after an update round its pairs are the run `run`.
+    reads column k as row k.  The walk writes the table only through
+    these rounds, bar the naive round's copy, which a sweep follows; so
+    after an update round its pairs are the run `run`, and a sweep forgets it.
     """
 
     def __init__(self, g: Graph, ops: OpCounts) -> None:
@@ -265,7 +266,9 @@ def compile_mst_circuit_naive(g: Graph) -> Circuit:
     """Straight-line counterpart of `mst_puredp_naive` (a fresh distance
     computation per tree edge; O(n^4) nodes), under the same byte budget."""
     em = _Emitter(g, naive_op_counts(g.n, g.m))
-    return em.circuit(_naive_schedule(g, em.extension(), em.sweep, em.zero))
+    base = em.extension()
+    return em.circuit(_puredp_schedule(g, fix_spanning_tree(g).edges, em.sweep(base.copy()),
+                                       partial(_resweep, base, em.sweep, em.zero)))
 
 
 def evaluate(c: Circuit, x: Weighting | Sequence[float]) -> float:

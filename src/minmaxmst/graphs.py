@@ -58,13 +58,8 @@ class Graph:
             if (u, v) in pairs:
                 raise GraphError("duplicate edge", i)
             pairs[u, v] = None
-        merges = 0
-        if len(pairs) >= n - 1:  # fewer edges cannot connect n vertices: build nothing of size n for them
-            uf = _UnionFind(n)
-            for u, v in pairs:
-                if merges < n - 1:  # n-1 merges already connect every vertex
-                    merges += uf.union(u, v)
-        if merges < n - 1:
+        # fewer edges cannot connect n vertices: build nothing of size n for them
+        if len(pairs) < n - 1 or len(_forest(n, pairs)) < n - 1:
             raise GraphError("disconnected graph")
         ends = np.fromiter(chain.from_iterable(pairs), np.intp, 2 * len(pairs)) - 1
         ends = ends.astype(np.min_scalar_type(n - 1)).reshape(len(pairs), 2).T.copy()
@@ -201,25 +196,29 @@ def _check_weighting(g: Graph, x: Weighting) -> None:
         raise GraphError(f"weighting has {len(x)} values for a graph with {g.m} edges")
 
 
-class _UnionFind:
-    __slots__ = ("parent",)
+def _forest(n: int, pairs: Iterable[tuple[int, int]]) -> list[int]:
+    """Positions of the pairs that join two components, in order, stopping at n-1 joins.
 
-    def __init__(self, n: int) -> None:
-        self.parent = list(range(n + 1))
+    A union-find over vertex ids 0..n, so pairs may be 0- or 1-based;
+    n-1 joins connect n vertices, so later pairs are not read.
+    """
+    parent = list(range(n + 1))
 
-    def find(self, v: int) -> int:
-        p = self.parent
-        while p[v] != v:
-            p[v] = p[p[v]]
-            v = p[v]
+    def find(v: int) -> int:
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
         return v
 
-    def union(self, u: int, v: int) -> bool:
-        ru, rv = self.find(u), self.find(v)
-        if ru == rv:
-            return False
-        self.parent[ru] = rv
-        return True
+    joins: list[int] = []
+    for i, (u, v) in enumerate(pairs):
+        ru, rv = find(u), find(v)
+        if ru != rv:
+            parent[ru] = rv
+            joins.append(i)
+            if len(joins) == n - 1:
+                break
+    return joins
 
 
 def validate_spanning_tree(g: Graph, t: SpanningTree) -> None:
@@ -231,11 +230,8 @@ def validate_spanning_tree(g: Graph, t: SpanningTree) -> None:
     for idx in t.edges:
         if not 0 <= idx < g.m:
             raise GraphError(f"edge index {idx} out of range")
-    uf = _UnionFind(g.n)
-    for u, v in g._ends[:, t.edges].T.tolist():
-        if not uf.union(u, v):
-            raise GraphError("spanning tree contains a cycle")
-    # n-1 acyclic edges on n vertices necessarily span
+    if len(_forest(g.n, g._ends[:, t.edges].T.tolist())) < g.n - 1:  # n-1 acyclic edges on n vertices span
+        raise GraphError("spanning tree contains a cycle")
 
 
 def fix_spanning_tree(g: Graph) -> SpanningTree:

@@ -14,7 +14,7 @@ from functools import lru_cache
 import numpy as np
 
 from .distances import DistanceMatrix, all_pairs_minmax
-from .graphs import Graph, Weighting, _check_weighting, _extension_layout, _UnionFind, _weight_sum
+from .graphs import Graph, Weighting, _check_weighting, _extension_layout, _forest, _weight_sum
 
 BRUTEFORCE_MAX_N = 8
 
@@ -26,15 +26,8 @@ class PreconditionError(ValueError):
 def kruskal_tree(g: Graph, x: Weighting) -> tuple[int, ...]:
     """Edge indices of a minimum spanning tree (ties broken by edge index)."""
     _check_weighting(g, x)
-    uf = _UnionFind(g.n)
-    chosen: list[int] = []
     order = np.argsort(x.array, kind="stable")  # stable: equal weights keep edge-index order
-    for idx, (u, v) in zip(order.tolist(), g._ends[:, order].T.tolist()):
-        if uf.union(u, v):
-            chosen.append(idx)
-            if len(chosen) == g.n - 1:
-                break
-    return tuple(chosen)
+    return tuple(order[_forest(g.n, g._ends[:, order].T.tolist())].tolist())
 
 
 def kruskal_mst(g: Graph, x: Weighting) -> float:
@@ -50,7 +43,7 @@ def _spanning_tree_array(g: Graph) -> np.ndarray:
     chosen: list[int] = []
     parent = list(range(n + 1))
 
-    # no path compression: the backtracking undo `parent[ru] = ru` relies on it
+    # no path compression, unlike graphs._forest: the backtracking undo `parent[ru] = ru` relies on it
     def find(v: int) -> int:
         while parent[v] != v:
             v = parent[v]

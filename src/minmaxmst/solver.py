@@ -29,6 +29,7 @@ levels) and the 254 updates on uint8.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Iterable, Iterator
 
 from .distances import _sweep, _zero_update
@@ -85,13 +86,14 @@ class Decomposition:
 
 
 def _puredp_schedule(g: Graph, order, d, zero_update) -> Iterator[tuple[int, Any]]:
-    """The pure DP's walk over the swept extension table d, yielding (edge, cell) per tree edge.
+    """The walk over the swept extension table d, yielding (edge, cell) per tree edge.
 
-    Along `order`, read the tree edge's cell and zero it by an update
-    round; no update follows the last edge.  The caller's work on each
-    yielded cell happens before the next round.  The solvers run it over
-    weight ranks, the circuit compiler over a table of evaluation slots;
-    each sweeps d with its own sweep first.
+    Along `order`, read the tree edge's cell, then run the round that
+    zeroes it: the pure DP's update, or the naive DP's `_resweep`; no
+    round follows the last edge.  The caller's work on each yielded cell
+    happens before the next round.  The solvers run it over weight ranks,
+    the circuit compilers over a table of evaluation slots; each sweeps d
+    with its own sweep first.
     """
     last = len(order) - 1
     for pos, (eidx, (u, v)) in enumerate(zip(order, g._ends[:, order].T.tolist())):
@@ -100,14 +102,11 @@ def _puredp_schedule(g: Graph, order, d, zero_update) -> Iterator[tuple[int, Any
             zero_update(d, u, v)
 
 
-def _naive_schedule(g: Graph, d, sweep, zero) -> Iterator[tuple[int, Any]]:
-    """The naive walk: a fresh sweep of a copy of d per tree edge, then the edge's cell of d set to `zero`."""
-    order = fix_spanning_tree(g).edges
-    for eidx, (u, v) in zip(order, g._ends[:, order].T.tolist()):
-        fresh = d.copy()
-        sweep(fresh)
-        yield eidx, fresh[u, v]
-        d[u, v] = d[v, u] = zero
+def _resweep(base, sweep, zero, d, u: int, v: int) -> None:
+    """The naive round: pair {u, v} of the unswept table `base` set to `zero`, then d a fresh sweep of base."""
+    base[u, v] = base[v, u] = zero
+    d[...] = base
+    sweep(d)
 
 
 def mst_decomposition(g: Graph, x: Weighting, t: SpanningTree) -> Decomposition:
@@ -151,7 +150,7 @@ def puredp_op_counts(n: int, m: int) -> OpCounts:
 
 
 def naive_op_counts(n: int, m: int) -> OpCounts:
-    """Closed-form operation tally of `mst_puredp_naive`: a sweep per tree edge."""
+    """Closed-form operation tally of `mst_puredp_naive`: one sweep, then n-2 re-sweep rounds."""
     return _op_counts(n, m, n - 1, 0)
 
 
@@ -178,11 +177,13 @@ def mst_puredp(g: Graph, x: Weighting) -> tuple[float, OpCounts]:
 def mst_puredp_naive(g: Graph, x: Weighting) -> tuple[float, OpCounts]:
     """MST weight recomputing all distances from scratch every round.
 
-    Same telescoping sum as `mst_puredp`, but each of the n-1 tree edges
-    gets a full distance run over the current zeroed weighting, for an
-    O(n^4) total.
+    Same telescoping sum and walk as `mst_puredp`, but each of the n-1
+    tree edges gets a full distance run over the current zeroed
+    weighting, for an O(n^4) total.
     """
     _check_weighting(g, x)
-    levels, d = _rank_table(g, x)
-    terms = _naive_schedule(g, d, _sweep, 0)
+    levels, base = _rank_table(g, x)
+    d = base.copy()
+    _sweep(d)
+    terms = _puredp_schedule(g, fix_spanning_tree(g).edges, d, partial(_resweep, base, _sweep, 0))
     return _weight_sum(levels[r] for _, r in terms), naive_op_counts(g.n, g.m)

@@ -80,3 +80,13 @@ class TestRandomConnectedGraph:
         finally:
             tracemalloc.stop()
         assert g.m == 1499 and peak < 5 * 2**20
+
+    def test_extras_are_drawn_without_listing_the_pairs(self):
+        # the 1.1M sorted non-tree pairs that 1,123 extras were once drawn from peaked at about 100 MiB
+        tracemalloc.start()
+        try:
+            g, _ = gen(1500, 0.001, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert g.m == 1499 + 1123 and peak < 5 * 2**20

@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import random
 import tracemalloc
 import weakref
@@ -21,6 +22,7 @@ from minmaxmst import (
     fix_spanning_tree,
     format_edge_list,
     kruskal_mst,
+    kruskal_tree,
     maggs_plotkin_mst,
     mst_puredp,
     parse_graph,
@@ -463,3 +465,44 @@ class TestValidateSpanningTree:
         g, _ = triangle
         with pytest.raises(GraphError, match="out of range"):
             validate_spanning_tree(g, SpanningTree([0, 9]))
+
+
+# SHA-256 of kruskal_tree's output over the 300 connected instances of
+# test_answers_match_networkx; pins its tie-break by edge index, which
+# networkx, iterating edges in adjacency order, cannot check
+KRUSKAL_TREES_SHA256 = "42226f5ad56e9f1f2e89258d2e43e91cb4777be9cb7abe8297781fdebde4d711"
+
+
+class TestUnionFindAnswers:
+    def test_answers_match_networkx(self):
+        """Connectivity, the cycle check and Kruskal's tree agree with networkx on seeded edge lists."""
+        nx = pytest.importorskip("networkx")
+        rng = random.Random(14)
+        h = hashlib.sha256()
+        trees = 0
+        while trees < 300:
+            n = rng.randint(2, 12)
+            pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
+            edges = rng.sample(pairs, rng.randint(0, len(pairs)))
+            edges = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in edges]  # either end first
+            ref = nx.Graph(edges)
+            ref.add_nodes_from(range(1, n + 1))
+            if not nx.is_connected(ref):
+                with pytest.raises(GraphError, match="^disconnected graph$"):
+                    Graph(n, edges)
+                continue
+            g = Graph(n, edges)
+            t = rng.sample(range(g.m), n - 1)
+            if nx.is_forest(nx.Graph([edges[i] for i in t])):
+                validate_spanning_tree(g, SpanningTree(t))
+            else:
+                with pytest.raises(GraphError, match="^spanning tree contains a cycle$"):
+                    validate_spanning_tree(g, SpanningTree(t))
+            x = Weighting(rng.randint(0, 3) for _ in edges)  # many tied weights
+            nx.set_edge_attributes(ref, {e: w for e, w in zip(edges, x.values)}, "weight")
+            tree = kruskal_tree(g, x)
+            validate_spanning_tree(g, SpanningTree(tree))
+            assert sum(x[i] for i in tree) == nx.minimum_spanning_tree(ref).size(weight="weight")
+            h.update(repr(tree).encode())
+            trees += 1
+        assert h.hexdigest() == KRUSKAL_TREES_SHA256

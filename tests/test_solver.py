@@ -18,6 +18,7 @@ from minmaxmst import (
     compile_mst_circuit_naive,
     complete_extension,
     complete_graph,
+    count_ops,
     evaluate,
     fix_spanning_tree,
     kruskal_mst,
@@ -32,7 +33,7 @@ from minmaxmst import (
     random_connected_graph,
     zero_edge_update,
 )
-from minmaxmst import distances, graphs, solver
+from minmaxmst import circuit, distances, graphs, solver
 from conftest import random_instances
 from strategies import float_weighted_graphs, weighted_graphs
 
@@ -132,6 +133,20 @@ class TestPureDP:
     def test_naive_always_agrees(self):
         for g, x in random_instances(25, seed=35, max_n=12):
             assert mst_puredp(g, x)[0] == mst_puredp_naive(g, x)[0]
+
+    def test_naive_resweeps_each_round(self, monkeypatch):
+        """The naive solver and its circuit sweep once per tree edge, and the circuit has the naive op counts."""
+        sweeps, emitted = [], []
+        sweep, emit = solver._sweep, circuit._Emitter.sweep
+        monkeypatch.setattr(solver, "_sweep", lambda d: (sweeps.append(d.shape), sweep(d))[1])
+        monkeypatch.setattr(circuit._Emitter, "sweep", lambda em, t: (emitted.append(t.shape), emit(em, t))[1])
+        for g, x in random_instances(12, seed=36, max_n=9):
+            sweeps.clear()
+            emitted.clear()
+            assert mst_puredp_naive(g, x)[0] == kruskal_mst(g, x)
+            c = compile_mst_circuit_naive(g)
+            assert sweeps == emitted == [(g.n, g.n)] * (g.n - 1)
+            assert count_ops(c) == naive_op_counts(g.n, g.m)
 
     @settings(max_examples=80, deadline=None)
     @given(weighted_graphs())
