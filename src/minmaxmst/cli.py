@@ -15,7 +15,7 @@ import time
 
 from .circuit import compile_mst_circuit, format_circuit
 from .generate import DEFAULT_MAX_WEIGHT, random_connected_graph, random_weighting
-from .graphs import Graph, GraphError, Weighting, _check_bytes, _plain, complete_graph, format_edge_list, parse_graph, fix_spanning_tree
+from .graphs import Graph, GraphError, Weighting, _check_bytes, _check_work, _plain, complete_graph, format_edge_list, parse_graph, fix_spanning_tree
 from .oracles import PreconditionError, bruteforce_mst, kruskal_mst, maggs_plotkin_mst
 from .solver import mst_decomposition, mst_puredp, mst_puredp_naive, naive_op_counts, puredp_op_counts
 
@@ -91,8 +91,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
         raise GraphError(f"--sizes expects comma-separated integers, got {args.sizes!r}")
     if not sizes or any(n < 2 for n in sizes):
         raise GraphError("--sizes expects values >= 2")
-    for n in sizes:  # K_n's uint32 rank table, checked before complete_graph builds n(n-1)/2 edges
+    for n in sizes:  # K_n's uint32 rank table and its solve, checked before complete_graph builds n(n-1)/2 edges
         _check_bytes(n, 4 * n * n, "table")
+        _check_work(n, puredp_op_counts(n, n * (n - 1) // 2).total)
     rng = random.Random(args.seed)
     print("n,mst_weight,ops_puredp,ops_naive,ops_puredp_per_n3,ops_naive_per_n4")
     for n in sizes:

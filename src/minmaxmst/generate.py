@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_right
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 
 from .graphs import Graph, GraphError, Weighting
 
@@ -45,6 +45,13 @@ class _NonTreePairs(Sequence):
         r = j + bisect_right(self._gaps, j)
         u = bisect_right(self._starts, r)
         return u, r - self._starts[u - 1] + u + 1
+
+    def __iter__(self) -> Iterator[tuple[int, int]]:
+        """The pairs in order, counting ranks and skipping the tree's, with no bisect per pair."""
+        tree = {g + i for i, g in enumerate(self._gaps)}  # tree rank i is gaps[i] + i
+        n = len(self._starts)
+        pairs = ((u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1))
+        return (pair for r, pair in enumerate(pairs) if r not in tree)
 
 
 def random_connected_graph(

@@ -6,10 +6,11 @@ position in the edge list (file order for parsed graphs).
 
 from __future__ import annotations
 
+import io
 import math
+import warnings
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -45,24 +46,36 @@ class Graph:
     _ends: np.ndarray
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
+        """Check the edges on arrays and keep them; the first faulty edge is named by its index.
+
+        That edge's first fault is named, in the order self-loop, vertex id
+        out of range, duplicate edge; a graph without one must be connected.
+        """
         if n < 1:
             raise GraphError("vertex count must be >= 1")
-        pairs: dict[tuple[int, int], None] = {}  # insertion-ordered: the edge list
-        for i, (u, v) in enumerate(edges):
-            if u > v:
-                u, v = v, u
-            if u == v:
-                raise GraphError("self-loop", i)
-            if u < 1 or v > n:
-                raise GraphError("vertex id out of range", i)
-            if (u, v) in pairs:
-                raise GraphError("duplicate edge", i)
-            pairs[u, v] = None
+        if not isinstance(edges, np.ndarray):
+            edges = list(edges)
+        # int64 holds every pair code (n+1)u+v of 1 <= u, v <= n while n < 2**31; Python ints hold any id
+        try:
+            pairs = np.asarray(edges, np.int64 if n < 2**31 else object).reshape(len(edges), 2)
+        except OverflowError:  # an id past int64, compared as a Python int
+            pairs = np.asarray(edges, object).reshape(len(edges), 2)
+        lo, hi = np.minimum(pairs[:, 0], pairs[:, 1]), np.maximum(pairs[:, 0], pairs[:, 1])
+        # k: the first self-loop or out-of-range edge; every edge before it is a pair in 1..n
+        faulty = (lo == hi) | (lo < 1) | (hi > n)
+        k = int(faulty.argmax()) if faulty.any() else len(pairs)
+        code = lo[:k] * (n + 1) + hi[:k]
+        order = np.argsort(code, kind="stable")  # a repeat sorts after its first occurrence
+        code = code[order]
+        repeats = order[1:][code[1:] == code[:-1]]
+        if len(repeats):
+            raise GraphError("duplicate edge", int(repeats.min()))
+        if k < len(pairs):
+            raise GraphError("self-loop" if lo[k] == hi[k] else "vertex id out of range", k)
         # fewer edges cannot connect n vertices: build nothing of size n for them
-        if len(pairs) < n - 1 or len(_forest(n, pairs)) < n - 1:
+        if len(pairs) < n - 1 or len(_forest(n, zip(lo.tolist(), hi.tolist()))) < n - 1:
             raise GraphError("disconnected graph")
-        ends = np.fromiter(chain.from_iterable(pairs), np.intp, 2 * len(pairs)) - 1
-        ends = ends.astype(np.min_scalar_type(n - 1)).reshape(len(pairs), 2).T.copy()
+        ends = np.array((lo - 1, hi - 1), np.min_scalar_type(n - 1))
         ends.setflags(write=False)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "_ends", ends)
@@ -126,7 +139,7 @@ class Graph:
 
 def complete_graph(n: int) -> Graph:
     """K_n with edges in lexicographic pair order."""
-    return Graph(n, [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)])
+    return Graph(n, np.argwhere(~np.tri(n, dtype=bool)) + 1)  # the pairs above the diagonal, row by row
 
 
 @dataclass(frozen=True, eq=False, repr=False, init=False)
@@ -134,13 +147,18 @@ class Weighting:
     """One nonnegative weight per edge index of a host graph.
 
     The weights are kept only as `array`, a read-only float64 array, the
-    form the solvers read; `values` gives them as a tuple of floats.
+    form the solvers read; `values` gives them as a tuple of floats.  A
+    1-D float64 ndarray is copied as it is; any other input is read
+    value by value with `float`.
     """
 
     array: np.ndarray
 
     def __init__(self, values: Iterable[float]):
-        arr = np.fromiter(map(float, values), float)
+        if isinstance(values, np.ndarray) and values.dtype == np.float64 and values.ndim == 1:
+            arr = values.copy()
+        else:
+            arr = np.fromiter(map(float, values), float)
         if not (arr.min(initial=0.0) >= 0 and arr.max(initial=0.0) < math.inf):  # NaN fails both
             i = int(np.argmax(~(arr >= 0) | (arr == math.inf)))  # the first faulty weight
             raise GraphError("negative weight" if not arr[i] >= 0 else "non-finite weight", i)
@@ -294,6 +312,18 @@ def _check_bytes(n: int, nbytes: int, what: str) -> None:
         raise GraphError(f"graph too large: n={n} needs a {nbytes:,}-byte {what}, over the {_TABLE_BYTES:,}-byte limit")
 
 
+# Work budget of one solve, in (min, max, +) operations: about 35 s at the 2e9 operations a second
+# of a 1,024-vertex path on a 2-core Xeon.  A graph whose table fits `_TABLE_BYTES` but whose
+# schedule would run for hours (a 30,000-vertex tree: 8.1e13) fails fast instead.
+_WORK_OPS = 2**36
+
+
+def _check_work(n: int, ops: int) -> None:
+    """Raise GraphError when a solve of `ops` operations on a graph on n vertices would pass `_WORK_OPS`."""
+    if ops > _WORK_OPS:
+        raise GraphError(f"graph too large: n={n} needs {ops:,} operations, over the {_WORK_OPS:,}-operation limit")
+
+
 def _extension_layout(g: Graph, edge_entries: np.ndarray, zero, biggest) -> np.ndarray:
     """The extension's (n, n) layout, of weight ranks, weights or evaluation slots: edges, `zero` diagonal, `biggest` elsewhere.
 
@@ -375,6 +405,14 @@ def format_edge_list(g: Graph, x: Weighting) -> str:
     return "\n".join([f"{g.n} {g.m}", *lines]) + "\n"
 
 
+# What the vectorised reader reads after the header: ASCII digits, signs, '.', 'e' and 'E',
+# spaces, tabs and newlines.  On these, str.splitlines() and str.split() cut where loadtxt
+# does, and loadtxt's int64 and float64 take no token that int() and float() refuse and
+# read every token they take as int() and float() do (int64 refuses ids past its range).
+_EDGE_BYTES = b"0123456789+-.eE \t\n"
+_EDGE_ROW = np.dtype([("u", np.int64), ("v", np.int64), ("w", np.float64)])
+
+
 def parse_graph(text: str) -> tuple[Graph, Weighting]:
     """Parse edge-list text into a validated (Graph, Weighting) pair.
 
@@ -383,7 +421,63 @@ def parse_graph(text: str) -> tuple[Graph, Weighting]:
     ids and nonnegative finite decimal weights.  Of several faults, the first
     read-time one (syntax, header, edge count) is reported, else `Graph`'s
     first structural fault, else `Weighting`'s first weight fault, by line.
+
+    The edge lines are read in one vectorised pass.  Text it does not take,
+    and every fault, goes to the line loop `_parse_lines`, which accepts
+    the same texts and names each fault with its line.
     """
+    try:
+        return _read_edge_list(text)
+    except ValueError:  # GraphError too: the loop reads the text again and names the fault
+        return _parse_lines(text)
+
+
+def _read_edge_list(text: str) -> tuple[Graph, Weighting]:
+    """The vectorised reader: the header found line by line, then every edge line by one `np.loadtxt`.
+
+    It raises, for `parse_graph` to run the loop, on any text the loop might
+    read differently: a line break other than "\n" or "\r\n" before the
+    header, a byte outside `_EDGE_BYTES` after it (a comment line there
+    too), a token loadtxt will not read, a row count other than m, or a
+    fault that `Graph` or `Weighting` finds.
+    """
+    if "\r" in text:
+        text = text.replace("\r\n", "\n")
+    start = 0
+    while True:  # the comment and blank lines before the header, then the header
+        end = text.find("\n", start)
+        if end < 0:
+            raise ValueError("no edge line after the header")
+        line = text[start:end]
+        if len(line.splitlines()) > 1:
+            raise ValueError("a line break other than \\n")
+        tokens = line.split()
+        if tokens and not tokens[0].startswith("#"):
+            break
+        start = end + 1
+    n, m = map(int, tokens)  # two tokens, or ValueError
+    body = text[end + 1:]
+    if body.encode().translate(None, _EDGE_BYTES):
+        raise ValueError("a byte the reader does not read")
+    # an edge line takes 6 bytes or more, "u v w" and its line break (none on the last line);
+    # checked first, as loadtxt allocates max_rows rows up front
+    if 6 * m > len(body) + 1:
+        raise ValueError("too few bytes for m edge lines")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # on blank lines under max_rows, and on a body with no rows
+        # m + 1 rows at most: one more than m shows an extra edge line, and loadtxt
+        # sizes its array once instead of growing a 64 KB block (which left the heap
+        # fragmented over many small parses).  Read from the str, not its bytes: the
+        # large block loadtxt then frees keeps glibc's heap-trim threshold above what a
+        # K_256 solve frees, where from bytes each later solve re-faulted ~400 pages.
+        rows = np.loadtxt(io.StringIO(body), _EDGE_ROW, comments=None, ndmin=1, max_rows=m + 1)
+    if len(rows) != m:
+        raise ValueError(f"{len(rows)} edge rows for m={m}")
+    return Graph(n, np.stack((rows["u"], rows["v"]), axis=1)), Weighting(rows["w"])
+
+
+def _parse_lines(text: str) -> tuple[Graph, Weighting]:
+    """The line loop: reads `parse_graph`'s format one line at a time and names the first fault with its line."""
     n = m = None  # from the header line
     pairs: list[tuple[int, int]] = []
     weights: list[float] = []

@@ -38,6 +38,7 @@ from .graphs import (
     SpanningTree,
     Weighting,
     _check_weighting,
+    _check_work,
     _rank_table,
     _rerank_swept,
     _weight_sum,
@@ -117,6 +118,7 @@ def mst_decomposition(g: Graph, x: Weighting, t: SpanningTree) -> Decomposition:
     the MST weight of (g, x) for every spanning tree and edge order.
     """
     _check_weighting(g, x)
+    _check_work(g.n, puredp_op_counts(g.n, g.m).total)
     validate_spanning_tree(g, t)
     return _decompose(g, x, t.edges)
 
@@ -168,10 +170,13 @@ def mst_puredp(g: Graph, x: Weighting) -> tuple[float, OpCounts]:
     returned are the schedule's closed form; `count_ops` of the compiled
     circuit tallies the same schedule op by op.  The counts include the
     extension's m-1 max fold, which the circuit performs; the solver
-    reads M off the sorted weights instead.
+    reads M off the sorted weights instead.  A schedule whose count
+    passes `graphs._WORK_OPS` is refused before anything is allocated.
     """
     _check_weighting(g, x)
-    return _decompose(g, x, fix_spanning_tree(g).edges).total, puredp_op_counts(g.n, g.m)
+    ops = puredp_op_counts(g.n, g.m)
+    _check_work(g.n, ops.total)
+    return _decompose(g, x, fix_spanning_tree(g).edges).total, ops
 
 
 def mst_puredp_naive(g: Graph, x: Weighting) -> tuple[float, OpCounts]:
@@ -182,8 +187,10 @@ def mst_puredp_naive(g: Graph, x: Weighting) -> tuple[float, OpCounts]:
     weighting, for an O(n^4) total.
     """
     _check_weighting(g, x)
+    ops = naive_op_counts(g.n, g.m)
+    _check_work(g.n, ops.total)
     levels, base = _rank_table(g, x)
     d = base.copy()
     _sweep(d)
     terms = _puredp_schedule(g, fix_spanning_tree(g).edges, d, partial(_resweep, base, _sweep, 0))
-    return _weight_sum(levels[r] for _, r in terms), naive_op_counts(g.n, g.m)
+    return _weight_sum(levels[r] for _, r in terms), ops

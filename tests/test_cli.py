@@ -130,6 +130,26 @@ class TestSolve:
         assert code == 1 and out == ""
         assert err == "error: graph too large: n=64 needs a 8,192-byte table, over the 1,024-byte limit\n"
 
+    def test_graph_over_the_work_budget_exits_1(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr(graphs, "_WORK_OPS", 500_000)
+        g = complete_graph(64)
+        f = tmp_path / "k64.el"
+        f.write_text(format_edge_list(g, Weighting([0] * g.m)))
+        code, out, err = run(capsys, "solve", str(f))
+        assert code == 1 and out == ""
+        assert err == "error: graph too large: n=64 needs 760,094 operations, over the 500,000-operation limit\n"
+
+    def test_crlf_and_comments_solve_as_the_plain_file(self, capsys, tmp_path):
+        plain, crlf = tmp_path / "plain.el", tmp_path / "crlf.el"
+        plain.write_text(ONE_DECIMAL)
+        crlf.write_bytes(("# a comment\n\n" + ONE_DECIMAL.replace("\n", "\n# edge\n", 3)).replace("\n", "\r\n").encode())
+        assert json.loads(run(capsys, "solve", str(crlf))[1])["mst_weight"] == json.loads(run(capsys, "solve", str(plain))[1])["mst_weight"]
+
+    def test_inline_comment_exits_1(self, capsys, tmp_path):
+        f = tmp_path / "note.el"
+        f.write_text("2 1\n1 2 3 # note\n")
+        assert run(capsys, "solve", str(f)) == (1, "", "error: expected 'u v w' on line 2\n")
+
     def test_missing_file_exits_1(self, capsys):
         code, _, err = run(capsys, "solve", "/nonexistent/file.el")
         assert code == 1 and err
@@ -277,6 +297,13 @@ class TestBench:
         code, out, err = run(capsys, "bench", "--sizes", "17")
         assert code == 1 and out == ""
         assert err == "error: graph too large: n=17 needs a 1,156-byte table, over the 1,024-byte limit\n"
+
+    def test_size_over_the_work_budget_refused_before_building_the_graph(self, capsys, monkeypatch):
+        monkeypatch.setattr(graphs, "_WORK_OPS", 900_000)
+        monkeypatch.setattr(cli, "complete_graph", lambda n: pytest.fail(f"built K_{n}"))
+        code, out, err = run(capsys, "bench", "--sizes", "8,70")
+        assert code == 1 and out == ""
+        assert err == "error: graph too large: n=70 needs 997,463 operations, over the 900,000-operation limit\n"
 
     def test_rejects_bad_sizes(self, capsys):
         code, _, err = run(capsys, "bench", "--sizes", "1,4")

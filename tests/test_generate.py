@@ -5,6 +5,7 @@ import tracemalloc
 import pytest
 
 from minmaxmst import GraphError, format_edge_list, parse_graph, random_connected_graph
+from minmaxmst.generate import _NonTreePairs
 
 
 # SHA-256 of format_edge_list over 60 seeded graphs, n in 1..40 and densities
@@ -90,3 +91,24 @@ class TestRandomConnectedGraph:
         finally:
             tracemalloc.stop()
         assert g.m == 1499 + 1123 and peak < 5 * 2**20
+
+
+class TestNonTreePairs:
+    @pytest.mark.parametrize("n,tree", [
+        (1, set()),
+        (2, {(1, 2)}),
+        (5, {(1, 2), (2, 3), (3, 4), (4, 5)}),
+        (6, {(1, 6), (2, 6), (3, 6), (4, 6), (5, 6)}),
+        (7, {(1, 3), (3, 7), (2, 7), (5, 7), (4, 6), (1, 6)}),
+    ])
+    def test_iteration_is_indexing(self, n, tree):
+        pool = _NonTreePairs(n, tree)
+        pairs = {(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)}
+        assert list(pool) == [pool[j] for j in range(len(pool))] == sorted(pairs - tree)
+
+    def test_iteration_of_random_trees(self):
+        rng = random.Random(9)
+        for _ in range(20):
+            g, _ = gen(rng.randint(2, 30), 0.0, seed=rng.randrange(1000))
+            pool = _NonTreePairs(g.n, set(g.edges))
+            assert list(pool) == [pool[j] for j in range(len(pool))]

@@ -8,6 +8,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from minmaxmst import (
     Graph,
@@ -24,12 +25,14 @@ from minmaxmst import (
     kruskal_mst,
     kruskal_tree,
     maggs_plotkin_mst,
+    mst_decomposition,
     mst_puredp,
+    mst_puredp_naive,
     parse_graph,
     random_connected_graph,
     validate_spanning_tree,
 )
-from minmaxmst import graphs
+from minmaxmst import graphs, solver
 from conftest import TRIANGLE, small_graphs_of_every_shape
 from strategies import weighted_graphs
 
@@ -108,6 +111,173 @@ class TestParse:
             x = Weighting(rng.choice((0, -0.0, 0.1, 7.5, 1e300)) for _ in range(g.m))
             g2, x2 = parse_graph(format_edge_list(g, x))
             assert (g2, x2) == (g, x) and hash(g2) == hash(g) and hash(x2) == hash(x)
+
+
+# tokens the vectorised reader and int()/float() might read apart, or the loop and loadtxt split apart
+HAZARD_TOKENS = ("+1", "-0", "1.0", "1_0", "١", "1e400", "-1e400", "nan", "inf", "0x10", "007", ".5", "1e",
+                 str(2**63 - 1), str(2**63), str(-2**63 - 1), "#", "# note", "-1", "2")
+LINE_ENDS = ("\r", "\x0c", "\x0b", "\x1c", "\x85", " ")
+SPACES = ("\t", "  ", "\x0c", "\xa0")
+EXTRA_LINES = ("", "# comment", "  # indented comment", " \t ", "#", "# \x0c 1 2 3")
+
+
+@st.composite
+def edge_list_texts(draw):
+    """A valid edge list, as the reader takes it or with hazards: odd tokens, comments, spaces and line ends.
+
+    Comment and blank lines may precede the header; `rarity` sets how seldom
+    each line, token and line end gets a hazard (0: none), so both the
+    reader's texts and the loop's alone are drawn often.
+    """
+    g, x = draw(weighted_graphs(min_n=1, max_n=5))
+    rarity = draw(st.sampled_from((0, 0, 3, 12)))
+
+    def hazard(choices, usual):
+        return draw(st.sampled_from(choices)) if rarity and draw(st.integers(0, rarity)) == 0 else usual
+
+    end = draw(st.sampled_from(("\n", "\r\n")))
+    lines = draw(st.lists(st.sampled_from(EXTRA_LINES), max_size=2))
+    for line in format_edge_list(g, x).splitlines():
+        tokens = [hazard(HAZARD_TOKENS, t) for t in line.split()] + [hazard(HAZARD_TOKENS, "")]
+        lines.append(hazard(SPACES, draw(st.sampled_from(("", " ")))) + hazard(SPACES, " ").join(tokens).strip(" "))
+        lines.append(hazard(EXTRA_LINES, None))
+    return "".join(line + hazard(LINE_ENDS, end) for line in lines if line is not None)
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except GraphError as exc:
+        return type(exc), str(exc)
+
+
+class TestReader:
+    """The vectorised reader in `parse_graph` against the line loop it falls back to."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(edge_list_texts())
+    def test_reader_and_loop_agree(self, text):
+        loop = _outcome(graphs._parse_lines, text)
+        assert _outcome(parse_graph, text) == loop
+        try:
+            read = graphs._read_edge_list(text)
+        except ValueError:  # text it does not take goes to the loop
+            return
+        assert read == loop  # what the reader takes, the loop takes, and reads the same
+        assert [hash(a) for a in read] == [hash(b) for b in loop]
+
+    @pytest.mark.parametrize("text", [
+        TRIANGLE,
+        "# made by gen\n\n3 3\n1\t2 1\n  1 3 3  \n\n2 3 2",
+        TRIANGLE.replace("\n", "\r\n"),
+        "2 1\n1 2 -0\n",
+        "3 2\n+1 002 1e3\n2 3 .5e-1\n",
+    ])
+    def test_reader_reads_without_the_loop(self, text, monkeypatch):
+        expected = graphs._parse_lines(text)
+        monkeypatch.setattr(graphs, "_parse_lines", lambda text: pytest.fail("ran the line loop"))
+        assert parse_graph(text) == expected
+
+    def test_k256_read_without_the_loop(self, monkeypatch):
+        g = complete_graph(256)
+        x = Weighting(range(g.m))
+        monkeypatch.setattr(graphs, "_parse_lines", lambda text: pytest.fail("ran the line loop"))
+        assert parse_graph(format_edge_list(g, x)) == (g, x)
+
+    @pytest.mark.parametrize("text,message", [
+        ("2 1\n1 2 3 # note\n", "expected 'u v w' on line 2"),
+        ("2 1\n1 2\x0c3\n", "expected 'u v w' on line 2"),
+        ("2 1\n1 2 3\r\n", None),
+        ("2 1\x0c1 2 3\n", None),
+        ("2\x0c1\n1 2 3\n", "expected header 'n m' on line 1"),
+        ("2 1\n1_0 2 3\n", "vertex id out of range on line 2"),
+        ("2 1\n١ 2 3\n", None),
+        ("2 1\n1.0 2 3\n", "non-integer vertex id on line 2"),
+        ("2 1\n1 2 0x10\n", "invalid weight on line 2"),
+        ("2 1\n1 2 1e400\n", "non-finite weight on line 2"),
+        ("2 1\n1 9223372036854775808 3\n", "vertex id out of range on line 2"),
+    ])
+    def test_hazards_as_the_loop_reads_them(self, text, message):
+        if message is None:
+            assert parse_graph(text) == graphs._parse_lines(text)
+        else:
+            with pytest.raises(ParseError, match=f"^{message}$"):
+                parse_graph(text)
+
+
+def _loop_fault(n, edges):
+    """The first edge fault as (reason, index), by the per-edge loop `Graph` ran before it checked arrays."""
+    seen = set()
+    for i, (u, v) in enumerate(edges):
+        u, v = min(u, v), max(u, v)
+        if u == v:
+            return "self-loop", i
+        if u < 1 or v > n:
+            return "vertex id out of range", i
+        if (u, v) in seen:
+            return "duplicate edge", i
+        seen.add((u, v))
+    return None
+
+
+VERTEX_IDS = st.one_of(st.integers(-1, 7), st.sampled_from([2**63 - 1, 2**63, 2**70, -2**63, -2**63 - 1]))
+
+
+class TestGraphOnArrays:
+    """`Graph` checks its edges on arrays, and refuses what the per-edge loop refused, with the same message."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.integers(1, 6), st.lists(st.tuples(VERTEX_IDS, VERTEX_IDS), max_size=12))
+    def test_first_fault_as_the_loop_names_it(self, n, edges):
+        fault = _loop_fault(n, edges)
+        if fault is None and len(graphs._forest(n, edges)) < n - 1:
+            fault = ("disconnected graph", None)
+        if fault is None:
+            g = Graph(n, edges)
+            assert g.edges == tuple((min(e), max(e)) for e in edges)
+            assert g == Graph(n, np.array(edges)) and hash(g) == hash(Graph(n, np.array(edges)))
+        else:
+            with pytest.raises(GraphError) as exc:
+                Graph(n, edges)
+            assert (exc.value.args[0], exc.value.edge) == fault
+
+    @pytest.mark.parametrize("n,edges,reason,bad", [
+        (3, [(1, 2), (2, 2**70)], "vertex id out of range", 1),
+        (3, [(1, 2), (2**70, 2**70)], "self-loop", 1),
+        (3, [(1, 2), (2, 1), (-2**64, 1)], "duplicate edge", 1),
+        (3, [(1, 2), (2**63, 1), (2, 1)], "vertex id out of range", 1),
+        (3, [(2**64, 2**65)], "vertex id out of range", 0),
+        (2**40, [(1, 2), (2**39, 2**40), (2**40, 2**39)], "duplicate edge", 2),
+        (2**70, [(1, 2**69), (2**69, 1)], "duplicate edge", 1),
+    ])
+    def test_ids_past_int64_and_huge_n(self, n, edges, reason, bad):
+        with pytest.raises(GraphError) as exc:
+            Graph(n, edges)
+        assert (exc.value.args[0], exc.value.edge) == (reason, bad)
+
+    def test_any_iterable_of_pairs(self):
+        g = Graph(3, [(2, 1), (3, 2)])
+        for edges in (iter([(1, 2), (2, 3)]), [[2, 1], [3, 2]], np.array([[1, 2], [2, 3]], np.uint8), ((1, 2), (3, 2))):
+            assert Graph(3, edges) == g
+        with pytest.raises(ValueError):
+            Graph(3, [(1, 2, 3), (2, 3, 1)])
+
+
+class TestWeightingArrays:
+    """A float64 ndarray is taken as it is; the weighting is the one its values give."""
+
+    @pytest.mark.parametrize("values", [[], [0.0, -0.0, 5e-324, 1e300], [1.5, float("nan"), 2], [3, float("inf")],
+                                        [2, -1, float("nan")]])
+    def test_array_and_values_agree(self, values):
+        arr = np.array(values, dtype=np.float64)
+        assert _outcome(Weighting, arr) == _outcome(Weighting, values)
+
+    def test_array_is_copied(self):
+        arr = np.array([1.0, 2.0, 3.0])[::-1]
+        x = Weighting(arr)
+        arr[...] = 9.0
+        assert x.values == (3.0, 2.0, 1.0) and x.array.flags.c_contiguous and not x.array.flags.writeable
+        assert arr.flags.writeable
 
 
 # (reason, edges of a 3-vertex graph, weights, index of the faulty edge)
@@ -408,6 +578,36 @@ class TestTableBudget:
             mst_puredp(g, x)
         x = Weighting([w % 200 for w in range(g.m)])  # 200 levels: a uint8 table of 1,024 bytes
         assert mst_puredp(g, x)[0] == kruskal_mst(g, x)
+
+
+class TestWorkBudget:
+    """A solve whose closed-form op count would pass `graphs._WORK_OPS` is refused before allocating."""
+
+    def test_every_solver_refuses_before_allocating(self, monkeypatch):
+        g = complete_graph(16)
+        x = Weighting(range(g.m))
+        monkeypatch.setattr(graphs, "_WORK_OPS", 10_000)  # K_16: 10,694 pure ops, 57,734 naive
+        monkeypatch.setattr(graphs.np, "full", lambda *a, **k: pytest.fail("allocated a table"))
+        monkeypatch.setattr(graphs.Graph, "_tree", property(lambda g: pytest.fail("built the tree")))
+        message = r"^graph too large: n=16 needs {} operations, over the 10,000-operation limit$"
+        for solve, ops in ((mst_puredp, "10,694"), (mst_puredp_naive, "57,734"),
+                           (lambda g, x: mst_decomposition(g, x, SpanningTree(range(15))), "10,694")):
+            with pytest.raises(GraphError, match=message.format(ops)):
+                solve(g, x)
+
+    def test_solves_within_the_budget_run(self, monkeypatch):
+        g = complete_graph(16)
+        x = Weighting(range(g.m))
+        monkeypatch.setattr(graphs, "_WORK_OPS", 20_000)
+        assert mst_puredp(g, x)[0] == kruskal_mst(g, x)
+        with pytest.raises(GraphError, match="^graph too large: n=16 needs 57,734 operations"):
+            mst_puredp_naive(g, x)
+
+    def test_sizes_in_use_fit(self):
+        # every size tier-1 and the benchmark solve is far inside; a 30,000-vertex tree is not
+        assert solver.naive_op_counts(256, 256 * 255 // 2).total < graphs._WORK_OPS
+        assert solver.puredp_op_counts(2800, 2800 * 2799 // 2).total < graphs._WORK_OPS
+        assert solver.puredp_op_counts(30_000, 29_999).total > graphs._WORK_OPS
 
 
 class TestFixSpanningTree:
