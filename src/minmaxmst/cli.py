@@ -13,6 +13,7 @@ import random
 import sys
 import time
 
+from . import graphs
 from .circuit import compile_mst_circuit, format_circuit
 from .generate import DEFAULT_MAX_WEIGHT, random_connected_graph, random_weighting
 from .graphs import Graph, GraphError, Weighting, _check_bytes, _check_work, _plain, complete_graph, format_edge_list, parse_graph, fix_spanning_tree
@@ -72,6 +73,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
     g, x = _load(args.file)
     results = {}
     for name, solve in ALGORITHMS.items():
+        if solve is mst_puredp_naive and naive_op_counts(g.n, g.m).total > graphs._WORK_OPS:
+            continue  # the O(n^4) solver over the work budget, skipped as bruteforce is above its size limit
         try:
             results[name] = solve(g, x)[0]
         except PreconditionError:  # bruteforce above its size limit, maggs-plotkin on tied weights

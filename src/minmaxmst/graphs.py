@@ -139,7 +139,7 @@ class Graph:
 
 def complete_graph(n: int) -> Graph:
     """K_n with edges in lexicographic pair order."""
-    return Graph(n, np.argwhere(~np.tri(n, dtype=bool)) + 1)  # the pairs above the diagonal, row by row
+    return Graph(n, [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)])
 
 
 @dataclass(frozen=True, eq=False, repr=False, init=False)
@@ -407,8 +407,10 @@ def format_edge_list(g: Graph, x: Weighting) -> str:
 
 # What the vectorised reader reads after the header: ASCII digits, signs, '.', 'e' and 'E',
 # spaces, tabs and newlines.  On these, str.splitlines() and str.split() cut where loadtxt
-# does, and loadtxt's int64 and float64 take no token that int() and float() refuse and
-# read every token they take as int() and float() do (int64 refuses ids past its range).
+# does, and loadtxt's float64 reads every token float() reads, as float() reads it.  Its
+# int64 takes the integer tokens that int() takes; numpy 1.23 to 2.2 also read a vertex id
+# such as "1.5", "1e0" or one past int64 through a float, with a DeprecationWarning, which
+# the reader makes an error so that the loop names the id.
 _EDGE_BYTES = b"0123456789+-.eE \t\n"
 _EDGE_ROW = np.dtype([("u", np.int64), ("v", np.int64), ("w", np.float64)])
 
@@ -433,30 +435,29 @@ def parse_graph(text: str) -> tuple[Graph, Weighting]:
 
 
 def _read_edge_list(text: str) -> tuple[Graph, Weighting]:
-    """The vectorised reader: the header found line by line, then every edge line by one `np.loadtxt`.
+    """The vectorised reader: the header read by `_header`, then every edge line by one `np.loadtxt`.
 
     It raises, for `parse_graph` to run the loop, on any text the loop might
     read differently: a line break other than "\n" or "\r\n" before the
     header, a byte outside `_EDGE_BYTES` after it (a comment line there
-    too), a token loadtxt will not read, a row count other than m, or a
-    fault that `Graph` or `Weighting` finds.
+    too), a token loadtxt will not read as int() or float() would, a row
+    count other than m, or a fault that `_header`, `Graph` or `Weighting` finds.
     """
     if "\r" in text:
         text = text.replace("\r\n", "\n")
-    start = 0
-    while True:  # the comment and blank lines before the header, then the header
-        end = text.find("\n", start)
-        if end < 0:
-            raise ValueError("no edge line after the header")
-        line = text[start:end]
-        if len(line.splitlines()) > 1:
-            raise ValueError("a line break other than \\n")
-        tokens = line.split()
-        if tokens and not tokens[0].startswith("#"):
-            break
-        start = end + 1
-    n, m = map(int, tokens)  # two tokens, or ValueError
-    body = text[end + 1:]
+    body_at = 0
+
+    def lines():  # the lines up to the header, each ended by "\n"; body_at moves past each
+        nonlocal body_at
+        while (end := text.find("\n", body_at)) >= 0:
+            line = text[body_at:end]
+            if len(line.splitlines()) > 1:
+                raise ValueError("a line break other than \\n")
+            body_at = end + 1
+            yield line
+
+    n, m, _ = _header(lines())
+    body = text[body_at:]
     if body.encode().translate(None, _EDGE_BYTES):
         raise ValueError("a byte the reader does not read")
     # an edge line takes 6 bytes or more, "u v w" and its line break (none on the last line);
@@ -464,42 +465,55 @@ def _read_edge_list(text: str) -> tuple[Graph, Weighting]:
     if 6 * m > len(body) + 1:
         raise ValueError("too few bytes for m edge lines")
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # on blank lines under max_rows, and on a body with no rows
+        warnings.simplefilter("ignore", UserWarning)  # on blank lines under max_rows, and on a body with no rows
+        warnings.simplefilter("error", DeprecationWarning)  # an integer read through a float
         # m + 1 rows at most: one more than m shows an extra edge line, and loadtxt
         # sizes its array once instead of growing a 64 KB block (which left the heap
         # fragmented over many small parses).  Read from the str, not its bytes: the
         # large block loadtxt then frees keeps glibc's heap-trim threshold above what a
         # K_256 solve frees, where from bytes each later solve re-faulted ~400 pages.
-        rows = np.loadtxt(io.StringIO(body), _EDGE_ROW, comments=None, ndmin=1, max_rows=m + 1)
+        try:
+            rows = np.loadtxt(io.StringIO(body), _EDGE_ROW, comments=None, ndmin=1, max_rows=m + 1)
+        except DeprecationWarning as exc:
+            raise ValueError(str(exc)) from None
     if len(rows) != m:
         raise ValueError(f"{len(rows)} edge rows for m={m}")
     return Graph(n, np.stack((rows["u"], rows["v"]), axis=1)), Weighting(rows["w"])
 
 
+def _header(lines: Iterable[str]) -> tuple[int, int, int]:
+    """Read the header `n m` from the first line that is not blank or a comment: (n, m, its line number)."""
+    for lineno, line in enumerate(lines, start=1):
+        tokens = line.split()
+        if not tokens or tokens[0].startswith("#"):
+            continue
+        if len(tokens) != 2:
+            raise ParseError(f"expected header 'n m' on line {lineno}")
+        try:
+            n, m = int(tokens[0]), int(tokens[1])
+        except ValueError:
+            raise ParseError(f"non-integer header on line {lineno}") from None
+        if n < 1:
+            raise ParseError(f"vertex count must be >= 1 on line {lineno}")
+        if m < 0:
+            raise ParseError(f"edge count must be >= 0 on line {lineno}")
+        if m < n - 1:  # rejected before n-sized structures are built
+            raise ParseError(f"disconnected graph: {m} edges cannot connect {n} vertices (line {lineno})")
+        return n, m, lineno
+    raise ParseError("empty input: missing 'n m' header")
+
+
 def _parse_lines(text: str) -> tuple[Graph, Weighting]:
     """The line loop: reads `parse_graph`'s format one line at a time and names the first fault with its line."""
-    n = m = None  # from the header line
+    lines = text.splitlines()
+    n, m, header = _header(lines)
     pairs: list[tuple[int, int]] = []
     weights: list[float] = []
     linenos: list[int] = []
 
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(lines[header:], start=header + 1):
         tokens = line.split()
         if not tokens or tokens[0].startswith("#"):
-            continue
-        if n is None:
-            if len(tokens) != 2:
-                raise ParseError(f"expected header 'n m' on line {lineno}")
-            try:
-                n, m = int(tokens[0]), int(tokens[1])
-            except ValueError:
-                raise ParseError(f"non-integer header on line {lineno}") from None
-            if n < 1:
-                raise ParseError(f"vertex count must be >= 1 on line {lineno}")
-            if m < 0:
-                raise ParseError(f"edge count must be >= 0 on line {lineno}")
-            if m < n - 1:  # rejected before n-sized structures are built
-                raise ParseError(f"disconnected graph: {m} edges cannot connect {n} vertices (line {lineno})")
             continue
         if len(pairs) == m:
             raise ParseError(f"unexpected extra edge on line {lineno}")
@@ -515,8 +529,6 @@ def _parse_lines(text: str) -> tuple[Graph, Weighting]:
             raise ParseError(f"invalid weight on line {lineno}") from None
         linenos.append(lineno)
 
-    if n is None:
-        raise ParseError("empty input: missing 'n m' header")
     if len(pairs) != m:
         raise ParseError(f"expected {m} edges, got {len(pairs)}")
     try:

@@ -252,6 +252,16 @@ class TestCompare:
         code, _, err = run(capsys, "compare", str(f))
         assert code == 1 and err
 
+    def test_naive_over_the_work_budget_is_skipped(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr(graphs, "_WORK_OPS", 20_000)  # K_16: 10,694 pure ops, 57,734 naive
+        g = complete_graph(16)
+        f = tmp_path / "k16.el"
+        f.write_text(format_edge_list(g, Weighting(range(g.m))))
+        code, out, err = run(capsys, "compare", str(f))
+        names = [line.split()[0] for line in out.strip().splitlines()[:-1]]
+        assert code == 0 and err == "" and out.strip().splitlines()[-1] == "AGREE"
+        assert names == ["puredp", "kruskal", "maggs-plotkin"]
+
 
 class TestBench:
     def test_two_rows_with_bounded_ratios(self, capsys):

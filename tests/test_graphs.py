@@ -2,6 +2,7 @@ import gc
 import hashlib
 import random
 import tracemalloc
+import warnings
 import weakref
 from dataclasses import fields
 
@@ -193,6 +194,8 @@ class TestReader:
         ("2 1\n1_0 2 3\n", "vertex id out of range on line 2"),
         ("2 1\n١ 2 3\n", None),
         ("2 1\n1.0 2 3\n", "non-integer vertex id on line 2"),
+        ("2 1\n1.5 2 3\n", "non-integer vertex id on line 2"),
+        ("2 1\n1e0 2 3\n", "non-integer vertex id on line 2"),
         ("2 1\n1 2 0x10\n", "invalid weight on line 2"),
         ("2 1\n1 2 1e400\n", "non-finite weight on line 2"),
         ("2 1\n1 9223372036854775808 3\n", "vertex id out of range on line 2"),
@@ -203,6 +206,19 @@ class TestReader:
         else:
             with pytest.raises(ParseError, match=f"^{message}$"):
                 parse_graph(text)
+
+    @pytest.mark.parametrize("text", ["2 1\n1.5 2 3\n", "2 1\n1e0 2 3\n", "2 1\n1 2.9 3\n", "2 1\n1 2 3\n"])
+    def test_ids_read_through_a_float_go_to_the_loop(self, text, monkeypatch):
+        loadtxt = np.loadtxt
+
+        def loadtxt_before_numpy_2_3(fh, dtype, **kwargs):  # truncates an id read through a float, with a warning
+            rows = loadtxt(fh, [(name, np.float64) for name in dtype.names], **kwargs)
+            warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.", DeprecationWarning)
+            return rows.astype(dtype)
+
+        expected = _outcome(graphs._parse_lines, text)
+        monkeypatch.setattr(np, "loadtxt", loadtxt_before_numpy_2_3)
+        assert _outcome(parse_graph, text) == expected
 
 
 def _loop_fault(n, edges):
