@@ -18,6 +18,7 @@ from .graphs import (
     Weighting,
     _check_square_symmetric,
     _check_weighting,
+    _check_work,
     _ranks,
 )
 
@@ -51,6 +52,11 @@ def _zero_update(d: np.ndarray, a: int, b: int) -> None:
     np.minimum(d, via_b, out=d)
 
 
+def _check_sweep_work(n: int) -> None:
+    """Raise GraphError when one sweep on n vertices, n * n(n-1)/2 min and as many max, would pass `graphs._WORK_OPS`."""
+    _check_work(n, n * n * (n - 1))
+
+
 def all_pairs_minmax(xbar: ExtendedWeighting | np.ndarray) -> DistanceMatrix:
     """All-pairs min-max distances of a complete weight table.
 
@@ -58,9 +64,12 @@ def all_pairs_minmax(xbar: ExtendedWeighting | np.ndarray) -> DistanceMatrix:
     perform n * n(n-1)/2 min and as many max operations.  The rounds run
     on the entries' ranks, which gives the same distances (see the
     `solver` module docstring); an `inf` entry ranks last.  The input is
-    not modified.
+    not modified.  A sweep over the work budget is refused before the
+    table is copied.
     """
-    d = np.array(getattr(xbar, "values", xbar), dtype=float)
+    values = getattr(xbar, "values", xbar)
+    _check_sweep_work(len(values) if np.ndim(values) else 0)
+    d = np.array(values, dtype=float)
     _check_square_symmetric(d)
     levels, ranks = _ranks(d)
     table = ranks.reshape(d.shape)

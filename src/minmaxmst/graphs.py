@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import io
 import math
+import operator
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -190,12 +191,18 @@ class Weighting:
 
 @dataclass(frozen=True, init=False)
 class SpanningTree:
-    """Ordered list of n-1 edge indices of a host graph."""
+    """Ordered list of n-1 edge indices of a host graph, each an integer (a NumPy integer too)."""
 
     edges: tuple[int, ...]
 
     def __init__(self, edges: Iterable[int]):
-        object.__setattr__(self, "edges", tuple(int(e) for e in edges))
+        indices = []
+        for e in edges:
+            try:
+                indices.append(operator.index(e))  # int() would truncate 2.5 to an edge the caller never named
+            except TypeError:
+                raise GraphError(f"edge index {e!r} is not an integer") from None
+        object.__setattr__(self, "edges", tuple(indices))
 
     def __len__(self) -> int:
         return len(self.edges)
@@ -382,9 +389,11 @@ def complete_extension(g: Graph, x: Weighting) -> ExtendedWeighting:
     """Extend (g, x) to K_n, giving every non-edge the maximum edge weight.
 
     Pairs that are edges keep their weight and the diagonal is zero.  MST
-    weight is unchanged by the extension.
+    weight is unchanged by the extension.  The float64 table it returns
+    is checked against `_TABLE_BYTES` before the rank table is built.
     """
     _check_weighting(g, x)
+    _check_bytes(g.n, g.n * g.n * np.dtype(float).itemsize, "table")
     levels, table = _rank_table(g, x)
     return ExtendedWeighting(levels[table])
 

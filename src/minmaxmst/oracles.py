@@ -13,7 +13,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .distances import DistanceMatrix, all_pairs_minmax
+from .distances import DistanceMatrix, _check_sweep_work, all_pairs_minmax
 from .graphs import Graph, Weighting, _check_weighting, _extension_layout, _forest, _weight_sum
 
 BRUTEFORCE_MAX_N = 8
@@ -94,9 +94,11 @@ def maggs_plotkin_mst(g: Graph, x: Weighting) -> float:
     Computes bottleneck distances inside g (absent pairs enter the
     recurrence with an infinite sentinel, never the complete extension) and
     sums the weights of the edges whose distance equals their own weight;
-    with distinct weights those edges are exactly the unique MST.
+    with distinct weights those edges are exactly the unique MST.  A
+    sweep over the work budget is refused before anything is allocated.
     """
     _check_weighting(g, x)
+    _check_sweep_work(g.n)
     if len(np.unique(x.array)) != g.m:
         raise PreconditionError("maggs_plotkin_mst requires pairwise distinct weights")
     d = all_pairs_minmax(_extension_layout(g, x.array, 0.0, math.inf)).values

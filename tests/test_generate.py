@@ -4,8 +4,7 @@ import tracemalloc
 
 import pytest
 
-from minmaxmst import GraphError, format_edge_list, parse_graph, random_connected_graph
-from minmaxmst.generate import _NonTreePairs
+from minmaxmst import GraphError, complete_graph, format_edge_list, parse_graph, random_connected_graph
 
 
 # SHA-256 of format_edge_list over 60 seeded graphs, n in 1..40 and densities
@@ -23,8 +22,9 @@ class TestRandomConnectedGraph:
         assert g.m == 4
 
     def test_density_one_gives_complete(self):
-        g, _ = gen(5, 1.0, seed=1)
-        assert g.m == 10
+        for n in range(1, 13):
+            for seed in range(3):
+                assert gen(n, 1.0, seed)[0].edges == complete_graph(n).edges
 
     def test_same_seed_same_instance(self):
         assert gen(9, 0.4, seed=7) == gen(9, 0.4, seed=7)
@@ -93,22 +93,28 @@ class TestRandomConnectedGraph:
         assert g.m == 1499 + 1123 and peak < 5 * 2**20
 
 
-class TestNonTreePairs:
-    @pytest.mark.parametrize("n,tree", [
-        (1, set()),
-        (2, {(1, 2)}),
-        (5, {(1, 2), (2, 3), (3, 4), (4, 5)}),
-        (6, {(1, 6), (2, 6), (3, 6), (4, 6), (5, 6)}),
-        (7, {(1, 3), (3, 7), (2, 7), (5, 7), (4, 6), (1, 6)}),
-    ])
-    def test_iteration_is_indexing(self, n, tree):
-        pool = _NonTreePairs(n, tree)
-        pairs = {(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)}
-        assert list(pool) == [pool[j] for j in range(len(pool))] == sorted(pairs - tree)
+class _OnePosition(random.Random):
+    """A seeded Random whose `sample` draws the one position `pick` of a range of positions."""
 
-    def test_iteration_of_random_trees(self):
-        rng = random.Random(9)
-        for _ in range(20):
-            g, _ = gen(rng.randint(2, 30), 0.0, seed=rng.randrange(1000))
-            pool = _NonTreePairs(g.n, set(g.edges))
-            assert list(pool) == [pool[j] for j in range(len(pool))]
+    pick = 0
+
+    def sample(self, population, k):
+        assert population == range(len(population)) and k == 1
+        return [self.pick]
+
+
+class TestPairRanks:
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_positions_map_to_the_sorted_non_tree_pairs(self, n):
+        pairs = {(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)}
+        for seed in range(6):
+            tree = set(gen(n, 0.0, seed)[0].edges)  # drawn before sample, so every pick keeps this tree
+            pool = sorted(pairs - tree)
+            extras = []
+            for j in range(len(pool)):
+                rng = _OnePosition(seed)
+                rng.pick = j
+                g, _ = random_connected_graph(n, 1 / len(pool), rng)
+                assert list(g.edges) == sorted(g.edges) and tree <= set(g.edges)
+                extras += set(g.edges) - tree
+            assert extras == pool

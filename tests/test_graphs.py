@@ -595,6 +595,15 @@ class TestTableBudget:
         x = Weighting([w % 200 for w in range(g.m)])  # 200 levels: a uint8 table of 1,024 bytes
         assert mst_puredp(g, x)[0] == kruskal_mst(g, x)
 
+    def test_complete_extension_checks_its_float_table(self, monkeypatch):
+        monkeypatch.setattr(graphs, "_TABLE_BYTES", 8192)
+        g = complete_graph(64)
+        x = Weighting([w % 200 for w in range(g.m)])  # 200 levels: a uint8 rank table of 4,096 bytes
+        assert mst_puredp(g, x)[0] == kruskal_mst(g, x)
+        monkeypatch.setattr(graphs.np, "full", lambda *a, **k: pytest.fail("allocated a table"))
+        with pytest.raises(GraphError, match=r"^graph too large: n=64 needs a 32,768-byte table, over the 8,192-byte limit$"):
+            complete_extension(g, x)  # its float64 table, not its rank table
+
 
 class TestWorkBudget:
     """A solve whose closed-form op count would pass `graphs._WORK_OPS` is refused before allocating."""
@@ -618,6 +627,28 @@ class TestWorkBudget:
         assert mst_puredp(g, x)[0] == kruskal_mst(g, x)
         with pytest.raises(GraphError, match="^graph too large: n=16 needs 57,734 operations"):
             mst_puredp_naive(g, x)
+
+    def test_float_sweeps_refuse_before_copying(self, monkeypatch):
+        g = complete_graph(16)
+        x = Weighting(range(g.m))  # distinct weights, as maggs_plotkin_mst requires
+        xbar = complete_extension(g, x)
+        monkeypatch.setattr(graphs, "_WORK_OPS", 3000)  # K_16: one sweep is 3,840 operations
+        for name in ("array", "full", "unique"):
+            monkeypatch.setattr(graphs.np, name, lambda *a, **k: pytest.fail("copied or allocated"))
+        message = r"^graph too large: n=16 needs 3,840 operations, over the 3,000-operation limit$"
+        for sweep in (lambda: maggs_plotkin_mst(g, x), lambda: all_pairs_minmax(xbar),
+                      lambda: all_pairs_minmax(xbar.values)):
+            with pytest.raises(GraphError, match=message):
+                sweep()
+
+    def test_float_sweeps_within_the_budget_run(self, monkeypatch):
+        g = complete_graph(16)
+        x = Weighting(range(g.m))
+        monkeypatch.setattr(graphs, "_WORK_OPS", 3840)
+        assert maggs_plotkin_mst(g, x) == kruskal_mst(g, x)
+        assert all_pairs_minmax(complete_extension(g, x)).n == 16
+        with pytest.raises(GraphError, match="^graph too large: n=16 needs 10,694 operations"):
+            mst_puredp(g, x)
 
     def test_sizes_in_use_fit(self):
         # every size tier-1 and the benchmark solve is far inside; a 30,000-vertex tree is not
@@ -681,6 +712,16 @@ class TestValidateSpanningTree:
         g, _ = triangle
         with pytest.raises(GraphError, match="out of range"):
             validate_spanning_tree(g, SpanningTree([0, 9]))
+
+    def test_non_integral_index_rejected(self):
+        for edges, bad in (([0.9, 2.5], "0.9"), ([0, 2.5], "2.5"), ([0, "1"], "'1'")):
+            with pytest.raises(GraphError, match=rf"^edge index {bad} is not an integer$"):
+                SpanningTree(edges)
+        with pytest.raises(GraphError, match="is not an integer$"):
+            SpanningTree([np.float64(1.0), 0])
+        for edges in (np.array([2, 0], np.uint8), [np.int64(2), np.intp(0)]):
+            t = SpanningTree(edges)
+            assert t.edges == (2, 0) and all(type(e) is int for e in t.edges)
 
 
 # SHA-256 of kruskal_tree's output over the 300 connected instances of
