@@ -12,7 +12,7 @@ import operator
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, NoReturn, Sequence
 
 import numpy as np
 
@@ -62,21 +62,17 @@ class Graph:
         except OverflowError:  # an id past int64, compared as a Python int
             pairs = np.asarray(edges, object).reshape(len(edges), 2)
         lo, hi = np.minimum(pairs[:, 0], pairs[:, 1]), np.maximum(pairs[:, 0], pairs[:, 1])
-        # k: the first self-loop or out-of-range edge; every edge before it is a pair in 1..n
-        faulty = (lo == hi) | (lo < 1) | (hi > n)
-        k = int(faulty.argmax()) if faulty.any() else len(pairs)
-        code = lo[:k] * (n + 1) + hi[:k]
-        order = np.argsort(code, kind="stable")  # a repeat sorts after its first occurrence
-        code = code[order]
-        repeats = order[1:][code[1:] == code[:-1]]
-        if len(repeats):
-            raise GraphError("duplicate edge", int(repeats.min()))
-        if k < len(pairs):
-            raise GraphError("self-loop" if lo[k] == hi[k] else "vertex id out of range", k)
+        # every edge a pair in 1..n, so each pair code (n+1)lo+hi fits; distinct codes are distinct edges
+        if not (lo.min(initial=1) >= 1 and hi.max(initial=n) <= n and (lo != hi).all()):
+            _first_edge_fault(n, lo, hi)
+        code = np.sort(lo * (n + 1) + hi)
+        if (code[1:] == code[:-1]).any():
+            _first_edge_fault(n, lo, hi)
         # fewer edges cannot connect n vertices: build nothing of size n for them
         if len(pairs) < n - 1 or len(_forest(n, zip(lo.tolist(), hi.tolist()))) < n - 1:
             raise GraphError("disconnected graph")
-        ends = np.array((lo - 1, hi - 1), np.min_scalar_type(n - 1))
+        ends = np.array((lo, hi), np.min_scalar_type(n - 1))
+        ends -= 1
         ends.setflags(write=False)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "_ends", ends)
@@ -95,19 +91,22 @@ class Graph:
     @cached_property
     def _tree(self) -> SpanningTree:
         """fix_spanning_tree's tree, kept on the graph so it lives as long as the graph."""
-        adj: list[list[tuple[int, int]]] = [[] for _ in range(self.n)]  # (neighbour, edge index)
+        m = self.m
+        # neighbour v over edge i is the int v*m + i; as i < m, ascending ints are ascending (v, i)
+        adj: list[list[int]] = [[] for _ in range(self.n)]
         for i, (u, v) in enumerate(self._ends.T.tolist()):
-            adj[u].append((v, i))
-            adj[v].append((u, i))
+            adj[u].append(v * m + i)
+            adj[v].append(u * m + i)
         visited = [False] * self.n
         visited[0] = True
         order: list[int] = []
         stack = [iter(sorted(adj[0]))]
         while stack:
-            for v, i in stack[-1]:
+            for key in stack[-1]:
+                v = key // m
                 if not visited[v]:
                     visited[v] = True
-                    order.append(i)
+                    order.append(key - v * m)
                     stack.append(iter(sorted(adj[v])))
                     break
             else:
@@ -221,6 +220,24 @@ def _check_weighting(g: Graph, x: Weighting) -> None:
         raise GraphError(f"weighting has {len(x)} values for a graph with {g.m} edges")
 
 
+def _first_edge_fault(n: int, lo: np.ndarray, hi: np.ndarray) -> NoReturn:
+    """Raise GraphError naming the first faulty edge; `Graph` calls it only once its whole-array tests found a fault.
+
+    That edge's first fault is named, in the order self-loop, vertex id out
+    of range, duplicate edge; a repeat is named at its second occurrence.
+    """
+    # k: the first self-loop or out-of-range edge; every edge before it is a pair in 1..n
+    faulty = (lo == hi) | (lo < 1) | (hi > n)
+    k = int(faulty.argmax()) if faulty.any() else len(lo)
+    code = lo[:k] * (n + 1) + hi[:k]
+    order = np.argsort(code, kind="stable")  # a repeat sorts after its first occurrence
+    code = code[order]
+    repeats = order[1:][code[1:] == code[:-1]]
+    if len(repeats):
+        raise GraphError("duplicate edge", int(repeats.min()))
+    raise GraphError("self-loop" if lo[k] == hi[k] else "vertex id out of range", k)
+
+
 def _forest(n: int, pairs: Iterable[tuple[int, int]]) -> list[int]:
     """Positions of the pairs that join two components, in order, stopping at n-1 joins.
 
@@ -228,18 +245,15 @@ def _forest(n: int, pairs: Iterable[tuple[int, int]]) -> list[int]:
     n-1 joins connect n vertices, so later pairs are not read.
     """
     parent = list(range(n + 1))
-
-    def find(v: int) -> int:
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
     joins: list[int] = []
     for i, (u, v) in enumerate(pairs):
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[ru] = rv
+        # find, inlined, with path halving: each step points a vertex at its grandparent and moves there
+        while (p := parent[u]) != u:
+            parent[u] = u = parent[p]
+        while (p := parent[v]) != v:
+            parent[v] = v = parent[p]
+        if u != v:
+            parent[u] = v
             joins.append(i)
             if len(joins) == n - 1:
                 break
@@ -421,7 +435,7 @@ def format_edge_list(g: Graph, x: Weighting) -> str:
 # such as "1.5", "1e0" or one past int64 through a float, with a DeprecationWarning, which
 # the reader makes an error so that the loop names the id.
 _EDGE_BYTES = b"0123456789+-.eE \t\n"
-_EDGE_ROW = np.dtype([("u", np.int64), ("v", np.int64), ("w", np.float64)])
+_EDGE_ROW = np.dtype([("uv", np.int64, 2), ("w", np.float64)])  # "uv": an (m, 2) view of the ends
 
 
 def parse_graph(text: str) -> tuple[Graph, Weighting]:
@@ -487,7 +501,7 @@ def _read_edge_list(text: str) -> tuple[Graph, Weighting]:
             raise ValueError(str(exc)) from None
     if len(rows) != m:
         raise ValueError(f"{len(rows)} edge rows for m={m}")
-    return Graph(n, np.stack((rows["u"], rows["v"]), axis=1)), Weighting(rows["w"])
+    return Graph(n, rows["uv"]), Weighting(rows["w"])
 
 
 def _header(lines: Iterable[str]) -> tuple[int, int, int]:

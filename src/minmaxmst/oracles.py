@@ -14,7 +14,7 @@ from functools import lru_cache
 import numpy as np
 
 from .distances import DistanceMatrix, _check_sweep_work, all_pairs_minmax
-from .graphs import Graph, Weighting, _check_weighting, _extension_layout, _forest, _weight_sum
+from .graphs import Graph, Weighting, _check_bytes, _check_weighting, _check_work, _extension_layout, _forest, _weight_sum
 
 BRUTEFORCE_MAX_N = 8
 
@@ -111,8 +111,13 @@ def hu_minmax_via_mst(g: Graph, x: Weighting) -> DistanceMatrix:
 
     Builds an MST with Kruskal and fills entry (u,v) with the largest edge
     weight on the unique tree path between u and v; this matrix equals the
-    all-pairs min-max distances of g itself.
+    all-pairs min-max distances of g itself.  Its float64 table is checked
+    against `_TABLE_BYTES`, and its n(n-1) path maxima against `_WORK_OPS`,
+    before anything is built.
     """
+    _check_weighting(g, x)
+    _check_bytes(g.n, 8 * g.n * g.n, "table")
+    _check_work(g.n, g.n * (g.n - 1))
     tree = kruskal_tree(g, x)
     edges, weights = g.edges, x.values
     adj: list[list[tuple[int, float]]] = [[] for _ in range(g.n + 1)]

@@ -763,3 +763,128 @@ class TestUnionFindAnswers:
             h.update(repr(tree).encode())
             trees += 1
         assert h.hexdigest() == KRUSKAL_TREES_SHA256
+
+
+def _tuple_dfs_tree(g):
+    """fix_spanning_tree as first written: a DFS whose neighbours are sorted (neighbour, edge index) tuples."""
+    adj = [[] for _ in range(g.n)]
+    for i, (u, v) in enumerate(g._ends.T.tolist()):
+        adj[u].append((v, i))
+        adj[v].append((u, i))
+    visited = [False] * g.n
+    visited[0] = True
+    order = []
+    stack = [iter(sorted(adj[0]))]
+    while stack:
+        for v, i in stack[-1]:
+            if not visited[v]:
+                visited[v] = True
+                order.append(i)
+                stack.append(iter(sorted(adj[v])))
+                break
+        else:
+            stack.pop()
+    return SpanningTree(order)
+
+
+def _nested_find_forest(n, pairs):
+    """`graphs._forest` as first written, with `find` as a nested function."""
+    parent = list(range(n + 1))
+
+    def find(v):
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    joins = []
+    for i, (u, v) in enumerate(pairs):
+        ru, rv = find(u), find(v)
+        if ru != rv:
+            parent[ru] = rv
+            joins.append(i)
+            if len(joins) == n - 1:
+                break
+    return joins
+
+
+class TestSetUpPaths:
+    """The set-up's fast paths against the code they replaced: same trees, same joins, same faults."""
+
+    def test_tree_equals_the_tuple_dfs(self):
+        rng = random.Random(17)
+        cases = [Graph(1, []), Graph(2, [(2, 1)])] + [complete_graph(n) for n in range(1, 41)]
+        cases += [random_connected_graph(rng.randint(2, 60), rng.random(), rng)[0] for _ in range(30)]
+        cases.append(random_connected_graph(3000, 0.0, rng)[0])  # a tree: deep stacks, one key per edge end
+        for g in cases:
+            assert fix_spanning_tree(g) == _tuple_dfs_tree(g)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 9), st.lists(st.tuples(st.integers(0, 9), st.integers(0, 9)), max_size=30),
+           st.booleans())
+    def test_forest_equals_the_nested_find(self, n, pairs, one_based):
+        # ids 0..n, as _forest reads them: 0-based pairs of n+1 vertices, or 1-based pairs of n
+        pairs = [(u % (n + 1), v % (n + 1)) if not one_based else (u % n + 1, v % n + 1) for u, v in pairs]
+        assert graphs._forest(n, pairs) == _nested_find_forest(n, pairs)
+
+    def test_clean_graphs_skip_the_fault_search(self, monkeypatch):
+        rng = random.Random(3)
+        clean = [(1, []), (2, [(2, 1)]), (6, list(complete_graph(6).edges))]
+        clean += [(g.n, list(g.edges)) for g, _ in (random_connected_graph(12, 0.4, rng) for _ in range(5))]
+        spy = []
+        fault_search = graphs._first_edge_fault
+        monkeypatch.setattr(graphs, "_first_edge_fault", lambda *a: spy.append(a) or fault_search(*a))
+        for n, edges in clean:
+            Graph(n, edges)
+            Graph(n, np.array(edges, np.int64).reshape(-1, 2))
+            parse_graph(f"{n} {len(edges)}\n" + "".join(f"{u} {v} 1\n" for u, v in edges))
+        assert spy == []
+        for _, edges, _, bad in EDGE_FAULTS[:4]:
+            with pytest.raises(GraphError) as exc:
+                Graph(3, edges)
+            assert exc.value.edge == bad
+        assert len(spy) == 4
+
+    def test_caller_array_is_not_written(self):
+        edges = np.array([[2, 1], [3, 2], [1, 3]], np.int64)
+        before = edges.copy()
+        g = Graph(3, edges)
+        assert np.array_equal(edges, before) and g.edges == ((1, 2), (2, 3), (1, 3))
+        edges.setflags(write=False)  # a write would now raise
+        assert Graph(3, edges) == g
+
+    def test_non_contiguous_views(self):
+        g = complete_graph(7)
+        ends = np.array(g.edges, np.int64)
+        wide = np.zeros((g.m, 5), np.int64)
+        wide[:, 1], wide[:, 3] = ends[:, 1], ends[:, 0]  # columns 16 bytes apart, the ends flipped
+        tall = np.zeros((2 * g.m, 2), np.int64)
+        tall[::2] = ends  # rows 32 bytes apart
+        views = [wide[:, 1::2], tall[::2], np.asfortranarray(ends)]
+        for view in views:
+            assert not view.flags.c_contiguous
+            assert Graph(7, view) == g
+
+    def test_reader_hands_graph_its_pair_field(self, monkeypatch):
+        monkeypatch.setattr(np, "stack", lambda *a, **k: pytest.fail("stacked the ends"))
+        monkeypatch.setattr(graphs, "_parse_lines", lambda text: pytest.fail("ran the line loop"))
+        g, x = parse_graph("3 3\n2 1 5\n3 2 6\n1 3 7\n")
+        assert g.edges == ((1, 2), (2, 3), (1, 3)) and x.values == (5.0, 6.0, 7.0)
+
+    @pytest.mark.parametrize("text", ["2 1\n1.5 2 3\n", "2 1\n1e0 2 3\n", "2 1\n1 2.9 3\n"])
+    def test_ids_read_through_a_float_in_the_pair_field_go_to_the_loop(self, text, monkeypatch):
+        loadtxt = np.loadtxt
+        loops = []
+
+        def loadtxt_before_numpy_2_3(fh, dtype, **kwargs):  # reads the ids as floats, warns, truncates
+            as_float = [(name, np.float64, dtype[name].shape) for name in dtype.names]
+            rows = loadtxt(fh, as_float, **kwargs)
+            warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.", DeprecationWarning)
+            return rows.astype(dtype)
+
+        parse_lines = graphs._parse_lines
+        expected = _outcome(parse_lines, text)
+        monkeypatch.setattr(np, "loadtxt", loadtxt_before_numpy_2_3)
+        monkeypatch.setattr(graphs, "_parse_lines", lambda text: loops.append(text) or parse_lines(text))
+        assert _outcome(parse_graph, text) == expected
+        assert loops == [text]

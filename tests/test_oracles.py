@@ -7,6 +7,7 @@ import pytest
 
 from minmaxmst import (
     Graph,
+    GraphError,
     PreconditionError,
     Weighting,
     all_pairs_minmax,
@@ -21,6 +22,7 @@ from minmaxmst import (
     parse_graph,
     random_connected_graph,
 )
+from minmaxmst import graphs, oracles
 from minmaxmst.oracles import _spanning_tree_array
 from conftest import random_instances
 
@@ -163,6 +165,24 @@ class TestHu:
             via_mst = hu_minmax_via_mst(g, x)
             via_dp = all_pairs_minmax(complete_extension(g, x))
             assert np.array_equal(via_mst.values, via_dp.values)
+
+    def test_table_budget_refuses_before_building(self, monkeypatch):
+        g, x = parse_graph("64 63\n" + "".join(f"{v} {v + 1} {v}\n" for v in range(1, 64)))
+        monkeypatch.setattr(graphs, "_TABLE_BYTES", 32_767)  # its float64 table is 32,768 bytes
+        monkeypatch.setattr(oracles, "kruskal_tree", lambda g, x: pytest.fail("built the tree"))
+        monkeypatch.setattr(oracles, "DistanceMatrix", lambda values: pytest.fail("built the table"))
+        with pytest.raises(GraphError, match=r"^graph too large: n=64 needs a 32,768-byte table, over the 32,767-byte limit$"):
+            hu_minmax_via_mst(g, x)
+        monkeypatch.undo()
+        monkeypatch.setattr(graphs, "_TABLE_BYTES", 32_768)
+        assert hu_minmax_via_mst(g, x).dist(1, 64) == 63.0
+
+    def test_work_budget_refuses_before_building(self, monkeypatch):
+        g, x = parse_graph("64 63\n" + "".join(f"{v} {v + 1} {v}\n" for v in range(1, 64)))
+        monkeypatch.setattr(graphs, "_WORK_OPS", 4031)  # 64 * 63 = 4,032 path maxima
+        monkeypatch.setattr(oracles, "kruskal_tree", lambda g, x: pytest.fail("built the tree"))
+        with pytest.raises(GraphError, match=r"^graph too large: n=64 needs 4,032 operations, over the 4,031-operation limit$"):
+            hu_minmax_via_mst(g, x)
 
 
 def test_oracles_pairwise_consistent_exhaustive_n4(small_graphs):
