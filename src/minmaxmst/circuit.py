@@ -26,7 +26,7 @@ from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .graphs import Graph, GraphError, Weighting, _check_bytes, _extension_layout, fix_spanning_tree
+from .graphs import Graph, GraphError, Weighting, _check_bytes, _extension_layout, _weight_sum
 from .solver import OpCounts, _puredp_schedule, _resweep, naive_op_counts, puredp_op_counts
 
 INPUT, CONST, MIN, MAX, ADD = range(5)
@@ -167,10 +167,10 @@ class _Emitter:
             self.slots += len(ids)
         return first
 
-    def circuit(self, walk: Iterator[tuple[int, int]]) -> Circuit:
+    def circuit(self, walk: Iterator[int]) -> Circuit:
         """The circuit ending in the add chain from the constant 0 over the walk's cells, in walk order."""
         adds, terms = [], []
-        for _, cell in walk:
+        for cell in walk:
             adds.append(self.reserve(1))
             terms.append(cell)
         self.schedule(ADD, adds, [self.zero], terms, fold=True)
@@ -259,7 +259,7 @@ def compile_mst_circuit(g: Graph) -> Circuit:
     of `graphs._TABLE_BYTES` raises GraphError before anything is built.
     """
     em = _Emitter(g, puredp_op_counts(g.n, g.m))
-    return em.circuit(_puredp_schedule(g, fix_spanning_tree(g).edges, em.sweep(em.extension()), em.zero_update))
+    return em.circuit(_puredp_schedule(g._plan.ends, em.sweep(em.extension()), em.zero_update))
 
 
 def compile_mst_circuit_naive(g: Graph) -> Circuit:
@@ -267,7 +267,7 @@ def compile_mst_circuit_naive(g: Graph) -> Circuit:
     computation per tree edge; O(n^4) nodes), under the same byte budget."""
     em = _Emitter(g, naive_op_counts(g.n, g.m))
     base = em.extension()
-    return em.circuit(_puredp_schedule(g, fix_spanning_tree(g).edges, em.sweep(base.copy()),
+    return em.circuit(_puredp_schedule(g._plan.ends, em.sweep(base.copy()),
                                        partial(_resweep, base, em.sweep, em.zero)))
 
 
@@ -276,9 +276,10 @@ def evaluate(c: Circuit, x: Weighting | Sequence[float]) -> float:
 
     A plain sequence is checked as a `Weighting`.  One float64 array holds
     a value per slot; each block writes its own range of it, so a plain
-    block is one ufunc call into that range.  The additions run in tree
-    order, so the result agrees with `mst_puredp` (an exactly rounded sum)
-    to within rounding, exactly on integer weights; like the solvers, it
+    block is one ufunc call into that range.  An add chain's last node
+    gets the exactly rounded sum (`math.fsum`) of the chain's operands, so
+    the output equals the solvers' exactly rounded sum on any weights; its
+    earlier nodes keep their tree-order float adds.  Like the solvers, it
     raises GraphError past the float range.  An `output` that is no node
     id of the circuit raises ValueError.
     """
@@ -294,11 +295,14 @@ def evaluate(c: Circuit, x: Weighting | Sequence[float]) -> float:
         e = s + len(blk.ids)
         op = _UFUNCS[blk.kind]
         if blk.fold:
+            operands = np.concatenate((vals[blk.a], vals[blk.b]))
             try:
                 with np.errstate(over="raise"):  # the add chain, a fold, can pass the float range
-                    vals[s:e] = op.accumulate(np.concatenate((vals[blk.a], vals[blk.b])))[1:]
+                    vals[s:e] = op.accumulate(operands)[1:]
             except FloatingPointError:
                 raise GraphError("MST weight is too large for a 64-bit float") from None
+            if blk.kind == ADD:  # the chain's value: its operands' exactly rounded sum, as the solvers return
+                vals[e - 1] = _weight_sum(operands.tolist())
         else:
             op(vals[blk.a], vals[blk.b], out=vals[s:e])
         s = e

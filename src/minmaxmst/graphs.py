@@ -12,9 +12,12 @@ import operator
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, NoReturn, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple, NoReturn, Sequence
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from .solver import OpCounts
 
 
 class GraphError(ValueError):
@@ -113,6 +116,21 @@ class Graph:
                 stack.pop()
         return SpanningTree(order)
 
+    @cached_property
+    def _plan(self) -> WalkPlan:
+        """The graph-only parts of a pure-DP solve, built on first use and kept like `_tree`.
+
+        A graph whose schedule passes the work budget raises GraphError
+        here, before its tree is built, and gets no plan.
+        """
+        from .solver import puredp_op_counts  # the solver module builds on this one
+
+        ops = puredp_op_counts(self.n, self.m)
+        _check_work(self.n, ops.total)
+        ends = self._ends[:, self._tree.edges]
+        ends.setflags(write=False)
+        return WalkPlan(ends, ops)
+
     @property
     def edges(self) -> tuple[tuple[int, int], ...]:
         """The edges as 1-based pairs (u, v) with u < v, by edge index; built on each call."""
@@ -135,6 +153,18 @@ class Graph:
     def edge_index(self) -> dict[tuple[int, int], int]:
         """Maps the normalized vertex pair of each edge to its index."""
         return {e: i for i, e in enumerate(self.edges)}
+
+
+class WalkPlan(NamedTuple):
+    """What the pure DP's walk over a graph needs beyond the weights, the same for every solve.
+
+    `ends` holds the 0-based ends of the fixed spanning tree's edges in walk
+    order: a read-only (2, n-1) array in `Graph._ends`'s dtype.  `ops` is
+    `puredp_op_counts(n, m)`, the one OpCounts that every solve of the graph returns.
+    """
+
+    ends: np.ndarray
+    ops: OpCounts
 
 
 def complete_graph(n: int) -> Graph:

@@ -29,8 +29,10 @@ levels) and the 254 updates on uint8.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 from typing import Any, Iterable, Iterator
+
+import numpy as np
 
 from .distances import _sweep, _zero_update
 from .graphs import (
@@ -42,7 +44,6 @@ from .graphs import (
     _rank_table,
     _rerank_swept,
     _weight_sum,
-    fix_spanning_tree,
     validate_spanning_tree,
 )
 
@@ -55,7 +56,7 @@ class OpCounts:
     max_count: int
     add_count: int
 
-    @property
+    @cached_property
     def total(self) -> int:
         return self.min_count + self.max_count + self.add_count
 
@@ -86,19 +87,21 @@ class Decomposition:
         object.__setattr__(self, "total", _weight_sum(d for _, d in terms))
 
 
-def _puredp_schedule(g: Graph, order, d, zero_update) -> Iterator[tuple[int, Any]]:
-    """The walk over the swept extension table d, yielding (edge, cell) per tree edge.
+def _puredp_schedule(ends: np.ndarray, d, zero_update) -> Iterator[Any]:
+    """The walk over the swept extension table d, yielding the cell of each tree edge as a Python scalar.
 
-    Along `order`, read the tree edge's cell, then run the round that
-    zeroes it: the pure DP's update, or the naive DP's `_resweep`; no
-    round follows the last edge.  The caller's work on each yielded cell
-    happens before the next round.  The solvers run it over weight ranks,
-    the circuit compilers over a table of evaluation slots; each sweeps d
-    with its own sweep first.
+    `ends` is a (2, n-1) array of the tree edges' 0-based ends in walk
+    order.  Along it, read the edge's cell, then run the round that zeroes
+    it: the pure DP's update, or the naive DP's `_resweep`; no round
+    follows the last edge.  The caller's work on each yielded cell happens
+    before the next round.  The solvers run it over weight ranks, the
+    circuit compilers over a table of evaluation slots; each sweeps d with
+    its own sweep first.
     """
-    last = len(order) - 1
-    for pos, (eidx, (u, v)) in enumerate(zip(order, g._ends[:, order].T.tolist())):
-        yield eidx, d[u, v]
+    us, vs = ends.tolist()
+    last = len(us) - 1
+    for pos, (u, v) in enumerate(zip(us, vs)):
+        yield d.item(u, v)
         if pos < last:
             zero_update(d, u, v)
 
@@ -120,11 +123,12 @@ def mst_decomposition(g: Graph, x: Weighting, t: SpanningTree) -> Decomposition:
     _check_weighting(g, x)
     _check_work(g.n, puredp_op_counts(g.n, g.m).total)
     validate_spanning_tree(g, t)
-    return _decompose(g, x, t.edges)
+    levels, cells = _ranked_walk(g, x, g._ends[:, t.edges])
+    return Decomposition(zip(t.edges, levels[cells].tolist()))
 
 
-def _decompose(g: Graph, x: Weighting, order) -> Decomposition:
-    """The pure DP's walk along `order` over the rank table, its cells read back as weights.
+def _ranked_walk(g: Graph, x: Weighting, ends: np.ndarray) -> tuple[np.ndarray, list]:
+    """The pure DP's walk along `ends` over the rank table: the levels, and the walk's cells as ranks into them.
 
     The swept table is re-ranked to the at most n levels it still holds, so
     the updates may walk a narrower table; rebinding `table` frees the wide one.
@@ -132,7 +136,7 @@ def _decompose(g: Graph, x: Weighting, order) -> Decomposition:
     levels, table = _rank_table(g, x)
     _sweep(table)
     levels, table = _rerank_swept(levels, table)
-    return Decomposition((e, levels[r]) for e, r in _puredp_schedule(g, order, table, _zero_update))
+    return levels, list(_puredp_schedule(ends, table, _zero_update))
 
 
 def _op_counts(n: int, m: int, sweeps: int, rounds: int) -> OpCounts:
@@ -170,13 +174,15 @@ def mst_puredp(g: Graph, x: Weighting) -> tuple[float, OpCounts]:
     returned are the schedule's closed form; `count_ops` of the compiled
     circuit tallies the same schedule op by op.  The counts include the
     extension's m-1 max fold, which the circuit performs; the solver
-    reads M off the sorted weights instead.  A schedule whose count
-    passes `graphs._WORK_OPS` is refused before anything is allocated.
+    reads M off the sorted weights instead.  The tree's ends and the
+    counts come from the graph's walk plan, built on its first solve, so
+    every solve of one graph returns the same OpCounts.  A schedule whose
+    count passes `graphs._WORK_OPS` is refused before anything is allocated.
     """
     _check_weighting(g, x)
-    ops = puredp_op_counts(g.n, g.m)
-    _check_work(g.n, ops.total)
-    return _decompose(g, x, fix_spanning_tree(g).edges).total, ops
+    plan = g._plan
+    levels, cells = _ranked_walk(g, x, plan.ends)
+    return _weight_sum(levels[cells].tolist()), plan.ops
 
 
 def mst_puredp_naive(g: Graph, x: Weighting) -> tuple[float, OpCounts]:
@@ -192,5 +198,5 @@ def mst_puredp_naive(g: Graph, x: Weighting) -> tuple[float, OpCounts]:
     levels, base = _rank_table(g, x)
     d = base.copy()
     _sweep(d)
-    terms = _puredp_schedule(g, fix_spanning_tree(g).edges, d, partial(_resweep, base, _sweep, 0))
-    return _weight_sum(levels[r] for _, r in terms), ops
+    cells = list(_puredp_schedule(g._plan.ends, d, partial(_resweep, base, _sweep, 0)))
+    return _weight_sum(levels[cells].tolist()), ops

@@ -275,6 +275,13 @@ class TestEvaluate:
             c = compile_mst_circuit(g)
             assert evaluate(c, x) == mst_puredp(g, x)[0]
 
+    def test_exact_on_one_decimal_weights(self):
+        """The add chain's value is its operands' exactly rounded sum, as `mst_puredp` returns; a
+        tree-order float sum differs from it on about a quarter of these graphs."""
+        for g, x in random_instances(74, seed=47, max_n=16, max_weight=9999):
+            x = Weighting([w / 10 for w in x.values])
+            assert evaluate(compile_mst_circuit(g), x) == mst_puredp(g, x)[0]
+
     def test_naive_circuit_matches_naive_solver(self):
         for g, x in random_instances(10, seed=44, max_n=7):
             c = compile_mst_circuit_naive(g)
@@ -304,7 +311,7 @@ class TestEvaluate:
             one_decimal = Weighting([rng.randint(0, 9999) / 10 for _ in range(g.m)])
             assert evaluate(c, integer) == reference_evaluate(c, integer.values)
             assert evaluate(c, integer) == solve(g, integer)[0]
-            assert evaluate(c, one_decimal) == reference_evaluate(c, one_decimal.values)
+            assert evaluate(c, one_decimal) == solve(g, one_decimal)[0]
             assert evaluate(c, list(one_decimal.values)) == evaluate(c, one_decimal)
 
     @pytest.mark.parametrize("compile_circuit", [compile_mst_circuit, compile_mst_circuit_naive])

@@ -209,16 +209,29 @@ class TestReader:
 
     @pytest.mark.parametrize("text", ["2 1\n1.5 2 3\n", "2 1\n1e0 2 3\n", "2 1\n1 2.9 3\n", "2 1\n1 2 3\n"])
     def test_ids_read_through_a_float_go_to_the_loop(self, text, monkeypatch):
-        loadtxt = np.loadtxt
-
-        def loadtxt_before_numpy_2_3(fh, dtype, **kwargs):  # truncates an id read through a float, with a warning
-            rows = loadtxt(fh, [(name, np.float64) for name in dtype.names], **kwargs)
-            warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.", DeprecationWarning)
-            return rows.astype(dtype)
-
         expected = _outcome(graphs._parse_lines, text)
-        monkeypatch.setattr(np, "loadtxt", loadtxt_before_numpy_2_3)
+        loops = _loadtxt_before_numpy_2_3(monkeypatch)
         assert _outcome(parse_graph, text) == expected
+        assert loops == [text]
+
+
+def _loadtxt_before_numpy_2_3(monkeypatch) -> list[str]:
+    """Make np.loadtxt read the ids through a float, warn, and truncate, as numpy 1.23 to 2.2 do.
+
+    Each field is read as float64 in its own shape, so the ("uv", int64, 2)
+    field is read and the warning is raised.  Returns the list of texts
+    that `_parse_lines` is then run on.
+    """
+    loadtxt, parse_lines, loops = np.loadtxt, graphs._parse_lines, []
+
+    def read_through_a_float(fh, dtype, **kwargs):
+        rows = loadtxt(fh, [(name, np.float64, dtype[name].shape) for name in dtype.names], **kwargs)
+        warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.", DeprecationWarning)
+        return rows.astype(dtype)
+
+    monkeypatch.setattr(np, "loadtxt", read_through_a_float)
+    monkeypatch.setattr(graphs, "_parse_lines", lambda text: loops.append(text) or parse_lines(text))
+    return loops
 
 
 def _loop_fault(n, edges):
@@ -873,18 +886,7 @@ class TestSetUpPaths:
 
     @pytest.mark.parametrize("text", ["2 1\n1.5 2 3\n", "2 1\n1e0 2 3\n", "2 1\n1 2.9 3\n"])
     def test_ids_read_through_a_float_in_the_pair_field_go_to_the_loop(self, text, monkeypatch):
-        loadtxt = np.loadtxt
-        loops = []
-
-        def loadtxt_before_numpy_2_3(fh, dtype, **kwargs):  # reads the ids as floats, warns, truncates
-            as_float = [(name, np.float64, dtype[name].shape) for name in dtype.names]
-            rows = loadtxt(fh, as_float, **kwargs)
-            warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.", DeprecationWarning)
-            return rows.astype(dtype)
-
-        parse_lines = graphs._parse_lines
-        expected = _outcome(parse_lines, text)
-        monkeypatch.setattr(np, "loadtxt", loadtxt_before_numpy_2_3)
-        monkeypatch.setattr(graphs, "_parse_lines", lambda text: loops.append(text) or parse_lines(text))
+        expected = _outcome(graphs._parse_lines, text)
+        loops = _loadtxt_before_numpy_2_3(monkeypatch)
         assert _outcome(parse_graph, text) == expected
         assert loops == [text]

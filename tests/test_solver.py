@@ -5,7 +5,8 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from minmaxmst import (
     Graph,
@@ -223,8 +224,8 @@ class TestPureDP:
 def _float_table_terms(g, x, t):
     """The pure DP's terms along `t` with the schedule run on the weights themselves."""
     weights = graphs._extension_layout(g, np.array(x.values), 0.0, max(x.values, default=0.0))
-    walk = solver._puredp_schedule(g, t.edges, distances._sweep(weights), distances._zero_update)
-    return tuple((e, float(d)) for e, d in walk)
+    walk = solver._puredp_schedule(g._ends[:, t.edges], distances._sweep(weights), distances._zero_update)
+    return tuple((e, float(d)) for e, d in zip(t.edges, walk))
 
 
 def _walk_both_orders(g, x, rng, monkeypatch):
@@ -350,6 +351,57 @@ class TestRankTable:
         assert np.all(np.diff(levels) > 0) and math.copysign(1.0, levels[0]) == 1.0
         assert np.array_equal(levels[table], expect)
         assert table.dtype == np.min_scalar_type(len(levels) - 1)
+
+
+class TestWalkPlan:
+    """The graph-only parts of a solve, planned once per graph on its first solve."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(weighted_graphs(min_n=1, max_n=9, max_weight=9), st.booleans())
+    @example((Graph(1, []), Weighting([])), False)
+    @example((Graph(2, [(1, 2)]), Weighting([3])), True)
+    def test_solvers_agree(self, gx, one_decimal):
+        g, x = gx
+        if one_decimal:
+            x = Weighting([w / 10 for w in x.values])
+        dec = mst_decomposition(g, x, fix_spanning_tree(g))
+        assert mst_puredp(g, x)[0] == dec.total == kruskal_mst(g, x)
+
+    def test_ends_are_the_fixed_tree_in_walk_order(self):
+        cases = [Graph(1, []), Graph(2, [(1, 2)]), complete_graph(9)] + [g for g, _ in random_instances(20, seed=38)]
+        for g in cases:
+            ends = g._plan.ends
+            assert np.array_equal(ends, g._ends[:, fix_spanning_tree(g).edges])
+            assert ends.shape == (2, g.n - 1) and ends.dtype == g._ends.dtype and not ends.flags.writeable
+
+    def test_solves_of_one_graph_share_their_op_counts(self):
+        g, x = random_connected_graph(20, 0.3, random.Random(39))
+        first, second = mst_puredp(g, x)[1], mst_puredp(g, Weighting(range(g.m)))[1]
+        assert first is second and first.total is second.total
+        assert first == puredp_op_counts(g.n, g.m)
+
+    def test_set_up_builds_no_plan(self):
+        g, x = parse_graph("3 3\n1 2 1\n1 3 3\n2 3 2\n")
+        for graph in (g, Graph(4, [(1, 2), (2, 3), (3, 4)]), complete_graph(5)):
+            assert "_plan" not in vars(graph)
+        mst_puredp(g, x)
+        assert "_plan" in vars(g)
+
+    def test_every_solver_and_compiler_walks_the_plan(self, monkeypatch):
+        walked, schedule = [], solver._puredp_schedule
+
+        def spy(ends, d, zero_update):
+            walked.append(ends)
+            return schedule(ends, d, zero_update)
+
+        monkeypatch.setattr(solver, "_puredp_schedule", spy)
+        monkeypatch.setattr(circuit, "_puredp_schedule", spy)
+        g, x = random_connected_graph(9, 0.4, random.Random(40))
+        mst_puredp(g, x)
+        mst_puredp_naive(g, x)
+        compile_mst_circuit(g)
+        compile_mst_circuit_naive(g)
+        assert len(walked) == 4 and all(ends is g._plan.ends for ends in walked)
 
 
 class TestOpCounts:
