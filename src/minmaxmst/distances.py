@@ -16,10 +16,10 @@ from .graphs import (
     Graph,
     GraphError,
     Weighting,
-    _check_square_symmetric,
     _check_weighting,
     _check_work,
     _ranks,
+    _vertex_pair,
 )
 
 DistanceMatrix = ExtendedWeighting  # a table of min-max distances
@@ -64,17 +64,16 @@ def all_pairs_minmax(xbar: ExtendedWeighting | np.ndarray) -> DistanceMatrix:
     perform n * n(n-1)/2 min and as many max operations.  The rounds run
     on the entries' ranks, which gives the same distances (see the
     `solver` module docstring); an `inf` entry ranks last.  The input is
-    not modified.  A sweep over the work budget is refused before the
-    table is copied.
+    not modified: an `ExtendedWeighting` is ranked as it is, any other
+    table is copied and checked as one once the sweep fits the work budget.
     """
     values = getattr(xbar, "values", xbar)
     _check_sweep_work(len(values) if np.ndim(values) else 0)
-    d = np.array(values, dtype=float)
-    _check_square_symmetric(d)
-    levels, ranks = _ranks(d)
-    table = ranks.reshape(d.shape)
+    if not isinstance(xbar, ExtendedWeighting):
+        xbar = ExtendedWeighting(xbar)
+    levels, table = _ranks(xbar.values)
     _sweep(table)
-    return DistanceMatrix(levels[table])
+    return DistanceMatrix._built(levels[table])
 
 
 def zero_edge_update(d: DistanceMatrix, a: int, b: int) -> DistanceMatrix:
@@ -83,14 +82,12 @@ def zero_edge_update(d: DistanceMatrix, a: int, b: int) -> DistanceMatrix:
     a and b are 1-based vertices.  Uses 2 * n(n-1)/2 min and as many max
     operations; the input matrix is not modified.
     """
-    n = d.n
+    a, b = _vertex_pair(d.n, a, b)
     if a == b:
         raise GraphError("zeroed pair needs two distinct vertices")
-    if not (1 <= a <= n and 1 <= b <= n):
-        raise GraphError(f"vertex out of range: {{{a},{b}}} for n={n}")
     out = d.values.copy()
     _zero_update(out, a - 1, b - 1)
-    return DistanceMatrix(out)
+    return DistanceMatrix._built(out)
 
 
 def minmax_distance_bruteforce(g: Graph, x: Weighting, u: int, v: int) -> float:
@@ -100,8 +97,7 @@ def minmax_distance_bruteforce(g: Graph, x: Weighting, u: int, v: int) -> float:
     `all_pairs_minmax`.
     """
     _check_weighting(g, x)
-    if not (1 <= u <= g.n and 1 <= v <= g.n):
-        raise GraphError(f"vertex out of range: {u} or {v} for n={g.n}")
+    u, v = _vertex_pair(g.n, u, v)
     if u == v:
         return 0.0
     adj = g.adjacency

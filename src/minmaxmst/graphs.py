@@ -59,18 +59,17 @@ class Graph:
             raise GraphError("vertex count must be >= 1")
         if not isinstance(edges, np.ndarray):
             edges = list(edges)
-        # int64 holds every pair code (n+1)u+v of 1 <= u, v <= n while n < 2**31; Python ints hold any id
         try:
-            pairs = np.asarray(edges, np.int64 if n < 2**31 else object).reshape(len(edges), 2)
-        except OverflowError:  # an id past int64, compared as a Python int
-            pairs = np.asarray(edges, object).reshape(len(edges), 2)
+            pairs = np.asarray(edges, np.int64).reshape(len(edges), 2)
+        except OverflowError:  # an id past int64
+            _first_edge_fault(n, edges)
         lo, hi = np.minimum(pairs[:, 0], pairs[:, 1]), np.maximum(pairs[:, 0], pairs[:, 1])
-        # every edge a pair in 1..n, so each pair code (n+1)lo+hi fits; distinct codes are distinct edges
-        if not (lo.min(initial=1) >= 1 and hi.max(initial=n) <= n and (lo != hi).all()):
-            _first_edge_fault(n, lo, hi)
+        # every edge a pair in 1..n < 2**31, so each pair code (n+1)lo+hi fits int64; distinct codes are distinct edges
+        if not (n < 2**31 and lo.min(initial=1) >= 1 and hi.max(initial=n) <= n and (lo != hi).all()):
+            _first_edge_fault(n, edges)
         code = np.sort(lo * (n + 1) + hi)
         if (code[1:] == code[:-1]).any():
-            _first_edge_fault(n, lo, hi)
+            _first_edge_fault(n, edges)
         # fewer edges cannot connect n vertices: build nothing of size n for them
         if len(pairs) < n - 1 or len(_forest(n, zip(lo.tolist(), hi.tolist()))) < n - 1:
             raise GraphError("disconnected graph")
@@ -225,16 +224,18 @@ class SpanningTree:
     edges: tuple[int, ...]
 
     def __init__(self, edges: Iterable[int]):
-        indices = []
-        for e in edges:
-            try:
-                indices.append(operator.index(e))  # int() would truncate 2.5 to an edge the caller never named
-            except TypeError:
-                raise GraphError(f"edge index {e!r} is not an integer") from None
-        object.__setattr__(self, "edges", tuple(indices))
+        object.__setattr__(self, "edges", tuple(_integer(e, "edge index") for e in edges))
 
     def __len__(self) -> int:
         return len(self.edges)
+
+
+def _integer(value: int, what: str) -> int:
+    """value through `operator.index`: int() would truncate 2.5 to an index or vertex the caller never named."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise GraphError(f"{what} {value!r} is not an integer") from None
 
 
 def _weight_sum(weights: Iterable[float]) -> float:
@@ -250,22 +251,23 @@ def _check_weighting(g: Graph, x: Weighting) -> None:
         raise GraphError(f"weighting has {len(x)} values for a graph with {g.m} edges")
 
 
-def _first_edge_fault(n: int, lo: np.ndarray, hi: np.ndarray) -> NoReturn:
-    """Raise GraphError naming the first faulty edge; `Graph` calls it only once its whole-array tests found a fault.
+def _first_edge_fault(n: int, edges: Sequence[tuple[int, int]] | np.ndarray) -> NoReturn:
+    """Raise GraphError naming the first faulty edge as `Graph` does, by one loop over the edges as Python ints.
 
-    That edge's first fault is named, in the order self-loop, vertex id out
-    of range, duplicate edge; a repeat is named at its second occurrence.
+    A repeat is named at its second occurrence.  `Graph` calls this only when a whole-array test
+    fails; a list with no faulty edge then has n >= 2**31 and fewer than n-1 edges: disconnected.
     """
-    # k: the first self-loop or out-of-range edge; every edge before it is a pair in 1..n
-    faulty = (lo == hi) | (lo < 1) | (hi > n)
-    k = int(faulty.argmax()) if faulty.any() else len(lo)
-    code = lo[:k] * (n + 1) + hi[:k]
-    order = np.argsort(code, kind="stable")  # a repeat sorts after its first occurrence
-    code = code[order]
-    repeats = order[1:][code[1:] == code[:-1]]
-    if len(repeats):
-        raise GraphError("duplicate edge", int(repeats.min()))
-    raise GraphError("self-loop" if lo[k] == hi[k] else "vertex id out of range", k)
+    seen: set[tuple[int, int]] = set()
+    for i, (u, v) in enumerate(edges):
+        u, v = sorted((int(u), int(v)))
+        if u == v:
+            raise GraphError("self-loop", i)
+        if u < 1 or v > n:
+            raise GraphError("vertex id out of range", i)
+        if (u, v) in seen:
+            raise GraphError("duplicate edge", i)
+        seen.add((u, v))
+    raise GraphError("disconnected graph")
 
 
 def _forest(n: int, pairs: Iterable[tuple[int, int]]) -> list[int]:
@@ -312,15 +314,12 @@ def fix_spanning_tree(g: Graph) -> SpanningTree:
     return g._tree
 
 
-def _check_square_symmetric(values: np.ndarray) -> None:
-    if values.ndim != 2 or values.shape[0] != values.shape[1]:
-        raise GraphError(f"expected a square matrix, got shape {values.shape}")
-    if np.any(np.diagonal(values) != 0):
-        raise GraphError("matrix diagonal must be zero")
-    if not np.array_equal(values, values.T, equal_nan=True):
-        raise GraphError("matrix must be symmetric")
-    if not np.all(values >= 0):  # NaN is not nonnegative, as in a Weighting
-        raise GraphError("matrix entries must be nonnegative")
+def _vertex_pair(n: int, u: int, v: int) -> tuple[int, int]:
+    """u and v as 1-based vertices of an n-vertex table or graph."""
+    u, v = _integer(u, "vertex"), _integer(v, "vertex")
+    if not (1 <= u <= n and 1 <= v <= n):
+        raise GraphError(f"vertex out of range: {{{u},{v}}} for n={n}")
+    return u, v
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -328,16 +327,32 @@ class ExtendedWeighting:
     """Read-only symmetric n x n table over all vertex pairs of K_n.
 
     Holds a complete extension's weights and, as `distances.DistanceMatrix`,
-    min-max distances; either way it is validated on construction.
+    min-max distances.  A table from outside is copied and checked on
+    construction; one the package computed is kept as built, by `_built`.
     """
 
     values: np.ndarray
 
     def __init__(self, values: np.ndarray | Sequence[Sequence[float]]):
         arr = np.array(values, dtype=float)
-        _check_square_symmetric(arr)
+        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+            raise GraphError(f"expected a square matrix, got shape {arr.shape}")
+        if np.any(np.diagonal(arr) != 0):
+            raise GraphError("matrix diagonal must be zero")
+        if not ((arr == arr.T) | (np.isnan(arr) & np.isnan(arr.T))).all():  # bool masks, no float copies
+            raise GraphError("matrix must be symmetric")
+        if not np.all(arr >= 0):  # NaN is not nonnegative, as in a Weighting
+            raise GraphError("matrix entries must be nonnegative")
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
+
+    @classmethod
+    def _built(cls, arr: np.ndarray) -> ExtendedWeighting:
+        """Keep a fresh float64 table the package computed: no copy and no check, only made read-only."""
+        arr.setflags(write=False)
+        table = object.__new__(cls)
+        object.__setattr__(table, "values", arr)
+        return table
 
     @property
     def n(self) -> int:
@@ -345,9 +360,7 @@ class ExtendedWeighting:
 
     def weight(self, u: int, v: int) -> float:
         """Entry of the vertex pair {u,v}, 1-based."""
-        n = self.n
-        if not (1 <= u <= n and 1 <= v <= n):
-            raise GraphError(f"vertex out of range: {{{u},{v}}} for n={n}")
+        u, v = _vertex_pair(self.n, u, v)
         return float(self.values[u - 1, v - 1])
 
     dist = weight
@@ -389,9 +402,9 @@ def _extension_layout(g: Graph, edge_entries: np.ndarray, zero, biggest) -> np.n
 
 
 def _ranks(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct values ascending, and each value's index into them in the smallest unsigned dtype that holds it."""
+    """The distinct values ascending, and `values` with each value replaced by its index into them, in the smallest unsigned dtype that holds it."""
     levels, ranks = np.unique(values, return_inverse=True)
-    return levels, ranks.astype(np.min_scalar_type(len(levels) - 1))
+    return levels, ranks.reshape(values.shape).astype(np.min_scalar_type(len(levels) - 1))
 
 
 def _rerank_swept(levels: np.ndarray, table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -439,7 +452,7 @@ def complete_extension(g: Graph, x: Weighting) -> ExtendedWeighting:
     _check_weighting(g, x)
     _check_bytes(g.n, g.n * g.n * np.dtype(float).itemsize, "table")
     levels, table = _rank_table(g, x)
-    return ExtendedWeighting(levels[table])
+    return ExtendedWeighting._built(levels[table])
 
 
 def _plain(w: float):

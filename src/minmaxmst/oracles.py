@@ -14,7 +14,7 @@ from functools import lru_cache
 import numpy as np
 
 from .distances import DistanceMatrix, _check_sweep_work, all_pairs_minmax
-from .graphs import Graph, Weighting, _check_bytes, _check_weighting, _check_work, _extension_layout, _forest, _weight_sum
+from .graphs import ExtendedWeighting, Graph, Weighting, _check_bytes, _check_weighting, _check_work, _extension_layout, _forest, _weight_sum
 
 BRUTEFORCE_MAX_N = 8
 
@@ -101,39 +101,29 @@ def maggs_plotkin_mst(g: Graph, x: Weighting) -> float:
     _check_sweep_work(g.n)
     if len(np.unique(x.array)) != g.m:
         raise PreconditionError("maggs_plotkin_mst requires pairwise distinct weights")
-    d = all_pairs_minmax(_extension_layout(g, x.array, 0.0, math.inf)).values
+    d = all_pairs_minmax(ExtendedWeighting._built(_extension_layout(g, x.array, 0.0, math.inf))).values
     u, v = g._ends
     return _weight_sum(x.array[d[u, v] == x.array])
 
 
 def hu_minmax_via_mst(g: Graph, x: Weighting) -> DistanceMatrix:
-    """Bottleneck distances read off a minimum spanning tree.
+    """Bottleneck distances read off a minimum spanning tree, by single linkage (Gower & Ross 1969).
 
-    Builds an MST with Kruskal and fills entry (u,v) with the largest edge
-    weight on the unique tree path between u and v; this matrix equals the
-    all-pairs min-max distances of g itself.  Its float64 table is checked
-    against `_TABLE_BYTES`, and its n(n-1) path maxima against `_WORK_OPS`,
-    before anything is built.
+    Each edge of Kruskal's tree, in ascending order, joins two components and
+    gives every pair across them its weight, the largest on their tree path;
+    this matrix equals the all-pairs min-max distances of g itself.  Its
+    float64 table is checked against `_TABLE_BYTES`, and its n(n-1) path
+    maxima against `_WORK_OPS`, before anything is built; `kruskal_tree` checks the weighting.
     """
-    _check_weighting(g, x)
     _check_bytes(g.n, 8 * g.n * g.n, "table")
     _check_work(g.n, g.n * (g.n - 1))
-    tree = kruskal_tree(g, x)
-    edges, weights = g.edges, x.values
-    adj: list[list[tuple[int, float]]] = [[] for _ in range(g.n + 1)]
-    for idx in tree:
-        u, v = edges[idx]
-        w = weights[idx]
-        adj[u].append((v, w))
-        adj[v].append((u, w))
-    out = [[0.0] * g.n for _ in range(g.n)]
-    for src in range(1, g.n + 1):
-        stack = [(src, 0, 0.0)]  # (vertex, parent, max weight from src)
-        while stack:
-            vert, par, high = stack.pop()
-            for nb, w in adj[vert]:
-                if nb != par:
-                    h = high if high >= w else w
-                    out[src - 1][nb - 1] = h
-                    stack.append((nb, vert, h))
-    return DistanceMatrix(out)
+    tree = list(kruskal_tree(g, x))
+    out = np.zeros((g.n, g.n))
+    members = [[v] for v in range(g.n)]  # members[v]: the 0-based vertices of v's component, one list per component
+    for (u, v), w in zip(g._ends[:, tree].T.tolist(), x.array[tree].tolist()):
+        small, large = sorted((members[u], members[v]), key=len)
+        out[np.ix_(small, large)] = out[np.ix_(large, small)] = w + 0.0  # a -0.0 weight reads +0.0
+        large.extend(small)
+        for m in small:
+            members[m] = large
+    return DistanceMatrix._built(out)

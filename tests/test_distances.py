@@ -222,3 +222,20 @@ class TestMinmaxBruteforce:
         g, x = triangle
         with pytest.raises(GraphError, match="out of range"):
             minmax_distance_bruteforce(g, x, 1, 9)
+
+
+@pytest.mark.parametrize("call", [
+    lambda g, x, u, v: zero_edge_update(all_pairs_minmax(complete_extension(g, x)), u, v).values.tolist(),
+    lambda g, x, u, v: all_pairs_minmax(complete_extension(g, x)).dist(u, v),
+    minmax_distance_bruteforce,
+])
+def test_vertices_are_integers(call, triangle):
+    """A vertex is read through `operator.index`: a float names no vertex, a NumPy integer does."""
+    g, x = triangle
+    with pytest.raises(GraphError, match=r"^vertex 1\.5 is not an integer$"):
+        call(g, x, 1.5, 2)
+    with pytest.raises(GraphError, match=r"^vertex '2' is not an integer$"):
+        call(g, x, 1, "2")
+    with pytest.raises(GraphError, match=r"^vertex out of range: \{0,1\} for n=3$"):
+        call(g, x, 0, 1)
+    assert call(g, x, np.int64(1), np.uint8(3)) == call(g, x, 1, 3)

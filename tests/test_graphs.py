@@ -23,6 +23,7 @@ from minmaxmst import (
     complete_graph,
     fix_spanning_tree,
     format_edge_list,
+    hu_minmax_via_mst,
     kruskal_mst,
     kruskal_tree,
     maggs_plotkin_mst,
@@ -32,6 +33,7 @@ from minmaxmst import (
     parse_graph,
     random_connected_graph,
     validate_spanning_tree,
+    zero_edge_update,
 )
 from minmaxmst import graphs, solver
 from conftest import TRIANGLE, small_graphs_of_every_shape
@@ -278,6 +280,9 @@ class TestGraphOnArrays:
         (3, [(2**64, 2**65)], "vertex id out of range", 0),
         (2**40, [(1, 2), (2**39, 2**40), (2**40, 2**39)], "duplicate edge", 2),
         (2**70, [(1, 2**69), (2**69, 1)], "duplicate edge", 1),
+        # no faulty edge: the search reached for an id past int64 or n >= 2**31 finds too few edges
+        (2**64, [(1, 2**63)], "disconnected graph", None),
+        (2**40, [(1, 2)], "disconnected graph", None),
     ])
     def test_ids_past_int64_and_huge_n(self, n, edges, reason, bad):
         with pytest.raises(GraphError) as exc:
@@ -890,3 +895,59 @@ class TestSetUpPaths:
         loops = _loadtxt_before_numpy_2_3(monkeypatch)
         assert _outcome(parse_graph, text) == expected
         assert loops == [text]
+
+
+def _peak_bytes(call):
+    """What `call()` returns, and the peak bytes `tracemalloc` traced while it ran."""
+    tracemalloc.start()
+    try:
+        out = call()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestOneTableCheck:
+    """An n x n table from outside is copied and checked once; one the package computed is kept as built."""
+
+    @pytest.fixture
+    def checks(self, monkeypatch):
+        """The tables `ExtendedWeighting.__init__`, the one n x n check, has run on."""
+        seen = []
+        check = graphs.ExtendedWeighting.__init__
+        monkeypatch.setattr(graphs.ExtendedWeighting, "__init__", lambda self, v: seen.append(v) or check(self, v))
+        return seen
+
+    def test_computed_tables_are_not_checked_again(self, checks):
+        g, x = parse_graph(TRIANGLE)
+        xbar = complete_extension(g, x)
+        d = all_pairs_minmax(xbar)
+        for table in (xbar, d, zero_edge_update(d, 1, 3), hu_minmax_via_mst(g, x)):
+            assert type(table) is graphs.ExtendedWeighting and not table.values.flags.writeable
+        assert maggs_plotkin_mst(g, x) == 3.0
+        assert checks == []
+
+    def test_outside_tables_are_copied_and_checked(self, checks):
+        raw = np.array([[0.0, 2.0], [2.0, 0.0]])
+        table = graphs.ExtendedWeighting(raw)
+        raw[0, 1] = raw[1, 0] = 5.0
+        assert table.weight(1, 2) == 2.0 and all_pairs_minmax(raw).dist(1, 2) == 5.0
+        assert len(checks) == 2
+        with pytest.raises(GraphError, match="^matrix must be symmetric$"):
+            all_pairs_minmax([[0.0, 1.0], [2.0, 0.0]])
+
+    def test_memory_within_four_tables(self):
+        """K_512 on 200 levels: a 2 MiB float64 table, each call peaking under 4 of them (4.5 and 4.4 when the table was copied again)."""
+        g = complete_graph(512)
+        x = Weighting([w % 200 for w in range(g.m)])
+        xbar, peak = _peak_bytes(lambda: complete_extension(g, x))
+        assert peak < 4 * xbar.values.nbytes
+        d = all_pairs_minmax(xbar)
+        zeroed, peak = _peak_bytes(lambda: zero_edge_update(d, 1, 2))
+        assert peak < 4 * zeroed.values.nbytes and zeroed.dist(1, 2) == 0.0
+
+    def test_hu_within_two_tables(self):
+        """A 1,000-vertex tree: a 7.6 MiB table, peaking under two of them (4.4 with a Python list per row)."""
+        g, x = random_connected_graph(1000, 0.0, random.Random(5))
+        d, peak = _peak_bytes(lambda: hu_minmax_via_mst(g, x))
+        assert peak < 2 * d.values.nbytes

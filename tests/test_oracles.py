@@ -135,6 +135,26 @@ class TestMaggsPlotkin:
         assert maggs_plotkin_mst(g, x) == 6.0
 
 
+def _per_source_dfs(g, x):
+    """Bottleneck distances as a Python list table, by a DFS over Kruskal's tree from every vertex."""
+    adj = [[] for _ in range(g.n + 1)]
+    for idx in kruskal_tree(g, x):
+        (u, v), w = g.edges[idx], x.values[idx]
+        adj[u].append((v, w))
+        adj[v].append((u, w))
+    out = [[0.0] * g.n for _ in range(g.n)]
+    for src in range(1, g.n + 1):
+        stack = [(src, 0, 0.0)]  # (vertex, parent, max weight from src)
+        while stack:
+            vert, par, high = stack.pop()
+            for nb, w in adj[vert]:
+                if nb != par:
+                    h = high if high >= w else w
+                    out[src - 1][nb - 1] = h
+                    stack.append((nb, vert, h))
+    return out
+
+
 class TestHu:
     def test_triangle_entry(self, triangle):
         g, x = triangle
@@ -165,6 +185,19 @@ class TestHu:
             via_mst = hu_minmax_via_mst(g, x)
             via_dp = all_pairs_minmax(complete_extension(g, x))
             assert np.array_equal(via_mst.values, via_dp.values)
+
+    def test_equals_the_per_source_dfs(self):
+        """Single linkage over Kruskal's tree against the DFS from every vertex that it replaced, ties included."""
+        rng = random.Random(29)
+        cases = [parse_graph("1 0\n"), parse_graph("2 1\n1 2 4\n"), parse_graph("3 2\n1 2 -0\n2 3 -0\n")]
+        for _ in range(40):
+            g, _ = random_connected_graph(rng.randint(1, 30), rng.random(), rng)
+            cases.append((g, Weighting(rng.choice([-0.0, 0.0, 1.0, 2.5, 7.0]) for _ in range(g.m))))
+        for g, x in cases:
+            d = hu_minmax_via_mst(g, x)
+            expect = _per_source_dfs(g, x)
+            assert d.values.tolist() == expect and not np.signbit(d.values).any()
+            assert np.array_equal(d.values, all_pairs_minmax(complete_extension(g, x)).values)
 
     def test_table_budget_refuses_before_building(self, monkeypatch):
         g, x = parse_graph("64 63\n" + "".join(f"{v} {v + 1} {v}\n" for v in range(1, 64)))
