@@ -259,7 +259,7 @@ def compile_mst_circuit(g: Graph) -> Circuit:
     of `graphs._TABLE_BYTES` raises GraphError before anything is built.
     """
     em = _Emitter(g, puredp_op_counts(g.n, g.m))
-    return em.circuit(_puredp_schedule(g._plan.ends, em.sweep(em.extension()), em.zero_update))
+    return em.circuit(_puredp_schedule(g._walk, em.sweep(em.extension()), em.zero_update))
 
 
 def compile_mst_circuit_naive(g: Graph) -> Circuit:
@@ -267,7 +267,7 @@ def compile_mst_circuit_naive(g: Graph) -> Circuit:
     computation per tree edge; O(n^4) nodes), under the same byte budget."""
     em = _Emitter(g, naive_op_counts(g.n, g.m))
     base = em.extension()
-    return em.circuit(_puredp_schedule(g._plan.ends, em.sweep(base.copy()),
+    return em.circuit(_puredp_schedule(g._walk, em.sweep(base.copy()),
                                        partial(_resweep, base, em.sweep, em.zero)))
 
 

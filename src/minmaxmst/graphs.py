@@ -12,12 +12,9 @@ import operator
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING, Iterable, NamedTuple, NoReturn, Sequence
+from typing import Iterable, NoReturn, Sequence
 
 import numpy as np
-
-if TYPE_CHECKING:
-    from .solver import OpCounts
 
 
 class GraphError(ValueError):
@@ -52,17 +49,18 @@ class Graph:
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         """Check the edges on arrays and keep them; the first faulty edge is named by its index.
 
-        That edge's first fault is named, in the order self-loop, vertex id
-        out of range, duplicate edge; a graph without one must be connected.
+        That edge's first fault is named, in the order non-integer vertex id,
+        self-loop, vertex id out of range, duplicate edge; a graph without one
+        must be connected.
         """
         if n < 1:
             raise GraphError("vertex count must be >= 1")
         if not isinstance(edges, np.ndarray):
             edges = list(edges)
-        try:
-            pairs = np.asarray(edges, np.int64).reshape(len(edges), 2)
-        except OverflowError:  # an id past int64
+        pairs = np.asarray(edges)
+        if len(edges) and pairs.dtype.kind not in "iu":  # floats, strings, and objects such as ids past int64
             _first_edge_fault(n, edges)
+        pairs = pairs.astype(np.int64, copy=False).reshape(len(edges), 2)
         lo, hi = np.minimum(pairs[:, 0], pairs[:, 1]), np.maximum(pairs[:, 0], pairs[:, 1])
         # every edge a pair in 1..n < 2**31, so each pair code (n+1)lo+hi fits int64; distinct codes are distinct edges
         if not (n < 2**31 and lo.min(initial=1) >= 1 and hi.max(initial=n) <= n and (lo != hi).all()):
@@ -116,19 +114,11 @@ class Graph:
         return SpanningTree(order)
 
     @cached_property
-    def _plan(self) -> WalkPlan:
-        """The graph-only parts of a pure-DP solve, built on first use and kept like `_tree`.
-
-        A graph whose schedule passes the work budget raises GraphError
-        here, before its tree is built, and gets no plan.
-        """
-        from .solver import puredp_op_counts  # the solver module builds on this one
-
-        ops = puredp_op_counts(self.n, self.m)
-        _check_work(self.n, ops.total)
+    def _walk(self) -> np.ndarray:
+        """The 0-based ends of the fixed tree's edges in walk order: a read-only (2, n-1) array in `_ends`'s dtype, kept like `_tree`."""
         ends = self._ends[:, self._tree.edges]
         ends.setflags(write=False)
-        return WalkPlan(ends, ops)
+        return ends
 
     @property
     def edges(self) -> tuple[tuple[int, int], ...]:
@@ -152,18 +142,6 @@ class Graph:
     def edge_index(self) -> dict[tuple[int, int], int]:
         """Maps the normalized vertex pair of each edge to its index."""
         return {e: i for i, e in enumerate(self.edges)}
-
-
-class WalkPlan(NamedTuple):
-    """What the pure DP's walk over a graph needs beyond the weights, the same for every solve.
-
-    `ends` holds the 0-based ends of the fixed spanning tree's edges in walk
-    order: a read-only (2, n-1) array in `Graph._ends`'s dtype.  `ops` is
-    `puredp_op_counts(n, m)`, the one OpCounts that every solve of the graph returns.
-    """
-
-    ends: np.ndarray
-    ops: OpCounts
 
 
 def complete_graph(n: int) -> Graph:
@@ -259,7 +237,10 @@ def _first_edge_fault(n: int, edges: Sequence[tuple[int, int]] | np.ndarray) -> 
     """
     seen: set[tuple[int, int]] = set()
     for i, (u, v) in enumerate(edges):
-        u, v = sorted((int(u), int(v)))
+        try:
+            u, v = sorted((operator.index(u), operator.index(v)))
+        except TypeError:
+            raise GraphError("non-integer vertex id", i) from None
         if u == v:
             raise GraphError("self-loop", i)
         if u < 1 or v > n:
@@ -407,52 +388,16 @@ def _ranks(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return levels, ranks.reshape(values.shape).astype(np.min_scalar_type(len(levels) - 1))
 
 
-def _rerank_swept(levels: np.ndarray, table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """A swept (n, n) rank table re-ranked to the levels it still holds, when n levels fit a narrower dtype.
-
-    Each swept entry is 0 or a bottleneck distance, the weight of an MST
-    edge (Hu 1961), so at most n levels remain and index n-1 is the top
-    rank.  A table already that narrow comes back as it is.  Otherwise the
-    kept levels and a new table of ranks into them are returned; the
-    ranks keep their order, so min and max read the same levels.
-    """
-    dtype = np.min_scalar_type(len(table) - 1)
-    if dtype.itemsize >= table.dtype.itemsize:
-        return levels, table
-    present = np.zeros(len(levels), dtype=bool)
-    present[table] = True
-    kept = np.flatnonzero(present)  # level 0, on the diagonal, keeps rank 0
-    lut = np.zeros(len(levels), dtype)
-    lut[kept] = np.arange(len(kept))
-    return levels[kept], lut[table]  # a narrow lut: the lookup allocates only the new table
-
-
-def _rank_table(g: Graph, x: Weighting) -> tuple[np.ndarray, np.ndarray]:
-    """The complete extension on weight ranks: (levels, table).
-
-    `levels` holds 0 and the distinct weights in ascending order, so the
-    diagonal is level 0 and the non-edges are the top level, the maximum
-    weight M.  `table` lays the extension out with each entry's index into
-    `levels`, in the smallest unsigned dtype that holds the top index.
-    Every entry of the extension is a level, so `levels[table]` is its
-    weight table.
-    """
-    levels, ranks = _ranks(np.concatenate(([0.0], x.array)))
-    levels[0] = 0.0  # +0.0 even when a -0.0 weight sorted first
-    return levels, _extension_layout(g, ranks[1:], 0, len(levels) - 1)
-
-
 def complete_extension(g: Graph, x: Weighting) -> ExtendedWeighting:
     """Extend (g, x) to K_n, giving every non-edge the maximum edge weight.
 
     Pairs that are edges keep their weight and the diagonal is zero.  MST
-    weight is unchanged by the extension.  The float64 table it returns
-    is checked against `_TABLE_BYTES` before the rank table is built.
+    weight is unchanged by the extension, and a -0.0 weight reads +0.0.
+    The float64 table is checked against `_TABLE_BYTES` before it is
+    allocated.
     """
     _check_weighting(g, x)
-    _check_bytes(g.n, g.n * g.n * np.dtype(float).itemsize, "table")
-    levels, table = _rank_table(g, x)
-    return ExtendedWeighting._built(levels[table])
+    return ExtendedWeighting._built(_extension_layout(g, x.array + 0.0, 0.0, x.array.max(initial=0.0) + 0.0))
 
 
 def _plain(w: float):

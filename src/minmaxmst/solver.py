@@ -41,8 +41,8 @@ from .graphs import (
     Weighting,
     _check_weighting,
     _check_work,
-    _rank_table,
-    _rerank_swept,
+    _extension_layout,
+    _ranks,
     _weight_sum,
     validate_spanning_tree,
 )
@@ -127,6 +127,40 @@ def mst_decomposition(g: Graph, x: Weighting, t: SpanningTree) -> Decomposition:
     return Decomposition(zip(t.edges, levels[cells].tolist()))
 
 
+def _rank_table(g: Graph, x: Weighting) -> tuple[np.ndarray, np.ndarray]:
+    """The complete extension on weight ranks: (levels, table).
+
+    `levels` holds 0 and the distinct weights in ascending order, so the
+    diagonal is level 0 and the non-edges are the top level, the maximum
+    weight M.  `table` lays the extension out with each entry's index into
+    `levels`, in the smallest unsigned dtype that holds the top index.
+    Every entry of the extension is a level, so `levels[table]` is its
+    weight table.
+    """
+    levels, ranks = _ranks(np.concatenate(([0.0], x.array)))
+    levels[0] = 0.0  # +0.0 even when a -0.0 weight sorted first
+    return levels, _extension_layout(g, ranks[1:], 0, len(levels) - 1)
+
+
+def _rerank_swept(levels: np.ndarray, table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A swept (n, n) rank table re-ranked to the levels it still holds, when n levels fit a narrower dtype.
+
+    At most n levels remain after the sweep (see the module docstring), so
+    index n-1 is the top rank.  A table already that narrow comes back as
+    it is.  Otherwise the kept levels and a new table of ranks into them
+    are returned; the ranks keep their order, so min and max read the same levels.
+    """
+    dtype = np.min_scalar_type(len(table) - 1)
+    if dtype.itemsize >= table.dtype.itemsize:
+        return levels, table
+    present = np.zeros(len(levels), dtype=bool)
+    present[table] = True
+    kept = np.flatnonzero(present)  # level 0, on the diagonal, keeps rank 0
+    lut = np.zeros(len(levels), dtype)
+    lut[kept] = np.arange(len(kept))
+    return levels[kept], lut[table]  # a narrow lut: the lookup allocates only the new table
+
+
 def _ranked_walk(g: Graph, x: Weighting, ends: np.ndarray) -> tuple[np.ndarray, list]:
     """The pure DP's walk along `ends` over the rank table: the levels, and the walk's cells as ranks into them.
 
@@ -174,15 +208,15 @@ def mst_puredp(g: Graph, x: Weighting) -> tuple[float, OpCounts]:
     returned are the schedule's closed form; `count_ops` of the compiled
     circuit tallies the same schedule op by op.  The counts include the
     extension's m-1 max fold, which the circuit performs; the solver
-    reads M off the sorted weights instead.  The tree's ends and the
-    counts come from the graph's walk plan, built on its first solve, so
-    every solve of one graph returns the same OpCounts.  A schedule whose
-    count passes `graphs._WORK_OPS` is refused before anything is allocated.
+    reads M off the sorted weights instead.  A schedule whose count
+    passes `graphs._WORK_OPS` is refused before anything is allocated or
+    the tree is built; the tree's ends are kept on the graph, as `_walk`.
     """
     _check_weighting(g, x)
-    plan = g._plan
-    levels, cells = _ranked_walk(g, x, plan.ends)
-    return _weight_sum(levels[cells].tolist()), plan.ops
+    ops = puredp_op_counts(g.n, g.m)
+    _check_work(g.n, ops.total)
+    levels, cells = _ranked_walk(g, x, g._walk)
+    return _weight_sum(levels[cells].tolist()), ops
 
 
 def mst_puredp_naive(g: Graph, x: Weighting) -> tuple[float, OpCounts]:
@@ -198,5 +232,5 @@ def mst_puredp_naive(g: Graph, x: Weighting) -> tuple[float, OpCounts]:
     levels, base = _rank_table(g, x)
     d = base.copy()
     _sweep(d)
-    cells = list(_puredp_schedule(g._plan.ends, d, partial(_resweep, base, _sweep, 0)))
+    cells = list(_puredp_schedule(g._walk, d, partial(_resweep, base, _sweep, 0)))
     return _weight_sum(levels[cells].tolist()), ops

@@ -82,6 +82,7 @@ class TestParse:
             ("2 1\n1 2 nan\n", "negative weight on line 2"),
             ("2 1\n1 2 abc\n", "invalid weight on line 2"),
             ("2 1\n1.5 2 1\n", "non-integer vertex id on line 2"),
+            ("2 -1\n", "edge count must be >= 0 on line 1"),
         ],
     )
     def test_rejects_malformed(self, text, needle):
@@ -289,6 +290,18 @@ class TestGraphOnArrays:
             Graph(n, edges)
         assert (exc.value.args[0], exc.value.edge) == (reason, bad)
 
+    @pytest.mark.parametrize("edges,bad", [
+        ([("1", "2"), ("2", "3")], 0),
+        ([(1, 2), (2, "3")], 1),
+        (np.array([[1.0, 2.0], [2.0, 3.0]]), 0),
+        ([(1, 2), (2, 3.0)], 1),
+    ])
+    def test_non_integer_ids_are_refused(self, edges, bad):
+        """An id that is not an integer is not read as one: no string parsed, no float cast, however integral."""
+        with pytest.raises(GraphError) as exc:
+            Graph(3, edges)
+        assert (exc.value.args[0], exc.value.edge) == ("non-integer vertex id", bad)
+
     def test_any_iterable_of_pairs(self):
         g = Graph(3, [(2, 1), (3, 2)])
         for edges in (iter([(1, 2), (2, 3)]), [[2, 1], [3, 2]], np.array([[1, 2], [2, 3]], np.uint8), ((1, 2), (3, 2))):
@@ -323,6 +336,7 @@ EDGE_FAULTS = [
     ("negative weight", [(1, 2), (2, 3), (1, 3)], [1, 2, -1], 2),
     ("negative weight", [(1, 2), (2, 3), (1, 3)], [1, float("nan"), 1], 1),
     ("non-finite weight", [(1, 2), (2, 3), (1, 3)], [float("inf"), 1, 1], 0),
+    ("non-integer vertex id", [(1, 2), (2.5, 3), (1, 3)], [1, 1, 1], 1),
 ]
 
 
@@ -486,6 +500,27 @@ class TestCompleteExtension:
             all_pairs_minmax(xbar).dist(-1, 2)
         with pytest.raises(GraphError, match=r"^vertex out of range: \{4,1\} for n=3$"):
             xbar.weight(4, 1)
+
+    def test_equals_the_rank_table_round_trip(self):
+        """The direct layout is the rank table's `levels[table]` bit for bit, with +0.0 for every -0.0 weight."""
+        rng = random.Random(13)
+        cases = [(Graph(1, []), Weighting([])), (Graph(2, [(1, 2)]), Weighting([-0.0])),
+                 (Graph(2, [(1, 2)]), Weighting([4.5]))]
+        for _ in range(30):
+            g, _ = random_connected_graph(rng.randint(2, 24), rng.random(), rng)
+            cases.append((g, Weighting(rng.choice([-0.0, 0.0, 0.1, 2.0, 2.0, 7.5]) for _ in range(g.m))))
+        cases.append((g, Weighting([-0.0] * g.m)))
+        for g, x in cases:
+            levels, table = solver._rank_table(g, x)
+            values = complete_extension(g, x).values
+            assert values.dtype == np.float64 and values.tobytes() == levels[table].tobytes()
+            assert not np.signbit(values).any()
+
+    def test_no_rank_round_trip(self, monkeypatch):
+        g, x = random_connected_graph(12, 0.5, random.Random(14))
+        expect = complete_extension(g, x).values
+        monkeypatch.setattr(graphs.np, "unique", lambda *a, **k: pytest.fail("ranked the weights"))
+        assert np.array_equal(complete_extension(g, x).values, expect)
 
     def test_preserves_mst_weight_exhaustive_small(self, small_graphs):
         rng = random.Random(11)
@@ -937,11 +972,14 @@ class TestOneTableCheck:
             all_pairs_minmax([[0.0, 1.0], [2.0, 0.0]])
 
     def test_memory_within_four_tables(self):
-        """K_512 on 200 levels: a 2 MiB float64 table, each call peaking under 4 of them (4.5 and 4.4 when the table was copied again)."""
+        """K_512 on 200 levels: a 2 MiB float64 table, each call peaking under 4 of them (4.5 and 4.4 when the table was copied again).
+
+        `complete_extension` lays the floats out directly and peaks under 2 (3.06 through the rank table).
+        """
         g = complete_graph(512)
         x = Weighting([w % 200 for w in range(g.m)])
         xbar, peak = _peak_bytes(lambda: complete_extension(g, x))
-        assert peak < 4 * xbar.values.nbytes
+        assert peak < 2 * xbar.values.nbytes
         d = all_pairs_minmax(xbar)
         zeroed, peak = _peak_bytes(lambda: zero_edge_update(d, 1, 2))
         assert peak < 4 * zeroed.values.nbytes and zeroed.dist(1, 2) == 0.0

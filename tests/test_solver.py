@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import math
 import random
@@ -266,7 +267,7 @@ class TestRankTable:
         g = complete_graph(n)
         rng = random.Random(distinct)
         x = _distinct_weighting(g, distinct, rng)
-        levels, table = graphs._rank_table(g, x)
+        levels, table = solver._rank_table(g, x)
         assert len(levels) == distinct + 1 and table.dtype == dtype
         assert mst_puredp(g, x)[0] == kruskal_mst(g, x)
         dec = mst_decomposition(g, x, fix_spanning_tree(g))
@@ -279,7 +280,7 @@ class TestRankTable:
         """All-distinct positive weights: 0 and the 255 MST weights fill uint8 to its top rank."""
         g, rng = complete_graph(256), random.Random(256)
         x = Weighting(rng.sample(range(1, 10**6), g.m))
-        assert graphs._rank_table(g, x)[1].dtype == np.uint16
+        assert solver._rank_table(g, x)[1].dtype == np.uint16
         walked = _walk_both_orders(g, x, rng, monkeypatch)
         assert {dt for dt, _ in walked} == {np.dtype(np.uint8)} and walked[0][1] == 255
 
@@ -289,7 +290,7 @@ class TestRankTable:
         weights = [-0.0] * 25 + list(range(1, 301))
         rng.shuffle(weights)
         x = Weighting(weights)
-        assert graphs._rank_table(g, x)[1].dtype == np.uint16
+        assert solver._rank_table(g, x)[1].dtype == np.uint16
         assert {dt for dt, _ in _walk_both_orders(g, x, rng, monkeypatch)} == {np.dtype(np.uint8)}
         terms = [d for _, d in mst_decomposition(g, x, fix_spanning_tree(g)).terms]
         assert 0.0 in terms and not np.signbit(terms).any()
@@ -298,7 +299,7 @@ class TestRankTable:
         g = complete_graph(24)
         x = _distinct_weighting(g, 256, random.Random(1))
         refs, alive = [], []
-        rank_table, zero_update = graphs._rank_table, solver._zero_update
+        rank_table, zero_update = solver._rank_table, solver._zero_update
 
         def spy_table(g, x):
             levels, table = rank_table(g, x)
@@ -319,7 +320,7 @@ class TestRankTable:
     def test_swept_ranks_are_kruskal_tree_levels(self, gx):
         """Hu (1961): every bottleneck distance is the weight of an MST edge, so at most n levels survive the sweep."""
         g, x = gx
-        levels, table = graphs._rank_table(g, x)
+        levels, table = solver._rank_table(g, x)
         swept = distances._sweep(table)
         assert len(np.unique(swept)) <= g.n
         off_diagonal = levels[swept[~np.eye(g.n, dtype=bool)]]
@@ -329,13 +330,13 @@ class TestRankTable:
         # numpy's sort may put a -0.0 weight before the 0.0 level; the diagonal stays +0.0
         g, rng = complete_graph(48), random.Random(0)
         x = Weighting(rng.choice([-0.0, 0.0, 1.0, 2.0]) for _ in range(g.m))
-        levels, table = graphs._rank_table(g, x)
+        levels, table = solver._rank_table(g, x)
         assert levels.tolist() == [0.0, 1.0, 2.0] and not np.signbit(levels[0])
         assert not np.signbit(np.diagonal(complete_extension(g, x).values)).any()
 
     def test_single_vertex_has_one_level(self):
         g, x = Graph(1, []), Weighting([])
-        levels, table = graphs._rank_table(g, x)
+        levels, table = solver._rank_table(g, x)
         assert levels.tolist() == [0.0] and table.tolist() == [[0]]
         assert mst_decomposition(g, x, fix_spanning_tree(g)).terms == ()
 
@@ -347,14 +348,14 @@ class TestRankTable:
         np.fill_diagonal(expect, 0.0)
         for (u, v), w in zip(g.edges, x.values):
             expect[u - 1, v - 1] = expect[v - 1, u - 1] = w
-        levels, table = graphs._rank_table(g, x)
+        levels, table = solver._rank_table(g, x)
         assert np.all(np.diff(levels) > 0) and math.copysign(1.0, levels[0]) == 1.0
         assert np.array_equal(levels[table], expect)
         assert table.dtype == np.min_scalar_type(len(levels) - 1)
 
 
 class TestWalkPlan:
-    """The graph-only parts of a solve, planned once per graph on its first solve."""
+    """The fixed tree's ends in walk order, kept on the graph from its first solve; the solvers own the rest."""
 
     @settings(max_examples=120, deadline=None)
     @given(weighted_graphs(min_n=1, max_n=9, max_weight=9), st.booleans())
@@ -370,22 +371,27 @@ class TestWalkPlan:
     def test_ends_are_the_fixed_tree_in_walk_order(self):
         cases = [Graph(1, []), Graph(2, [(1, 2)]), complete_graph(9)] + [g for g, _ in random_instances(20, seed=38)]
         for g in cases:
-            ends = g._plan.ends
+            ends = g._walk
             assert np.array_equal(ends, g._ends[:, fix_spanning_tree(g).edges])
             assert ends.shape == (2, g.n - 1) and ends.dtype == g._ends.dtype and not ends.flags.writeable
-
-    def test_solves_of_one_graph_share_their_op_counts(self):
-        g, x = random_connected_graph(20, 0.3, random.Random(39))
-        first, second = mst_puredp(g, x)[1], mst_puredp(g, Weighting(range(g.m)))[1]
-        assert first is second and first.total is second.total
-        assert first == puredp_op_counts(g.n, g.m)
 
     def test_set_up_builds_no_plan(self):
         g, x = parse_graph("3 3\n1 2 1\n1 3 3\n2 3 2\n")
         for graph in (g, Graph(4, [(1, 2), (2, 3), (3, 4)]), complete_graph(5)):
-            assert "_plan" not in vars(graph)
+            assert "_walk" not in vars(graph) and "_tree" not in vars(graph)
         mst_puredp(g, x)
-        assert "_plan" in vars(g)
+        assert "_walk" in vars(g)
+
+    def test_graphs_imports_nothing_from_solver(self):
+        with open(graphs.__file__, encoding="utf-8") as f:
+            tree = ast.parse(f.read())
+        names = []  # every imported name, dotted, at any depth: lazy imports and TYPE_CHECKING blocks too
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names += [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names += [f"{node.module or ''}.{alias.name}" for alias in node.names]
+        assert "numpy" in names and not [name for name in names if "solver" in name.split(".")]
 
     def test_every_solver_and_compiler_walks_the_plan(self, monkeypatch):
         walked, schedule = [], solver._puredp_schedule
@@ -401,7 +407,7 @@ class TestWalkPlan:
         mst_puredp_naive(g, x)
         compile_mst_circuit(g)
         compile_mst_circuit_naive(g)
-        assert len(walked) == 4 and all(ends is g._plan.ends for ends in walked)
+        assert len(walked) == 4 and all(ends is g._walk for ends in walked)
 
 
 class TestOpCounts:
