@@ -16,6 +16,12 @@ an operand that is one ascending run of slots is stored as a slice.  Node
 ids, the numbering of the text format, stay with the blocks: the
 node-order view (`Circuit.nodes`, the text format) is scattered from the
 blocks when it is asked for.
+
+`evaluate` runs every min and max block on the ranks of the inputs and
+the constant, in the smallest unsigned dtype for index m, and turns
+ranks back into weights only for the add chain, the circuit's last
+block: on K_64 the 762,111 slots take 1.5 MB as uint16, where float64
+took 6.1 MB.
 """
 
 from __future__ import annotations
@@ -31,7 +37,7 @@ from .solver import OpCounts, _puredp_schedule, _resweep, naive_op_counts, pured
 
 INPUT, CONST, MIN, MAX, ADD = range(5)
 KIND_NAMES = ("input", "const", "min", "max", "add")
-_UFUNCS = {MIN: np.minimum, MAX: np.maximum, ADD: np.add}
+_UFUNCS = {MIN: np.minimum, MAX: np.maximum}
 _CHUNK = 1 << 16  # nodes turned into Python objects at a time
 _NODE_BYTES = 3 * np.dtype(np.intp).itemsize  # at most a node's id and operands in its block
 
@@ -274,39 +280,57 @@ def compile_mst_circuit_naive(g: Graph) -> Circuit:
 def evaluate(c: Circuit, x: Weighting | Sequence[float]) -> float:
     """Evaluate the circuit on a weighting with one value per input.
 
-    A plain sequence is checked as a `Weighting`.  One float64 array holds
-    a value per slot; each block writes its own range of it, so a plain
-    block is one ufunc call into that range.  An add chain's last node
-    gets the exactly rounded sum (`math.fsum`) of the chain's operands, so
-    the output equals the solvers' exactly rounded sum on any weights; its
-    earlier nodes keep their tree-order float adds.  Like the solvers, it
-    raises GraphError past the float range.  An `output` that is no node
-    id of the circuit raises ValueError.
+    A plain sequence is checked as a `Weighting`.  Min and max commute
+    with the order-preserving map from weights to ranks (see `solver`), so
+    the min and max blocks run on ranks: one array of the smallest
+    unsigned dtype for index m holds a rank per slot, and each plain block
+    is one ufunc call into its own range of it.  Only the add chain, which
+    must be the circuit's last block, is lifted back to weights: its
+    earlier nodes keep their tree-order float adds, and its last node gets
+    the exactly rounded sum (`math.fsum`) of the chain's operands, so the
+    output equals the solvers' exactly rounded sum on any weights.  Every
+    node evaluates `==` to its value on the weights themselves; only the
+    sign of a zero may differ where a +0.0 and a -0.0 tie.  Like the
+    solvers, it raises GraphError past the float range.  An `output` that
+    is no node id of the circuit, or an add block anywhere but last,
+    raises ValueError.
     """
     values = (x if isinstance(x, Weighting) else Weighting(x)).array
     if len(values) != c.m:
         raise ValueError(f"circuit expects {c.m} input values, got {len(values)}")
     out = c._output_slot
-    vals = np.empty(c.size)
-    vals[: c.m] = values
-    vals[c.m] = 0.0
+    # Slots 0..m (the inputs, then the constant 0) get their ranks in one sort.  Tied
+    # weights may take any order of ranks: min and max then pick an operand of the
+    # same value, so unlike the solvers, which re-rank a swept table to the levels it
+    # holds, this needs no np.unique.  levels[vals[i]] is slot i's own weight.
+    keys = np.append(values, 0.0)
+    order = np.argsort(keys)
+    levels = keys[order]
+    vals = np.empty(c.size, np.min_scalar_type(c.m))
+    vals[order] = np.arange(c.m + 1)
     s = c.m + 1
     for blk in c.blocks:
         e = s + len(blk.ids)
-        op = _UFUNCS[blk.kind]
-        if blk.fold:
-            operands = np.concatenate((vals[blk.a], vals[blk.b]))
+        if blk.kind == ADD:  # the add chain: its slots get no rank, so no block may read them
+            if blk is not c.blocks[-1] or not blk.fold:
+                raise ValueError("an add block must be the circuit's last block, the add chain")
+            operands = levels[np.concatenate((vals[blk.a], vals[blk.b]))]
             try:
-                with np.errstate(over="raise"):  # the add chain, a fold, can pass the float range
-                    vals[s:e] = op.accumulate(operands)[1:]
+                with np.errstate(over="raise"):  # the add chain can pass the float range
+                    chain = np.add.accumulate(operands)[1:]
             except FloatingPointError:
                 raise GraphError("MST weight is too large for a 64-bit float") from None
-            if blk.kind == ADD:  # the chain's value: its operands' exactly rounded sum, as the solvers return
-                vals[e - 1] = _weight_sum(operands.tolist())
+            chain[-1] = _weight_sum(operands.tolist())  # the chain's value, as the solvers return it
+            if out >= s:
+                return float(chain[out - s])
+            break
+        op = _UFUNCS[blk.kind]
+        if blk.fold:
+            vals[s:e] = op.accumulate(np.concatenate((vals[blk.a], vals[blk.b])))[1:]
         else:
             op(vals[blk.a], vals[blk.b], out=vals[s:e])
         s = e
-    return float(vals[out])
+    return float(levels[vals[out]])
 
 
 def count_ops(c: Circuit) -> OpCounts:

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import io
 import math
+import numbers
 import operator
 import warnings
 from dataclasses import dataclass
@@ -155,17 +156,22 @@ class Weighting:
 
     The weights are kept only as `array`, a read-only float64 array, the
     form the solvers read; `values` gives them as a tuple of floats.  A
-    1-D float64 ndarray is copied as it is; any other input is read
-    value by value with `float`.
+    1-D ndarray of a real dtype is copied as float64; any other input is
+    listed once, and each of its values must be a real number by type
+    (a str, bytes, bool, None or complex is not): the first that is not
+    raises GraphError("non-numeric weight") with its index.
     """
 
     array: np.ndarray
 
     def __init__(self, values: Iterable[float]):
-        if isinstance(values, np.ndarray) and values.dtype == np.float64 and values.ndim == 1:
-            arr = values.copy()
+        if isinstance(values, np.ndarray) and values.dtype.kind in "fiu" and values.ndim == 1:
+            arr = values.astype(float)
         else:
-            arr = np.fromiter(map(float, values), float)
+            values = list(values)
+            if not _all_real(values):
+                raise GraphError("non-numeric weight", next(i for i, v in enumerate(values) if not _real(type(v))))
+            arr = np.array(values, float)
         if not (arr.min(initial=0.0) >= 0 and arr.max(initial=0.0) < math.inf):  # NaN fails both
             i = int(np.argmax(~(arr >= 0) | (arr == math.inf)))  # the first faulty weight
             raise GraphError("negative weight" if not arr[i] >= 0 else "non-finite weight", i)
@@ -214,6 +220,21 @@ def _integer(value: int, what: str) -> int:
         return operator.index(value)
     except TypeError:
         raise GraphError(f"{what} {value!r} is not an integer") from None
+
+
+def _real(t: type) -> bool:
+    """Whether values of type t are real numbers: a Python or numpy int or float, a Fraction, or a
+    Decimal (a Number that is not Complex); never a bool."""
+    return ((issubclass(t, numbers.Real) or issubclass(t, numbers.Number) and not issubclass(t, numbers.Complex))
+            and not issubclass(t, (bool, np.bool_)))
+
+
+def _all_real(values: Iterable) -> bool:
+    """Whether every value is a real number by type, read once per distinct type.
+
+    numpy's dtype alone cannot tell: it reads [True, 2.0] as float64.
+    """
+    return all(map(_real, set(map(type, values))))
 
 
 def _weight_sum(weights: Iterable[float]) -> float:
@@ -309,15 +330,19 @@ class ExtendedWeighting:
 
     Holds a complete extension's weights and, as `distances.DistanceMatrix`,
     min-max distances.  A table from outside is copied and checked on
-    construction; one the package computed is kept as built, by `_built`.
+    construction, its entries real numbers by type as a `Weighting`'s
+    are; one the package computed is kept as built, by `_built`.
     """
 
     values: np.ndarray
 
     def __init__(self, values: np.ndarray | Sequence[Sequence[float]]):
-        arr = np.array(values, dtype=float)
+        arr = np.asarray(values)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise GraphError(f"expected a square matrix, got shape {arr.shape}")
+        if arr.dtype.kind not in "fiu" or not isinstance(values, np.ndarray) and not all(map(_all_real, values)):
+            raise GraphError("matrix entries must be numbers")
+        arr = arr.astype(float)
         if np.any(np.diagonal(arr) != 0):
             raise GraphError("matrix diagonal must be zero")
         if not ((arr == arr.T) | (np.isnan(arr) & np.isnan(arr.T))).all():  # bool masks, no float copies

@@ -14,6 +14,9 @@ same for max.  Ranks are such a map: sort the distinct weights once, with
 ranks, the schedule reads the rank of exactly the value it reads when run
 on the weights, so the solvers sweep and update a table of small unsigned
 integers and turn only the n-1 terms back into weights, to sum them.
+`circuit.evaluate` uses the same argument without de-duplication: tied
+weights may take distinct ranks, as min and max then pick an operand of
+the same value, and it never re-ranks.
 
 After the sweep at most n levels remain.  Each swept entry off the
 diagonal is a bottleneck distance, and every bottleneck distance is the

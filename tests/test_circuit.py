@@ -1,4 +1,5 @@
 import hashlib
+import math
 import random
 import re
 import warnings
@@ -56,6 +57,11 @@ GOLDEN_NAIVE_SHA256 = {
 
 def reference_evaluate(c, values):
     """Per-node interpreter over `c.nodes`, the reference for `evaluate`."""
+    return reference_values(c, values)[c.output]
+
+
+def reference_values(c, values):
+    """Every node's value in node order, by `reference_evaluate`'s interpreter."""
     vals = []
     for node in c.nodes:
         kind = node[0]
@@ -71,7 +77,7 @@ def reference_evaluate(c, values):
             vals.append(float(values[node[1]]))
         else:  # const
             vals.append(node[1])
-    return vals[c.output]
+    return vals
 
 
 def golden_graph(name):
@@ -337,7 +343,8 @@ class TestEvaluate:
 
     @pytest.mark.parametrize("values,reason", [([-5, 1, 2], "negative weight"),
                                                ([1, float("nan"), 2], "negative weight"),
-                                               ([1, 2, float("inf")], "non-finite weight")])
+                                               ([1, 2, float("inf")], "non-finite weight"),
+                                               ([1, "2", 3], "non-numeric weight")])
     def test_plain_values_are_checked_as_a_weighting(self, triangle, values, reason):
         g, _ = triangle
         with pytest.raises(GraphError) as info:
@@ -349,6 +356,46 @@ class TestEvaluate:
         c = compile_mst_circuit(g)
         with pytest.raises(ValueError, match="3 input values"):
             evaluate(c, [1.0, 2.0])
+
+
+class TestRanks:
+    """`evaluate` runs min and max on the inputs' ranks and lifts only the add chain to weights."""
+
+    def test_uint16_ranks_match_the_reference(self):
+        """K_24 has 276 inputs, so its ranks need uint16; all weights are distinct, one decimal."""
+        g = complete_graph(24)
+        c = compile_mst_circuit(g)
+        assert np.min_scalar_type(c.m) == np.uint16
+        rng = random.Random(75)
+        x = Weighting([w / 10 for w in rng.sample(range(10**6), g.m)])
+        ref = reference_values(c, x.values)
+        adds = {i: node[2] for i, node in enumerate(c.nodes) if node[0] == "add"}
+        *chain, output = adds
+        others = rng.sample([i for i in range(c.m + 1, c.size) if i not in adds], 60)
+        # the output is the exactly rounded sum of the chain's terms, where the reference adds in tree order
+        assert output == c.output and evaluate(c, x) == math.fsum(ref[b] for b in adds.values()) == mst_puredp(g, x)[0]
+        for t in chain + others:
+            assert evaluate(replace(c, output=t), x) == ref[t]
+
+    def test_ties_and_negative_zeros_match_the_reference(self):
+        g = complete_graph(8)
+        c = compile_mst_circuit(g)
+        rng = random.Random(76)
+        for _ in range(3):
+            x = Weighting([rng.choice([0.0, -0.0, 0.5, 1.0, 3.0]) for _ in range(g.m)])
+            ref = reference_values(c, x.values)
+            assert evaluate(c, x) == mst_puredp(g, x)[0]
+            for t in range(c.size):
+                assert evaluate(replace(c, output=t), x) == ref[t]
+
+    @pytest.mark.parametrize("move", ["add chain first", "add chain before the last block"])
+    def test_add_block_not_last_raises(self, move):
+        c = compile_mst_circuit(complete_graph(4))
+        *blocks, chain = c.blocks
+        assert chain.kind == ADD
+        blocks.insert(0 if move == "add chain first" else len(blocks) - 1, chain)
+        with pytest.raises(ValueError, match="^an add block must be the circuit's last block"):
+            evaluate(replace(c, blocks=tuple(blocks)), [1.0] * c.m)
 
 
 class TestCountOps:

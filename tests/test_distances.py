@@ -110,6 +110,13 @@ class TestAllPairsMinmax:
         with pytest.raises(GraphError, match="^matrix diagonal must be zero$"):
             build([[nan, 1.0], [1.0, 0.0]])
 
+    @pytest.mark.parametrize("build", [all_pairs_minmax, graphs.ExtendedWeighting])
+    @pytest.mark.parametrize("table", [[["0", "1"], ["1", "0"]], [[0, True], [True, 0]],
+                                       [[0.0, None], [None, 0.0]], np.array([[False, True], [True, False]])])
+    def test_non_numeric_entries_are_refused(self, build, table):
+        with pytest.raises(GraphError, match="^matrix entries must be numbers$"):
+            build(table)
+
     def test_ranked_sweep_equals_the_float_sweep(self):
         """The sweep runs on ranks; the float64 kernel on the same table is the reference.
         Non-edges are `inf`, as in Maggs-Plotkin, and rank last."""

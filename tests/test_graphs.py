@@ -5,6 +5,8 @@ import tracemalloc
 import warnings
 import weakref
 from dataclasses import fields
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -578,6 +580,30 @@ class TestWeighting:
         edges = "".join(f"\n1 {v} {w}" for v, w in enumerate(weights, start=2))
         with pytest.raises(ParseError, match=f"^{reason} on line {bad + 2}$"):
             parse_graph(f"{len(weights) + 1} {len(weights)}{edges}\n")
+
+    # (weights, index of the first value that is not a real number by type)
+    NON_NUMERIC = [
+        (["1.5"], 0),
+        ([True], 0),
+        ([1, "abc"], 1),
+        ([2.0, 1, True], 2),
+        ([1, None], 1),
+        ([0, 1 + 2j], 1),
+        ([b"1"], 0),
+        (np.array(["1", "2"]), 0),
+        (np.array([False, True]), 0),
+    ]
+
+    @pytest.mark.parametrize("weights,bad", NON_NUMERIC)
+    def test_non_numeric_weight_refused(self, weights, bad):
+        with pytest.raises(GraphError) as exc:
+            Weighting(weights)
+        assert exc.value.args[0] == "non-numeric weight" and exc.value.edge == bad
+
+    def test_real_numbers_of_any_type_accepted(self):
+        x = Weighting([1, 2**70, np.float32(0.5), np.uint8(7), Fraction(1, 4), Decimal("0.1")])
+        assert x.values == (1.0, float(2**70), 0.5, 7.0, 0.25, 0.1)
+        assert Weighting(np.arange(3, dtype=np.int8)).values == (0.0, 1.0, 2.0)
 
     def test_negative_zero_accepted(self):
         x = Weighting([-0.0, 0.0])
