@@ -18,10 +18,11 @@ node-order view (`Circuit.nodes`, the text format) is scattered from the
 blocks when it is asked for.
 
 `evaluate` runs every min and max block on the ranks of the inputs and
-the constant, in the smallest unsigned dtype for index m, and turns
-ranks back into weights only for the add chain, the circuit's last
-block: on K_64 the 762,111 slots take 1.5 MB as uint16, where float64
-took 6.1 MB.
+the constant (`graphs._ranks`, the solvers' rule), in the smallest
+unsigned dtype for their top rank, and turns ranks back into weights
+only for the add chain, the circuit's last block: on K_64 the 762,111
+slots take 1.5 MB as uint16 with distinct weights, where float64 took
+6.1 MB, and 0.8 MB as uint8 with at most 256 distinct values.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .graphs import Graph, GraphError, Weighting, _check_bytes, _extension_layout, _weight_sum
+from .graphs import Graph, GraphError, Weighting, _check_bytes, _extension_layout, _ranks, _weight_sum
 from .solver import OpCounts, _puredp_schedule, _resweep, naive_op_counts, puredp_op_counts
 
 INPUT, CONST, MIN, MAX, ADD = range(5)
@@ -282,32 +283,26 @@ def evaluate(c: Circuit, x: Weighting | Sequence[float]) -> float:
 
     A plain sequence is checked as a `Weighting`.  Min and max commute
     with the order-preserving map from weights to ranks (see `solver`), so
-    the min and max blocks run on ranks: one array of the smallest
-    unsigned dtype for index m holds a rank per slot, and each plain block
-    is one ufunc call into its own range of it.  Only the add chain, which
-    must be the circuit's last block, is lifted back to weights: its
-    earlier nodes keep their tree-order float adds, and its last node gets
-    the exactly rounded sum (`math.fsum`) of the chain's operands, so the
-    output equals the solvers' exactly rounded sum on any weights.  Every
-    node evaluates `==` to its value on the weights themselves; only the
-    sign of a zero may differ where a +0.0 and a -0.0 tie.  Like the
-    solvers, it raises GraphError past the float range.  An `output` that
-    is no node id of the circuit, or an add block anywhere but last,
-    raises ValueError.
+    the min and max blocks run on ranks: the inputs and the constant 0 are
+    ranked as the solvers rank weights (`graphs._ranks`), one array in the
+    ranks' dtype holds a rank per slot, and each plain block is one ufunc
+    call into its own range of it.  Only the add chain, which must be the
+    circuit's last block, is lifted back to weights: its earlier nodes
+    keep their tree-order float adds, and its last node gets the exactly
+    rounded sum (`math.fsum`) of the chain's operands, so the output equals
+    the solvers' exactly rounded sum on any weights.  Every node evaluates
+    to its value on the weights themselves, a -0.0 weight as +0.0, as in
+    the solvers.  Like them, it raises GraphError past the float range.
+    An `output` that is no node id of the circuit, or an add block
+    anywhere but last, raises ValueError.
     """
     values = (x if isinstance(x, Weighting) else Weighting(x)).array
     if len(values) != c.m:
         raise ValueError(f"circuit expects {c.m} input values, got {len(values)}")
     out = c._output_slot
-    # Slots 0..m (the inputs, then the constant 0) get their ranks in one sort.  Tied
-    # weights may take any order of ranks: min and max then pick an operand of the
-    # same value, so unlike the solvers, which re-rank a swept table to the levels it
-    # holds, this needs no np.unique.  levels[vals[i]] is slot i's own weight.
-    keys = np.append(values, 0.0)
-    order = np.argsort(keys)
-    levels = keys[order]
-    vals = np.empty(c.size, np.min_scalar_type(c.m))
-    vals[order] = np.arange(c.m + 1)
+    levels, ranks = _ranks(np.append(values, 0.0))  # slots 0..m: the inputs, then the constant 0
+    vals = np.empty(c.size, ranks.dtype)
+    vals[: c.m + 1] = ranks
     s = c.m + 1
     for blk in c.blocks:
         e = s + len(blk.ids)
@@ -341,19 +336,22 @@ def count_ops(c: Circuit) -> OpCounts:
     return OpCounts(counts[MIN], counts[MAX], counts[ADD])
 
 
-def format_circuit(c: Circuit) -> str:
-    """Serialize in the one-node-per-line text format, ids in node order.
+def format_circuit_chunks(c: Circuit) -> Iterator[str]:
+    """The text format in pieces whose concatenation is `format_circuit(c)`.
 
-    The text is built one chunk of nodes at a time, so no list of all
-    lines is ever held.
+    Each piece holds the lines of one chunk of nodes, the last the output
+    line, so a writer never holds the whole text.
     """
-    parts = []
     for start, kinds, a, b in _chunks(c):
-        parts.append("\n".join([
+        yield "\n".join([
             f"{i} = {KIND_NAMES[k]} {x} {y}" if k > CONST
             else f"{i} = input {x}" if k == INPUT
             else f"{i} = const 0"
             for i, k, x, y in zip(range(start, start + len(kinds)), kinds, a, b)
-        ]))
-    parts.append(f"output {c.output}\n")
-    return "\n".join(parts)
+        ]) + "\n"
+    yield f"output {c.output}\n"
+
+
+def format_circuit(c: Circuit) -> str:
+    """Serialize in the one-node-per-line text format, ids in node order."""
+    return "".join(format_circuit_chunks(c))

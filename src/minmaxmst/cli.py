@@ -14,7 +14,7 @@ import sys
 import time
 
 from . import graphs
-from .circuit import compile_mst_circuit, format_circuit
+from .circuit import compile_mst_circuit, format_circuit_chunks
 from .generate import DEFAULT_MAX_WEIGHT, random_connected_graph, random_weighting
 from .graphs import Graph, GraphError, Weighting, _check_bytes, _check_work, _plain, complete_graph, format_edge_list, parse_graph, fix_spanning_tree
 from .oracles import PreconditionError, bruteforce_mst, kruskal_mst, maggs_plotkin_mst
@@ -124,7 +124,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 def cmd_emit_circuit(args: argparse.Namespace) -> int:
     g, _ = _load(args.file)
-    print(format_circuit(compile_mst_circuit(g)), end="")
+    sys.stdout.writelines(format_circuit_chunks(compile_mst_circuit(g)))  # never the whole text at once
     return 0
 
 

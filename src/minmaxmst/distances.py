@@ -63,7 +63,8 @@ def all_pairs_minmax(xbar: ExtendedWeighting | np.ndarray) -> DistanceMatrix:
     Initial values are the pair weights; n rounds of the pair recurrence
     perform n * n(n-1)/2 min and as many max operations.  The rounds run
     on the entries' ranks, which gives the same distances (see the
-    `solver` module docstring); an `inf` entry ranks last.  The input is
+    `solver` module docstring); an `inf` entry ranks last, and a -0.0
+    entry reads +0.0, as `complete_extension` gives it.  The input is
     not modified: an `ExtendedWeighting` is ranked as it is, any other
     table is copied and checked as one once the sweep fits the work budget.
     """

@@ -13,6 +13,7 @@ import operator
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import Iterable, NoReturn, Sequence
 
 import numpy as np
@@ -50,16 +51,24 @@ class Graph:
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         """Check the edges on arrays and keep them; the first faulty edge is named by its index.
 
-        That edge's first fault is named, in the order non-integer vertex id,
-        self-loop, vertex id out of range, duplicate edge; a graph without one
-        must be connected.
+        n must be an integer (not a bool) of at least 1.  The first faulty
+        edge's first fault is named, in the order not a pair, non-integer
+        vertex id (a bool is none), self-loop, vertex id out of range,
+        duplicate edge; a graph without one must be connected.
         """
+        n = _integer(n, "vertex count")
         if n < 1:
             raise GraphError("vertex count must be >= 1")
         if not isinstance(edges, np.ndarray):
             edges = list(edges)
-        pairs = np.asarray(edges)
-        if len(edges) and pairs.dtype.kind not in "iu":  # floats, strings, and objects such as ids past int64
+        try:
+            pairs = np.asarray(edges)
+        except ValueError:  # ragged: some edge is not a pair
+            _first_edge_fault(n, edges)
+        # the loop names what the whole array hides: an edge that is not a pair; floats, strings, and
+        # objects such as ids past int64; and bools, which numpy reads as ints among ints
+        if len(edges) and (pairs.shape != (len(edges), 2) or pairs.dtype.kind not in "iu" or isinstance(edges, list)
+                           and not _BOOLS.isdisjoint(map(type, chain.from_iterable(edges)))):
             _first_edge_fault(n, edges)
         pairs = pairs.astype(np.int64, copy=False).reshape(len(edges), 2)
         lo, hi = np.minimum(pairs[:, 0], pairs[:, 1]), np.maximum(pairs[:, 0], pairs[:, 1])
@@ -203,7 +212,7 @@ class Weighting:
 
 @dataclass(frozen=True, init=False)
 class SpanningTree:
-    """Ordered list of n-1 edge indices of a host graph, each an integer (a NumPy integer too)."""
+    """Ordered list of n-1 edge indices of a host graph, each an integer (a NumPy integer too, never a bool)."""
 
     edges: tuple[int, ...]
 
@@ -214,10 +223,21 @@ class SpanningTree:
         return len(self.edges)
 
 
+_BOOLS = {bool, np.bool_}
+
+
+def _index(value) -> int:
+    """value through `operator.index`, bools refused (TypeError): int() would truncate 2.5, and
+    True would read as 1, an index or vertex the caller never named."""
+    if isinstance(value, bool):  # numpy's bool has no __index__ already
+        raise TypeError(f"{value!r} is a bool")
+    return operator.index(value)
+
+
 def _integer(value: int, what: str) -> int:
-    """value through `operator.index`: int() would truncate 2.5 to an index or vertex the caller never named."""
+    """value through `_index`, else GraphError naming it."""
     try:
-        return operator.index(value)
+        return _index(value)
     except TypeError:
         raise GraphError(f"{what} {value!r} is not an integer") from None
 
@@ -257,9 +277,13 @@ def _first_edge_fault(n: int, edges: Sequence[tuple[int, int]] | np.ndarray) -> 
     fails; a list with no faulty edge then has n >= 2**31 and fewer than n-1 edges: disconnected.
     """
     seen: set[tuple[int, int]] = set()
-    for i, (u, v) in enumerate(edges):
+    for i, edge in enumerate(edges):
         try:
-            u, v = sorted((operator.index(u), operator.index(v)))
+            u, v = edge
+        except (TypeError, ValueError):
+            raise GraphError(f"edge {edge!r} is not a pair of vertex ids", i) from None
+        try:
+            u, v = sorted((_index(u), _index(v)))
         except TypeError:
             raise GraphError("non-integer vertex id", i) from None
         if u == v:
@@ -408,9 +432,24 @@ def _extension_layout(g: Graph, edge_entries: np.ndarray, zero, biggest) -> np.n
 
 
 def _ranks(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct values ascending, and `values` with each value replaced by its index into them, in the smallest unsigned dtype that holds it."""
-    levels, ranks = np.unique(values, return_inverse=True)
-    return levels, ranks.reshape(values.shape).astype(np.min_scalar_type(len(levels) - 1))
+    """The package's one ranking rule for float values: (levels, ranks).
+
+    `levels` holds the distinct values ascending, a zero as +0.0 (-0.0 and
+    0.0 are one value); `ranks` is `values` with each value replaced by its
+    index into `levels`, in `values`' shape and the smallest unsigned dtype
+    that holds the top index.  Equal values share a rank.  One sort: the
+    runs of equal values in sorted order are the levels.
+    """
+    flat = values.ravel()
+    order = np.argsort(flat)
+    ordered = flat[order]
+    starts = np.empty(len(flat), bool)  # starts[i]: ordered[i] is a new level
+    starts[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=starts[1:])
+    levels = ordered[starts] + 0.0  # a run of zeros may start with -0.0
+    ranks = np.empty(len(flat), np.min_scalar_type(len(levels) - 1))
+    ranks[order] = np.cumsum(starts) - 1
+    return levels, ranks.reshape(values.shape)
 
 
 def complete_extension(g: Graph, x: Weighting) -> ExtendedWeighting:

@@ -14,7 +14,7 @@ from functools import lru_cache
 import numpy as np
 
 from .distances import DistanceMatrix, _check_sweep_work, all_pairs_minmax
-from .graphs import ExtendedWeighting, Graph, Weighting, _check_bytes, _check_weighting, _check_work, _extension_layout, _forest, _weight_sum
+from .graphs import ExtendedWeighting, Graph, Weighting, _check_bytes, _check_weighting, _check_work, _extension_layout, _forest, _ranks, _weight_sum
 
 BRUTEFORCE_MAX_N = 8
 
@@ -99,7 +99,7 @@ def maggs_plotkin_mst(g: Graph, x: Weighting) -> float:
     """
     _check_weighting(g, x)
     _check_sweep_work(g.n)
-    if len(np.unique(x.array)) != g.m:
+    if len(_ranks(x.array)[0]) != g.m:
         raise PreconditionError("maggs_plotkin_mst requires pairwise distinct weights")
     d = all_pairs_minmax(ExtendedWeighting._built(_extension_layout(g, x.array, 0.0, math.inf))).values
     u, v = g._ends

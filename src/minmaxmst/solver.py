@@ -9,14 +9,17 @@ driver recomputes distances from scratch each round in O(n^4).
 
 Until the final sum the schedule uses only min and max, and both commute
 with every non-decreasing map f: f(min(a, b)) = min(f(a), f(b)), and the
-same for max.  Ranks are such a map: sort the distinct weights once, with
-0 as the lowest level, and replace each weight by its index.  Run on the
-ranks, the schedule reads the rank of exactly the value it reads when run
-on the weights, so the solvers sweep and update a table of small unsigned
-integers and turn only the n-1 terms back into weights, to sum them.
-`circuit.evaluate` uses the same argument without de-duplication: tied
-weights may take distinct ranks, as min and max then pick an operand of
-the same value, and it never re-ranks.
+same for max.  Ranks are such a map, and `graphs._ranks` is the one rule
+that makes them: one sort of the values, each run of equal values one
+level (so tied weights share a rank, and a zero of either sign is the
+level +0.0), each value replaced by its level's index, in the smallest
+unsigned dtype for the top index.  Run on the ranks, the schedule reads
+the rank of exactly the value it reads when run on the weights.  So the
+solvers sweep and update a table of small unsigned integers, with 0 as
+the lowest level, and turn only the n-1 terms back into weights, to sum
+them; `distances.all_pairs_minmax` sweeps a table's ranks, and
+`circuit.evaluate` runs a circuit's min and max nodes on the ranks of its
+inputs and the constant 0, by the same rule.
 
 After the sweep at most n levels remain.  Each swept entry off the
 diagonal is a bottleneck distance, and every bottleneck distance is the
@@ -32,7 +35,7 @@ levels) and the 254 updates on uint8.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property, lru_cache, partial
 from typing import Any, Iterable, Iterator
 
 import numpy as np
@@ -141,7 +144,6 @@ def _rank_table(g: Graph, x: Weighting) -> tuple[np.ndarray, np.ndarray]:
     weight table.
     """
     levels, ranks = _ranks(np.concatenate(([0.0], x.array)))
-    levels[0] = 0.0  # +0.0 even when a -0.0 weight sorted first
     return levels, _extension_layout(g, ranks[1:], 0, len(levels) - 1)
 
 
@@ -176,11 +178,14 @@ def _ranked_walk(g: Graph, x: Weighting, ends: np.ndarray) -> tuple[np.ndarray, 
     return levels, list(_puredp_schedule(ends, table, _zero_update))
 
 
+@lru_cache(maxsize=1024)
 def _op_counts(n: int, m: int, sweeps: int, rounds: int) -> OpCounts:
     """Closed-form tally of `sweeps` full distance runs and `rounds` zeroing update rounds on K_n.
 
     Each relaxes every pair n times or twice, with one min and one max; the
     extension's max fold adds m-1 maxes and the tree-order sum n-1 adds.
+    The record is frozen and cached, so the solves of one shape share it
+    and its `total`.
     """
     pairs = n * (n - 1) // 2
     relax = (sweeps * n + 2 * rounds) * pairs

@@ -22,6 +22,7 @@ from minmaxmst import (
     evaluate,
     fix_spanning_tree,
     format_circuit,
+    kruskal_mst,
     mst_decomposition,
     mst_puredp,
     mst_puredp_naive,
@@ -30,7 +31,7 @@ from minmaxmst import (
     puredp_op_counts,
     random_connected_graph,
 )
-from minmaxmst import graphs
+from minmaxmst import circuit, graphs
 from minmaxmst.circuit import ADD, MAX, MIN
 from conftest import TRIANGLE, random_instances, small_graphs_of_every_shape
 
@@ -387,6 +388,36 @@ class TestRanks:
             assert evaluate(c, x) == mst_puredp(g, x)[0]
             for t in range(c.size):
                 assert evaluate(replace(c, output=t), x) == ref[t]
+
+    def test_signed_zeros_and_ties_on_uint8_slots(self, monkeypatch):
+        """Weights from {-0.0, 0, 1, 2, 3} are four levels, ranked as the solvers rank them: K_24's 276
+        inputs evaluate on uint8 slots, the output equals both solvers', and a zero reads +0.0."""
+        dtypes = set()
+
+        class Spy:  # a min or max ufunc that notes the dtype of the slots it writes
+            def __init__(self, op):
+                self.op = op
+
+            def __call__(self, a, b, out):
+                dtypes.add(out.dtype)
+                return self.op(a, b, out=out)
+
+            def accumulate(self, v):
+                dtypes.add(v.dtype)
+                return self.op.accumulate(v)
+
+        monkeypatch.setattr(circuit, "_UFUNCS", {k: Spy(op) for k, op in circuit._UFUNCS.items()})
+        rng = random.Random(77)
+        for g in [complete_graph(24)] + [g for g, _ in random_instances(6, seed=78, max_n=12)]:
+            c = compile_mst_circuit(g)
+            for pool in ([-0.0, 0.0, 1.0, 2.0, 3.0], [-0.0, 0.0]):
+                x = Weighting(rng.choice(pool) for _ in range(g.m))
+                assert evaluate(c, x) == mst_puredp(g, x)[0] == kruskal_mst(g, x)
+            x = Weighting([-0.0] * g.m)  # every MST edge zero: the output, and each input, read +0.0
+            for t in (c.output, 0):
+                value = evaluate(replace(c, output=t), x)
+                assert value == 0.0 and math.copysign(1.0, value) == 1.0
+        assert dtypes == {np.dtype(np.uint8)}
 
     @pytest.mark.parametrize("move", ["add chain first", "add chain before the last block"])
     def test_add_block_not_last_raises(self, move):

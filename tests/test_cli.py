@@ -1,18 +1,22 @@
 import hashlib
+import io
 import json
 import random
 import re
 import shutil
 import subprocess
+import sys
 
 import pytest
 
 from minmaxmst import (
     Weighting,
+    circuit,
     cli,
     compile_mst_circuit,
     complete_graph,
     evaluate,
+    format_circuit,
     format_edge_list,
     graphs,
     parse_graph,
@@ -370,6 +374,27 @@ class TestEmitCircuit:
         g, x = parse_graph(TRIANGLE)
         assert evaluate(compile_mst_circuit(g), x) == 3.0
         assert first.splitlines()[-1].startswith("output ")
+
+    def test_writes_the_text_one_chunk_at_a_time(self, tmp_path, monkeypatch):
+        """emit-circuit writes format_circuit's bytes one chunk of nodes at a time, here 50 nodes a write."""
+        monkeypatch.setattr(circuit, "_CHUNK", 50)
+        g = complete_graph(8)
+        f = tmp_path / "k8.el"
+        f.write_text(format_edge_list(g, Weighting(range(g.m))))
+        writes = []
+
+        class Recorder(io.StringIO):
+            def write(self, text):
+                writes.append(text)
+                return len(text)
+
+        monkeypatch.setattr(sys, "stdout", Recorder())
+        assert main(["emit-circuit", str(f)]) == 0
+        c = compile_mst_circuit(g)
+        text = format_circuit(c)
+        assert "".join(writes) == text
+        assert len(writes) == -(-c.size // 50) + 1  # the node chunks, then the output line
+        assert max(map(len, writes)) < len(text) // 20
 
     def test_single_edge_has_one_input(self, capsys, tmp_path):
         f = tmp_path / "e.el"

@@ -1,6 +1,8 @@
 import gc
 import hashlib
+import math
 import random
+import re
 import tracemalloc
 import warnings
 import weakref
@@ -39,7 +41,7 @@ from minmaxmst import (
 )
 from minmaxmst import graphs, solver
 from conftest import TRIANGLE, small_graphs_of_every_shape
-from strategies import weighted_graphs
+from strategies import SPECIAL_FLOATS, weighted_graphs
 
 
 class TestParse:
@@ -339,6 +341,9 @@ EDGE_FAULTS = [
     ("negative weight", [(1, 2), (2, 3), (1, 3)], [1, float("nan"), 1], 1),
     ("non-finite weight", [(1, 2), (2, 3), (1, 3)], [float("inf"), 1, 1], 0),
     ("non-integer vertex id", [(1, 2), (2.5, 3), (1, 3)], [1, 1, 1], 1),
+    # a bool is no vertex id, though numpy reads it as an int among ints; the parser reads "True" as no integer
+    ("non-integer vertex id", [(1, 2), (True, 3), (1, 3)], [1, 1, 1], 1),
+    ("non-integer vertex id", [(1, 2), (2, 3), (3, np.False_)], [1, 1, 1], 2),
 ]
 
 
@@ -381,6 +386,81 @@ class TestEdgeFaults:
     def test_disconnected_before_weight_faults(self):
         with pytest.raises(GraphError, match="^disconnected graph$"):
             parse_graph("5 4\n1 2 -1\n2 3 1\n1 3 1\n4 5 1\n")
+
+
+RANK_VALUES = st.one_of(st.sampled_from((-0.0, 0.0, 1.0, 2.0, math.inf) + SPECIAL_FLOATS), st.floats(0, 1e300))
+
+
+class TestRanks:
+    """`graphs._ranks`, the one rank rule of the solvers, `all_pairs_minmax` and `evaluate`."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(RANK_VALUES, max_size=40), st.booleans())
+    def test_levels_and_ranks(self, values, square):
+        values = np.array(values)
+        if square and len(values) % 2 == 0:
+            values = values.reshape(2, -1)
+        levels, ranks = graphs._ranks(values)
+        assert np.all(np.diff(levels) > 0) and not np.signbit(levels).any()
+        assert ranks.shape == values.shape and ranks.dtype == np.min_scalar_type(len(levels) - 1)
+        assert np.array_equal(levels[ranks], values)  # -0.0 == 0.0
+        flat_values, flat_ranks = values.ravel(), ranks.ravel()
+        assert np.array_equal(flat_ranks[:, None] == flat_ranks, flat_values[:, None] == flat_values)
+
+    def test_empty(self):
+        levels, ranks = graphs._ranks(np.array([]))
+        assert levels.shape == ranks.shape == (0,) and levels.dtype == np.float64
+
+    @pytest.mark.parametrize("distinct,dtype", [(1, np.uint8), (256, np.uint8), (257, np.uint16), (65537, np.uint32)])
+    def test_dtype_for_the_top_index(self, distinct, dtype):
+        values = np.arange(distinct, dtype=float)[::-1].repeat(2)
+        levels, ranks = graphs._ranks(values)
+        assert len(levels) == distinct and ranks.dtype == dtype and ranks[0] == distinct - 1
+
+
+class TestBoundary:
+    """`Graph` and `SpanningTree` refuse what is not an integer count, a pair or an index, naming it."""
+
+    @pytest.mark.parametrize("n", ["3", 3.0, True, None, np.float64(3)])
+    def test_vertex_count_must_be_an_integer(self, n):
+        with pytest.raises(GraphError) as exc:
+            Graph(n, [(1, 2), (2, 3)])
+        assert str(exc.value) == f"vertex count {n!r} is not an integer" and exc.value.edge is None
+
+    def test_numpy_vertex_count(self):
+        g = Graph(np.int64(3), [(1, 2), (2, 3)])
+        assert type(g.n) is int and g == Graph(3, [(1, 2), (2, 3)])
+
+    @pytest.mark.parametrize("edges,bad", [
+        ([(1, 2, 3)], 0),
+        ([1, 2], 0),
+        ([(1, 2), (2, 3, 1)], 1),  # ragged: numpy builds no array
+        ([(1, 2), (3,)], 1),
+        ([(1, 2), 3], 1),
+        (np.array([[1, 2, 3], [2, 3, 1]]), 0),
+        (np.array([1, 2]), 0),
+    ])
+    def test_edges_must_be_pairs(self, edges, bad):
+        with pytest.raises(GraphError) as exc:
+            Graph(3, edges)
+        assert exc.value.edge == bad
+        assert str(exc.value) == f"edge {list(edges)[bad]!r} is not a pair of vertex ids at edge index {bad}"
+
+    @pytest.mark.parametrize("edges,bad", [
+        ([(True, 2)], 0),
+        ([(1, 2), (2, np.True_)], 1),
+        (np.array([[True, False]]), 0),
+        (np.array([[1, 2], [True, 2]], dtype=object), 1),
+    ])
+    def test_bool_vertex_ids_are_refused(self, edges, bad):
+        with pytest.raises(GraphError) as exc:
+            Graph(2, edges)
+        assert (exc.value.args[0], exc.value.edge) == ("non-integer vertex id", bad)
+
+    @pytest.mark.parametrize("edges,bad", [([True], "True"), ([0, False], "False"), ([np.True_], repr(np.True_))])
+    def test_bool_edge_indices_are_refused(self, edges, bad):
+        with pytest.raises(GraphError, match=rf"^edge index {re.escape(bad)} is not an integer$"):
+            SpanningTree(edges)
 
 
 class TestGraph:
@@ -521,7 +601,7 @@ class TestCompleteExtension:
     def test_no_rank_round_trip(self, monkeypatch):
         g, x = random_connected_graph(12, 0.5, random.Random(14))
         expect = complete_extension(g, x).values
-        monkeypatch.setattr(graphs.np, "unique", lambda *a, **k: pytest.fail("ranked the weights"))
+        monkeypatch.setattr(graphs, "_ranks", lambda *a, **k: pytest.fail("ranked the weights"))
         assert np.array_equal(complete_extension(g, x).values, expect)
 
     def test_preserves_mst_weight_exhaustive_small(self, small_graphs):

@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import hashlib
 import math
 import random
@@ -433,6 +434,21 @@ class TestOpCounts:
             expect = big_n + max(n - 2, 0) * big_k + (n - 1) + (m - 1)
             assert puredp_op_counts(n, m).total == expect
             assert naive_op_counts(n, m).total == (n - 1) * big_n + (n - 1) + (m - 1)
+
+    def test_one_shared_record_per_shape(self):
+        """Every solve of one (n, m) returns the same frozen record, so its `total` int is shared too."""
+        path, star = Graph(6, [(v, v + 1) for v in range(1, 6)]), Graph(6, [(1, v) for v in range(2, 7)])
+        ops = mst_puredp(path, Weighting(range(5)))[1]
+        assert ops is mst_puredp(star, Weighting([0.5, 2, 0, 7, 1]))[1] is puredp_op_counts(6, 5)
+        assert ops.total is puredp_op_counts(6, 5).total
+        naive = mst_puredp_naive(path, Weighting([1] * 5))[1]
+        assert naive is mst_puredp_naive(star, Weighting([3] * 5))[1] is naive_op_counts(6, 5) and naive is not ops
+        # n = 6: P = 15 pairs, each relaxed with one min and one max per sweep round (6 a sweep) and
+        # twice per update round (4); the extension's max fold takes m-1 = 4 maxes, the sum n-1 = 5 adds
+        assert (ops.min_count, ops.max_count, ops.add_count, ops.total) == (210, 214, 5, 429)
+        assert (naive.min_count, naive.max_count, naive.add_count, naive.total) == (450, 454, 5, 909)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            ops.min_count = 0
 
     def test_naive_strictly_larger_from_n3(self):
         for n in (3, 4, 8):
