@@ -15,6 +15,7 @@ from .circuit import (
     count_ops,
     evaluate,
     format_circuit,
+    live_ops,
 )
 from .distances import (
     DistanceMatrix,
@@ -83,6 +84,7 @@ __all__ = [
     "hu_minmax_via_mst",
     "kruskal_mst",
     "kruskal_tree",
+    "live_ops",
     "maggs_plotkin_mst",
     "minmax_distance_bruteforce",
     "mst_decomposition",

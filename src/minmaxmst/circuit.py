@@ -11,24 +11,30 @@ slots and writes each round once, as its evaluation schedule: blocks of
 nodes of one kind that do not read each other, and the two chains (the
 extension's max-fold and the tree-order add chain) as left folds.  Slots
 number the values in block order, so each block writes one contiguous
-range and `evaluate` makes a few numpy calls per round with no scatter;
-an operand that is one ascending run of slots is stored as a slice.  Node
-ids, the numbering of the text format, stay with the blocks: the
-node-order view (`Circuit.nodes`, the text format) is scattered from the
-blocks when it is asked for.
+range; an operand that is one ascending run of slots is stored as a
+slice.  Node ids, the numbering of the text format, stay with the blocks:
+the node-order view (`Circuit.nodes`, the text format) is scattered from
+the blocks when it is asked for.
 
-`evaluate` runs every min and max block on the ranks of the inputs and
-the constant (`graphs._ranks`, the solvers' rule), in the smallest
-unsigned dtype for their top rank, and turns ranks back into weights
-only for the add chain, the circuit's last block: on K_64 the 762,111
-slots take 1.5 MB as uint16 with distinct weights, where float64 took
-6.1 MB, and 0.8 MB as uint8 with at most 256 distinct values.
+`evaluate` runs a circuit's live plan, built on its first call and kept
+on the circuit: only the nodes that the output and the whole add chain
+read, renumbered densely in slot order (`_live_plan`).  The paper's
+schedule does work that no output reads: after the round that zeroes
+{a, b}, rows a and b are equal, and on K_n the extension's max-fold has
+no non-edge to feed.  So K_64 evaluates 426,784 of its 762,111 slots, and
+`live_ops` counts the 424,767 of its 760,094 operations that run, while
+`count_ops` stays the schedule's count.  The plan's min and max steps run
+on the ranks of the inputs and the constant (`graphs._ranks`, the
+solvers' rule), in the smallest unsigned dtype for their top rank, one
+ufunc call per step into its own range, with no scatter; ranks turn back
+into weights only for the add chain, the circuit's last block.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, partial
+from itertools import accumulate
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -95,11 +101,98 @@ class Circuit:
                     yield (KIND_NAMES[k], x, y)
 
     @cached_property
-    def _output_slot(self) -> int:
-        """The evaluation slot of node `output`, found once per circuit."""
-        if not 0 <= self.output < self.size:
-            raise ValueError(f"output {self.output} is not a node id of this {self.size}-node circuit")
-        return int(np.flatnonzero(_slot_nodes(self) == self.output)[0])
+    def _plan(self) -> _Plan:
+        """The live plan that `evaluate` runs, built on its first call (`_live_plan`)."""
+        return _live_plan(self)
+
+
+class _Step(NamedTuple):
+    """One block of a live plan: `kind` into the plan slots `out`; `a`, `b` and `fold` as in `Block`, in plan slots."""
+
+    kind: int
+    out: slice
+    a: np.ndarray | slice
+    b: np.ndarray | slice
+    fold: bool
+
+
+class _Plan(NamedTuple):
+    """What `evaluate` runs of a circuit.
+
+    Slots 0..m are the inputs and the constant 0; the steps' `out` ranges
+    tile [m+1, live) in order, the add chain last when the circuit has one.
+    `output` is the plan slot of the circuit's output.
+    """
+
+    live: int
+    steps: tuple[_Step, ...]
+    output: int
+
+
+def _live_plan(c: Circuit) -> _Plan:
+    """The nodes that `c.output` and the whole add chain read, in slot order, renumbered densely.
+
+    The add chain stays whole, so its overflow check sees every term.  One
+    backward pass over the blocks marks live slots in one intp array: the
+    inputs and the constant, the output's slot, the add chain, then in a
+    plain block the operands of its marked slots and in a fold its prefix
+    up to its last marked slot and that prefix's operands.  One cumsum
+    then numbers the marks, so live slot s becomes plan slot mark[s] - 1.
+    Each block keeps its live positions in order, and a block with none
+    is dropped.  An `output` that is no node id, or an add block anywhere
+    but last (live or dead), raises ValueError.
+    """
+    if not 0 <= c.output < c.size:
+        raise ValueError(f"output {c.output} is not a node id of this {c.size}-node circuit")
+    if any(blk.kind == ADD and (blk is not c.blocks[-1] or not blk.fold) for blk in c.blocks):
+        raise ValueError("an add block must be the circuit's last block, the add chain")
+    starts = list(accumulate((len(blk.ids) for blk in c.blocks), initial=c.m + 1))
+    spans = list(zip(c.blocks, starts, starts[1:]))
+    out = c.output  # an input or the constant holds its own id as its slot
+    if out > c.m:
+        out = next(s + int(np.flatnonzero(blk.ids == c.output)[0]) for blk, s, _ in spans if c.output in blk.ids)
+    mark = np.zeros(c.size, np.intp)
+    mark[: c.m + 1] = mark[out] = 1  # the inputs and the constant are ranked whatever the plan reads
+    for blk, s, e in reversed(spans):
+        if blk.kind == ADD:
+            mark[s:e] = 1
+        hit = mark[s:e].nonzero()[0]
+        if not len(hit):
+            continue
+        if blk.fold:  # a chain: its prefix up to its last marked node
+            hit = np.arange(hit[-1] + 1)
+            mark[s : s + len(hit)] = mark[blk.a] = 1
+        else:
+            hit = None if len(hit) == e - s else hit
+            mark[_at(blk.a, hit)] = 1
+        mark[_at(blk.b, hit)] = 1
+    np.cumsum(mark, out=mark)
+    steps = []
+    for blk, s, e in spans:
+        lo, hi = int(mark[s - 1]), int(mark[e - 1])  # the block's plan slots [lo, hi)
+        if lo == hi:
+            continue
+        hit = None if hi - lo == e - s else (mark[s:e] > mark[s - 1 : e - 1]).nonzero()[0]
+        a = blk.a if blk.fold else _at(blk.a, hit)
+        steps.append(_Step(blk.kind, slice(lo, hi), _renumber(mark, a), _renumber(mark, _at(blk.b, hit)), blk.fold))
+    return _Plan(int(mark[-1]), tuple(steps), int(mark[out]) - 1)
+
+
+def _at(v: np.ndarray | slice, hit: np.ndarray | None) -> np.ndarray | slice:
+    """The slots that operand v reads at a block's positions hit; all of them when hit is None."""
+    if hit is None:
+        return v
+    return hit + v.start if isinstance(v, slice) else v[hit]
+
+
+def _renumber(mark: np.ndarray, v: np.ndarray | slice) -> np.ndarray | slice:
+    """Plan slots of the live slots v, through the counted marks; a slice where they form one ascending run."""
+    if isinstance(v, slice):  # a whole run of live slots: one run of plan slots
+        return slice(int(mark[v.start]) - 1, int(mark[v.stop - 1]))
+    slots = mark[v] - 1
+    if slots[-1] - slots[0] == len(slots) - 1 and (slots[1:] > slots[:-1]).all():  # ascending, no gap
+        return slice(int(slots[0]), int(slots[-1]) + 1)
+    return slots
 
 
 def _slot_nodes(c: Circuit) -> np.ndarray:
@@ -281,59 +374,69 @@ def compile_mst_circuit_naive(g: Graph) -> Circuit:
 def evaluate(c: Circuit, x: Weighting | Sequence[float]) -> float:
     """Evaluate the circuit on a weighting with one value per input.
 
-    A plain sequence is checked as a `Weighting`.  Min and max commute
-    with the order-preserving map from weights to ranks (see `solver`), so
-    the min and max blocks run on ranks: the inputs and the constant 0 are
-    ranked as the solvers rank weights (`graphs._ranks`), one array in the
-    ranks' dtype holds a rank per slot, and each plain block is one ufunc
-    call into its own range of it.  Only the add chain, which must be the
-    circuit's last block, is lifted back to weights: its earlier nodes
-    keep their tree-order float adds, and its last node gets the exactly
-    rounded sum (`math.fsum`) of the chain's operands, so the output equals
-    the solvers' exactly rounded sum on any weights.  Every node evaluates
-    to its value on the weights themselves, a -0.0 weight as +0.0, as in
-    the solvers.  Like them, it raises GraphError past the float range.
-    An `output` that is no node id of the circuit, or an add block
-    anywhere but last, raises ValueError.
+    A plain sequence is checked as a `Weighting`.  The circuit's live plan
+    is built on its first call and kept (`_live_plan`): only the nodes
+    that the output and the whole add chain read, in one slot range per
+    block that has any.  Min and max commute with the order-preserving
+    map from weights to ranks (see `solver`), so the min and max steps
+    run on ranks: the inputs and the constant 0 are ranked as the solvers
+    rank weights (`graphs._ranks`), one array in the ranks' dtype holds a
+    rank per plan slot, and each plain step is one ufunc call into its
+    own range of it.  Only the add chain, which must be the circuit's
+    last block, is lifted back to weights: its earlier nodes keep their
+    tree-order float adds, and its last node gets the exactly rounded sum
+    (`math.fsum`) of the chain's operands, so the output equals the
+    solvers' exactly rounded sum on any weights.  Every node evaluates to
+    its value on the weights themselves, a -0.0 weight as +0.0, as in the
+    solvers.  Like them, it raises GraphError past the float range.  An
+    `output` that is no node id of the circuit, or an add block anywhere
+    but last, raises ValueError.
     """
     values = (x if isinstance(x, Weighting) else Weighting(x)).array
     if len(values) != c.m:
         raise ValueError(f"circuit expects {c.m} input values, got {len(values)}")
-    out = c._output_slot
+    plan = c._plan
     levels, ranks = _ranks(np.append(values, 0.0))  # slots 0..m: the inputs, then the constant 0
-    vals = np.empty(c.size, ranks.dtype)
+    vals = np.empty(plan.live, ranks.dtype)
     vals[: c.m + 1] = ranks
-    s = c.m + 1
-    for blk in c.blocks:
-        e = s + len(blk.ids)
-        if blk.kind == ADD:  # the add chain: its slots get no rank, so no block may read them
-            if blk is not c.blocks[-1] or not blk.fold:
-                raise ValueError("an add block must be the circuit's last block, the add chain")
-            operands = levels[np.concatenate((vals[blk.a], vals[blk.b]))]
+    for kind, out, a, b, fold in plan.steps:
+        if kind == ADD:  # the add chain, the plan's last step: its slots get no rank
+            operands = levels[np.concatenate((vals[a], vals[b]))]
             try:
                 with np.errstate(over="raise"):  # the add chain can pass the float range
                     chain = np.add.accumulate(operands)[1:]
             except FloatingPointError:
                 raise GraphError("MST weight is too large for a 64-bit float") from None
             chain[-1] = _weight_sum(operands.tolist())  # the chain's value, as the solvers return it
-            if out >= s:
-                return float(chain[out - s])
-            break
-        op = _UFUNCS[blk.kind]
-        if blk.fold:
-            vals[s:e] = op.accumulate(np.concatenate((vals[blk.a], vals[blk.b])))[1:]
+            if plan.output >= out.start:
+                return float(chain[plan.output - out.start])
+        elif fold:
+            vals[out] = _UFUNCS[kind].accumulate(np.concatenate((vals[a], vals[b])))[1:]
         else:
-            op(vals[blk.a], vals[blk.b], out=vals[s:e])
-        s = e
-    return float(levels[vals[out]])
+            _UFUNCS[kind](vals[a], vals[b], out=vals[out])
+    return float(levels[vals[plan.output]])
+
+
+def _tally(kind_lengths: Iterator[tuple[int, int]]) -> OpCounts:
+    """OpCounts of (kind, node count) pairs."""
+    counts = [0] * len(KIND_NAMES)
+    for kind, length in kind_lengths:
+        counts[kind] += length
+    return OpCounts(counts[MIN], counts[MAX], counts[ADD])
 
 
 def count_ops(c: Circuit) -> OpCounts:
-    """Tally of min/max/add nodes in the circuit, read off its block lengths."""
-    counts = [0] * len(KIND_NAMES)
-    for blk in c.blocks:
-        counts[blk.kind] += len(blk.ids)
-    return OpCounts(counts[MIN], counts[MAX], counts[ADD])
+    """Tally of min/max/add nodes in the circuit, read off its block lengths: the paper's schedule."""
+    return _tally((blk.kind, len(blk.ids)) for blk in c.blocks)
+
+
+def live_ops(c: Circuit) -> OpCounts:
+    """Tally of the min/max/add nodes that `evaluate` runs: those of the live plan.
+
+    On K_n, with P = n(n-1)/2, that is 2·n·P + (n-1) + 4·C(n,3): the whole
+    sweep, the add chain and the zeroing rounds on the vertices still live.
+    """
+    return _tally((step.kind, step.out.stop - step.out.start) for step in c._plan.steps)
 
 
 def format_circuit_chunks(c: Circuit) -> Iterator[str]:

@@ -273,12 +273,15 @@ def _check_weighting(g: Graph, x: Weighting) -> None:
 def _first_edge_fault(n: int, edges: Sequence[tuple[int, int]] | np.ndarray) -> NoReturn:
     """Raise GraphError naming the first faulty edge as `Graph` does, by one loop over the edges as Python ints.
 
-    A repeat is named at its second occurrence.  `Graph` calls this only when a whole-array test
+    A pair is a sequence (a tuple, list or range) or an array row of two ids; a set or an iterator
+    is not one.  A repeat is named at its second occurrence.  `Graph` calls this only when a whole-array test
     fails; a list with no faulty edge then has n >= 2**31 and fewer than n-1 edges: disconnected.
     """
     seen: set[tuple[int, int]] = set()
     for i, edge in enumerate(edges):
         try:
+            if not isinstance(edge, (Sequence, np.ndarray)):  # a set has no order, an iterator no length
+                raise TypeError
             u, v = edge
         except (TypeError, ValueError):
             raise GraphError(f"edge {edge!r} is not a pair of vertex ids", i) from None

@@ -1,10 +1,13 @@
 import hashlib
 import math
+import operator
 import random
 import re
+import tracemalloc
 import warnings
 from collections import Counter
 from dataclasses import fields, replace
+from math import comb
 
 import numpy as np
 import pytest
@@ -23,6 +26,7 @@ from minmaxmst import (
     fix_spanning_tree,
     format_circuit,
     kruskal_mst,
+    live_ops,
     mst_decomposition,
     mst_puredp,
     mst_puredp_naive,
@@ -32,7 +36,7 @@ from minmaxmst import (
     random_connected_graph,
 )
 from minmaxmst import circuit, graphs
-from minmaxmst.circuit import ADD, MAX, MIN
+from minmaxmst.circuit import ADD, KIND_NAMES, MAX, MIN, _live_plan
 from conftest import TRIANGLE, random_instances, small_graphs_of_every_shape
 
 LINE_RE = re.compile(
@@ -427,6 +431,126 @@ class TestRanks:
         blocks.insert(0 if move == "add chain first" else len(blocks) - 1, chain)
         with pytest.raises(ValueError, match="^an add block must be the circuit's last block"):
             evaluate(replace(c, blocks=tuple(blocks)), [1.0] * c.m)
+
+
+def reference_live(c):
+    """Node ids that the output and every add node read, by a walk back over `c.nodes`, with the
+    inputs and the constant."""
+    nodes = list(c.nodes)
+    live = set(range(c.m + 1))
+    stack = [c.output] + [i for i, node in enumerate(nodes) if node[0] == "add"]
+    while stack:
+        i = stack.pop()
+        if i not in live:
+            live.add(i)
+            stack += nodes[i][1:]
+    return live
+
+
+POISONABLE = {"min": min, "max": max, "add": operator.add}
+
+
+def poisoned_evaluate(c, values, live):
+    """The reference interpreter with every node outside `live` NaN; a NaN operand makes a NaN."""
+    vals = []
+    for i, node in enumerate(c.nodes):
+        if i not in live:
+            vals.append(math.nan)
+        elif node[0] == "input":
+            vals.append(float(values[node[1]]))
+        elif node[0] == "const":
+            vals.append(node[1])
+        else:
+            a, b = vals[node[1]], vals[node[2]]
+            vals.append(math.nan if math.isnan(a) or math.isnan(b) else POISONABLE[node[0]](a, b))
+    return vals[c.output]
+
+
+def sampled_outputs(c, rng, k=2):
+    """The circuit, k copies whose outputs are drawn from all its nodes, and one whose output is
+    the middle of the extension's max-fold, which leaves only a prefix of the fold live on K_n."""
+    outputs = rng.sample(range(c.size), min(k, c.size))
+    outputs += [int(blk.ids[len(blk.ids) // 2]) for blk in c.blocks[:1] if blk.kind == MAX and blk.fold]
+    return [c] + [replace(c, output=t) for t in outputs]
+
+
+class TestLivePlan:
+    """`evaluate` runs only the nodes that the output and the whole add chain read, renumbered densely."""
+
+    @pytest.mark.parametrize("compile_circuit", [compile_mst_circuit, compile_mst_circuit_naive])
+    def test_plan_runs_exactly_the_reference_live_nodes(self, compile_circuit):
+        """Plan slot p holds the p-th live node in slot order: each step computes that node's
+        kind from the plan slots of that node's operands, and the steps tile the plan's slots."""
+        rng = random.Random(79)
+        for g in small_graphs_of_every_shape(80):
+            for c in sampled_outputs(compile_circuit(g), rng):
+                live, plan, nodes = reference_live(c), c._plan, list(c.nodes)
+                slot_node = np.concatenate([np.arange(c.m + 1)] + [blk.ids for blk in c.blocks])
+                node_at = [int(i) for i in slot_node if i in live]  # plan slot -> node id
+                assert plan.live == len(node_at) and node_at[plan.output] == c.output
+                bounds = [c.m + 1] + [step.out.stop for step in plan.steps]
+                assert [step.out.start for step in plan.steps] == bounds[:-1] and bounds[-1] == plan.live
+                for step in plan.steps:
+                    a, b = operand_slots(step.a), operand_slots(step.b)
+                    for t, p in enumerate(range(step.out.start, step.out.stop)):
+                        x = (a[0] if t == 0 else p - 1) if step.fold else a[t]
+                        assert nodes[node_at[p]] == (KIND_NAMES[step.kind], node_at[x], node_at[b[t]])
+
+    @pytest.mark.parametrize("compile_circuit", [compile_mst_circuit, compile_mst_circuit_naive])
+    def test_dead_nodes_are_not_read(self, compile_circuit):
+        """Every node outside the reference's live set NaN, the output is still evaluate's."""
+        rng = random.Random(81)
+        for g in small_graphs_of_every_shape(82):
+            x = Weighting([rng.randint(0, 100) for _ in range(g.m)])
+            for c in sampled_outputs(compile_circuit(g), rng):
+                assert poisoned_evaluate(c, x.values, reference_live(c)) == evaluate(c, x)
+
+    def test_live_ops_closed_form_on_complete_graphs(self):
+        for n in range(1, 33):
+            c = compile_mst_circuit(complete_graph(n))
+            p = n * (n - 1) // 2
+            assert live_ops(c).total == 2 * n * p + (n - 1) + 4 * comb(n, 3)
+            assert live_ops(c) == OpCounts(n * p + 2 * comb(n, 3), n * p + 2 * comb(n, 3), n - 1)
+            assert count_ops(c) == puredp_op_counts(n, p)
+
+    def test_live_ops_on_k64(self):
+        g = complete_graph(64)
+        c = compile_mst_circuit(g)
+        assert (live_ops(c).total, count_ops(c).total) == (424_767, 760_094)
+        assert c._plan.live == g.m + 1 + 424_767 == 426_784
+        assert count_ops(c) == puredp_op_counts(g.n, g.m)
+
+    @pytest.mark.parametrize("compile_circuit", [compile_mst_circuit, compile_mst_circuit_naive])
+    def test_live_ops_counts_the_reference_live_nodes(self, compile_circuit):
+        for g in small_graphs_of_every_shape(83):
+            c = compile_circuit(g)
+            live = reference_live(c)
+            tally = Counter(node[0] for i, node in enumerate(c.nodes) if i in live)
+            assert live_ops(c) == OpCounts(tally["min"], tally["max"], tally["add"])
+
+    def test_plan_is_built_on_the_first_evaluate_and_kept(self, monkeypatch):
+        built = []
+        monkeypatch.setattr(circuit, "_live_plan", lambda c: built.append(c) or _live_plan(c))
+        g, x = parse_graph(TRIANGLE)
+        c = compile_mst_circuit(g)
+        count_ops(c), format_circuit(c), list(c.nodes)
+        assert built == []
+        assert (evaluate(c, x), evaluate(c, [5, 1, 1])) == (3.0, 2.0)
+        assert built == [c]
+
+    def test_plan_allocates_one_slot_array(self):
+        """Past what the plan keeps, building K_32's plan peaks within one intp array of `size`
+        slots and a few temporaries the size of its widest block."""
+        c = compile_mst_circuit(complete_graph(32))
+        widest = max(len(blk.ids) for blk in c.blocks)
+        tracemalloc.start()
+        try:
+            plan = _live_plan(c)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert plan.live < c.size
+        assert peak - kept <= np.dtype(np.intp).itemsize * (c.size + 4 * widest)
 
 
 class TestCountOps:

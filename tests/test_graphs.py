@@ -332,6 +332,7 @@ class TestWeightingArrays:
 
 
 # (reason, edges of a 3-vertex graph, weights, index of the faulty edge)
+ITER_EDGE = iter((2, 3))  # never consumed: Graph names it before unpacking it
 EDGE_FAULTS = [
     ("self-loop", [(1, 2), (2, 2), (2, 3)], [1, 1, 1], 1),
     ("vertex id out of range", [(1, 2), (2, 3), (3, 4)], [1, 1, 1], 2),
@@ -344,6 +345,9 @@ EDGE_FAULTS = [
     # a bool is no vertex id, though numpy reads it as an int among ints; the parser reads "True" as no integer
     ("non-integer vertex id", [(1, 2), (True, 3), (1, 3)], [1, 1, 1], 1),
     ("non-integer vertex id", [(1, 2), (2, 3), (3, np.False_)], [1, 1, 1], 2),
+    # a set has no order and an iterator no length: neither is a pair, and the text format has neither
+    ("edge {1, 2} is not a pair of vertex ids", [{1, 2}, (2, 3), (1, 3)], [1, 1, 1], 0),
+    (f"edge {ITER_EDGE!r} is not a pair of vertex ids", [(1, 2), ITER_EDGE, (1, 3)], [1, 1, 1], 1),
 ]
 
 
@@ -355,6 +359,8 @@ class TestEdgeFaults:
             Weighting(weights)
         assert direct.value.args[0] == reason and direct.value.edge == bad
         assert str(direct.value) == f"{reason} at edge index {bad}"
+        if not all(isinstance(edge, tuple) for edge in edges):
+            return  # no text holds a set or an iterator
         # a comment and a blank line before each edge: edge i sits on line 3i + 5
         text = "# three vertices\n3 3\n" + "".join(
             f"# edge {i}\n\n{u} {v} {w}\n" for i, ((u, v), w) in enumerate(zip(edges, weights))
@@ -445,6 +451,14 @@ class TestBoundary:
             Graph(3, edges)
         assert exc.value.edge == bad
         assert str(exc.value) == f"edge {list(edges)[bad]!r} is not a pair of vertex ids at edge index {bad}"
+
+    def test_sequences_and_array_rows_are_pairs(self):
+        g = Graph(4, [(1, 2), (2, 3), (3, 4)])
+        assert Graph(4, [[1, 2], range(2, 4), np.array([3, 4])]) == g
+        assert Graph(4, [(1, 2), [2, 3], range(3, 5)]) == g
+        with pytest.raises(GraphError) as exc:  # the fault search takes them as pairs too
+            Graph(4, [range(1, 3), np.array([2, 3]), [3, 3]])
+        assert (exc.value.args[0], exc.value.edge) == ("self-loop", 2)
 
     @pytest.mark.parametrize("edges,bad", [
         ([(True, 2)], 0),
