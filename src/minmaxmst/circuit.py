@@ -6,35 +6,34 @@ operation sequence of the corresponding solver, so the circuit is a
 weight-independent artifact: node counts are the solver's operation counts,
 and evaluating the circuit on any weighting reproduces the solver's output.
 
-The compilers run the solvers' own tree walk over a table of evaluation
-slots and writes each round once, as its evaluation schedule: blocks of
-nodes of one kind that do not read each other, and the two chains (the
-extension's max-fold and the tree-order add chain) as left folds.  Slots
-number the values in block order, so each block writes one contiguous
-range; an operand that is one ascending run of slots is stored as a
-slice.  Node ids, the numbering of the text format, stay with the blocks:
-the node-order view (`Circuit.nodes`, the text format) is scattered from
-the blocks when it is asked for.
+The compilers run the solvers' own tree walk over a table of node ids and
+write each round once, as its evaluation schedule: blocks of nodes of one
+kind that do not read each other, and the two chains (the extension's
+max-fold and the tree-order add chain) as left folds.  The blocks speak
+node ids, the numbering of the text format; an operand that is an
+arithmetic run of ids is stored as a stepped slice.  The node-order view
+(`Circuit.nodes`, the text format) is scattered from the blocks when it
+is asked for.
 
 `evaluate` runs a circuit's live plan, built on its first call and kept
 on the circuit: only the nodes that the output and the whole add chain
-read, renumbered densely in slot order (`_live_plan`).  The paper's
-schedule does work that no output reads: after the round that zeroes
-{a, b}, rows a and b are equal, and on K_n the extension's max-fold has
-no non-edge to feed.  So K_64 evaluates 426,784 of its 762,111 slots, and
-`live_ops` counts the 424,767 of its 760,094 operations that run, while
-`count_ops` stays the schedule's count.  The plan's min and max steps run
-on the ranks of the inputs and the constant (`graphs._ranks`, the
-solvers' rule), in the smallest unsigned dtype for their top rank, one
-ufunc call per step into its own range, with no scatter; ranks turn back
-into weights only for the add chain, the circuit's last block.
+read, numbered densely in block order (`_live_plan`), the one numbering
+of a circuit besides its node ids.  The paper's schedule does work that
+no output reads: after the round that zeroes {a, b}, rows a and b are
+equal, and on K_n the extension's max-fold has no non-edge to feed.  So
+K_64 evaluates 426,784 of its 762,111 nodes, and `live_ops` counts the
+424,767 of its 760,094 operations that run, while `count_ops` stays the
+schedule's count.  The plan's min and max steps run on the ranks of the
+inputs and the constant (`graphs._ranks`, the solvers' rule), in the
+smallest unsigned dtype for their top rank, one ufunc call per step into
+its own range, with no scatter; ranks turn back into weights only for
+the add chain, the circuit's last block.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, partial
-from itertools import accumulate
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -54,14 +53,13 @@ Node = tuple  # ("input", edge) | ("const", 0.0) | ("min"|"max"|"add", a, b)
 class Block(NamedTuple):
     """One step of a circuit's evaluation schedule: nodes of one kind.
 
-    A block owns the next `len(ids)` evaluation slots after the blocks
-    before it; `ids` are its nodes' ids, in slot order, and `a` and `b`
-    are slots, each an index array or, where the compiler wrote a run of
-    consecutive slots, a slice.
-    Plain: the node in the block's slot s + t is `kind(a[t], b[t])`, and
-    every operand lies below s.  Fold: the nodes form a chain, slot
-    s = `kind(a[0], b[0])` and slot s + t = `kind(slot s+t-1, b[t])`; `a`
-    is an array holding only the chain's start.
+    `ids` are its nodes' ids, in evaluation order, and `a` and `b` are the
+    ids of their operands, each an index array or, where the compiler
+    wrote an arithmetic run of ids, a stepped slice.  Plain: node ids[t]
+    is `kind(a[t], b[t])`, and every operand is an input, the constant or
+    a node of an earlier block.  Fold: the nodes form a chain, ids[0] =
+    `kind(a[0], b[0])` and ids[t] = `kind(ids[t-1], b[t])`; `a` is an
+    array holding only the chain's start.
     """
 
     kind: int
@@ -75,11 +73,10 @@ class Block(NamedTuple):
 class Circuit:
     """Branch-free straight-line program over {input, const 0, min, max, add}.
 
-    Nodes 0..m-1 are the inputs in edge order and node m is the constant 0;
-    they are also evaluation slots 0..m.  Every other node, up to
-    `size - 1`, is in exactly one of `blocks`, the evaluation schedule, in
-    an order that respects every operand; the blocks' slot ranges tile
-    [m+1, size) in block order.  `output` is a node id.
+    Nodes 0..m-1 are the inputs in edge order and node m is the constant 0.
+    Every other node, up to `size - 1`, is in exactly one of `blocks`, the
+    evaluation schedule, in an order that respects every operand.
+    `output` is a node id.
     """
 
     size: int
@@ -130,93 +127,89 @@ class _Plan(NamedTuple):
 
 
 def _live_plan(c: Circuit) -> _Plan:
-    """The nodes that `c.output` and the whole add chain read, in slot order, renumbered densely.
+    """The nodes that `c.output` and the whole add chain read, numbered densely in block order.
 
     The add chain stays whole, so its overflow check sees every term.  One
-    backward pass over the blocks marks live slots in one intp array: the
-    inputs and the constant, the output's slot, the add chain, then in a
-    plain block the operands of its marked slots and in a fold its prefix
-    up to its last marked slot and that prefix's operands.  One cumsum
-    then numbers the marks, so live slot s becomes plan slot mark[s] - 1.
-    Each block keeps its live positions in order, and a block with none
-    is dropped.  An `output` that is no node id, or an add block anywhere
-    but last (live or dead), raises ValueError.
+    backward pass over the blocks marks live nodes by id in one intp
+    array: the output, the add chain, then in a plain block the operands
+    of its marked nodes and in a fold its prefix up to its last marked
+    node and that prefix's operands.  A forward pass then numbers the live
+    nodes in that same array, the inputs and the constant first as plan
+    slots 0..m, then each block's live nodes in block order: a numbered
+    node holds its plan slot + 1.  Each block keeps its live positions in
+    order, and a block with none is dropped.  An `output` that is no node
+    id, or an add block anywhere but last (live or dead), raises
+    ValueError.
     """
     if not 0 <= c.output < c.size:
         raise ValueError(f"output {c.output} is not a node id of this {c.size}-node circuit")
     if any(blk.kind == ADD and (blk is not c.blocks[-1] or not blk.fold) for blk in c.blocks):
         raise ValueError("an add block must be the circuit's last block, the add chain")
-    starts = list(accumulate((len(blk.ids) for blk in c.blocks), initial=c.m + 1))
-    spans = list(zip(c.blocks, starts, starts[1:]))
-    out = c.output  # an input or the constant holds its own id as its slot
-    if out > c.m:
-        out = next(s + int(np.flatnonzero(blk.ids == c.output)[0]) for blk, s, _ in spans if c.output in blk.ids)
     mark = np.zeros(c.size, np.intp)
-    mark[: c.m + 1] = mark[out] = 1  # the inputs and the constant are ranked whatever the plan reads
-    for blk, s, e in reversed(spans):
+    mark[c.output] = 1
+    for blk in reversed(c.blocks):
         if blk.kind == ADD:
-            mark[s:e] = 1
-        hit = mark[s:e].nonzero()[0]
+            mark[blk.ids] = 1
+        hit = mark[blk.ids].nonzero()[0]
         if not len(hit):
             continue
         if blk.fold:  # a chain: its prefix up to its last marked node
             hit = np.arange(hit[-1] + 1)
-            mark[s : s + len(hit)] = mark[blk.a] = 1
+            mark[blk.ids[hit]] = mark[blk.a] = 1
         else:
-            hit = None if len(hit) == e - s else hit
+            hit = None if len(hit) == len(blk.ids) else hit
             mark[_at(blk.a, hit)] = 1
         mark[_at(blk.b, hit)] = 1
-    np.cumsum(mark, out=mark)
+    live = c.m + 1  # the inputs and the constant are ranked whatever the plan reads
+    mark[:live] = np.arange(1, live + 1)
     steps = []
-    for blk, s, e in spans:
-        lo, hi = int(mark[s - 1]), int(mark[e - 1])  # the block's plan slots [lo, hi)
-        if lo == hi:
+    for blk in c.blocks:
+        hit = mark[blk.ids].nonzero()[0]
+        if not len(hit):
             continue
-        hit = None if hi - lo == e - s else (mark[s:e] > mark[s - 1 : e - 1]).nonzero()[0]
+        out = slice(live, live + len(hit))
+        live = out.stop
+        hit = None if len(hit) == len(blk.ids) else hit
+        mark[_at(blk.ids, hit)] = np.arange(out.start + 1, live + 1)
         a = blk.a if blk.fold else _at(blk.a, hit)
-        steps.append(_Step(blk.kind, slice(lo, hi), _renumber(mark, a), _renumber(mark, _at(blk.b, hit)), blk.fold))
-    return _Plan(int(mark[-1]), tuple(steps), int(mark[out]) - 1)
+        steps.append(_Step(blk.kind, out, _renumber(mark, a), _renumber(mark, _at(blk.b, hit)), blk.fold))
+    return _Plan(live, tuple(steps), int(mark[c.output]) - 1)
 
 
 def _at(v: np.ndarray | slice, hit: np.ndarray | None) -> np.ndarray | slice:
-    """The slots that operand v reads at a block's positions hit; all of them when hit is None."""
+    """The ids that operand v reads at a block's positions hit; all of them when hit is None."""
     if hit is None:
         return v
-    return hit + v.start if isinstance(v, slice) else v[hit]
+    return hit * (v.step or 1) + v.start if isinstance(v, slice) else v[hit]
 
 
 def _renumber(mark: np.ndarray, v: np.ndarray | slice) -> np.ndarray | slice:
-    """Plan slots of the live slots v, through the counted marks; a slice where they form one ascending run."""
-    if isinstance(v, slice):  # a whole run of live slots: one run of plan slots
-        return slice(int(mark[v.start]) - 1, int(mark[v.stop - 1]))
+    """Plan slots of the numbered nodes v, through the marks; a slice where they form one ascending run."""
     slots = mark[v] - 1
     if slots[-1] - slots[0] == len(slots) - 1 and (slots[1:] > slots[:-1]).all():  # ascending, no gap
         return slice(int(slots[0]), int(slots[-1]) + 1)
     return slots
 
 
-def _slot_nodes(c: Circuit) -> np.ndarray:
-    """The node id held in each evaluation slot."""
-    return np.concatenate([np.arange(c.m + 1)] + [blk.ids for blk in c.blocks])
+def _ids(v: np.ndarray | slice) -> np.ndarray:
+    """Operand v's ids as an index array."""
+    return np.arange(v.start, v.stop, v.step) if isinstance(v, slice) else v
 
 
 def _chunks(c: Circuit) -> Iterator[tuple[int, list[int], list[int], list[int]]]:
     """(first id, kinds, a, b) in node order as Python lists, a bounded number of nodes at a time.
 
-    The blocks are scattered into node order once per call, their operand
-    slots turned into node ids through one slot→node map.  An input keeps
-    its edge index in `a`; a fold's `a` is its start, then its ids but the last.
+    The blocks are scattered into node order once per call.  An input
+    keeps its edge index in `a`; a fold's `a` is its start, then its ids but the last.
     """
-    node = _slot_nodes(c)
     kind = np.full(c.size, CONST, dtype=np.int8)
     a, b = np.zeros((2, c.size), dtype=np.intp)
     kind[: c.m] = INPUT
     a[: c.m] = np.arange(c.m)
     for blk in c.blocks:
         kind[blk.ids] = blk.kind
-        a[blk.ids] = np.concatenate((node[blk.a], blk.ids[:-1])) if blk.fold else node[blk.a]
-        b[blk.ids] = node[blk.b]
-    del node
+        a[blk.ids] = np.concatenate((blk.a, blk.ids[:-1])) if blk.fold else _ids(blk.a)
+        b[blk.ids] = _ids(blk.b)
     for s in range(0, c.size, _CHUNK):
         e = s + _CHUNK
         yield s, kind[s:e].tolist(), a[s:e].tolist(), b[s:e].tolist()
@@ -226,31 +219,30 @@ class _Emitter:
     """A circuit's blocks, written one round at a time.
 
     The circuit backend of the solvers' walk: `extension`, `sweep` and
-    `zero_update` work on an (n, n) table holding the slot of each vertex
-    pair's current value, the constant 0 on the diagonal.  A round takes
-    its node ids from `reserve`, in the row-major order of the pairs i < j
-    (`triu_indices`), and its slots from `schedule`, block after block; it
-    describes its nodes only by the blocks it schedules.  `pair` maps both
-    cells of a pair to its position p.  The table is symmetric, so a round
-    reads column k as row k.  The walk writes the table only through
-    these rounds, bar the naive round's copy, which a sweep follows; so
-    after an update round its pairs are the run `run`, and a sweep forgets it.
+    `zero_update` work on an (n, n) table holding the node id of each
+    vertex pair's current value, the constant 0 on the diagonal.  A round
+    takes its node ids from `reserve`, in the row-major order of the pairs
+    i < j (`triu_indices`), and describes its nodes only by the blocks it
+    schedules, in evaluation order.  `pair` maps both cells of a pair to
+    its position p.  The table is symmetric, so a round reads column k as
+    row k.  The walk writes the table only through these rounds, bar the
+    naive round's copy, which a sweep follows; so after an update round
+    its pairs are the run `run`, and a sweep forgets it.
     """
 
     def __init__(self, g: Graph, ops: OpCounts) -> None:
         nodes = g.m + 1 + ops.total  # GraphError, before anything is allocated, past the byte budget
         _check_bytes(g.n, nodes * _NODE_BYTES, f"circuit of {nodes:,} nodes")
         self.g = g
-        self.zero = g.m  # the constant 0 follows the m inputs, as node and as slot
+        self.zero = g.m  # the constant 0 follows the m inputs
         self.size = g.m + 1  # nodes reserved
-        self.slots = g.m + 1  # slots scheduled
         self.blocks: list[Block] = []
         self.i, self.j = np.triu_indices(g.n, 1)
         self.p = np.arange(len(self.i))
         self.pair = np.zeros((g.n, g.n), dtype=np.intp)
         self.pair[self.i, self.j] = self.pair[self.j, self.i] = self.p
         self.cell = self.i * g.n + self.j  # pair p's cell (i, j) in the flattened table
-        self.run: slice | None = None  # the table's pair p is at slot run[p], where an update round left it
+        self.run: slice | None = None  # the table's pair p is node run[p], where an update round left it
 
     def reserve(self, count: int) -> int:
         """The ids of the next `count` nodes; returns the first."""
@@ -258,14 +250,11 @@ class _Emitter:
         self.size += count
         return base
 
-    def schedule(self, kind: int, ids, a, b, fold: bool = False) -> int:
-        """Append a block, which takes the next len(ids) slots; returns the first."""
-        first = self.slots
+    def schedule(self, kind: int, ids, a, b, fold: bool = False) -> None:
+        """Append a block of the reserved nodes ids, reading the ids a and b (arrays, or runs as slices)."""
         if len(ids):
             self.blocks.append(Block(kind, *(v if isinstance(v, slice) else np.asarray(v, dtype=np.intp)
                                              for v in (ids, a, b)), fold))
-            self.slots += len(ids)
-        return first
 
     def circuit(self, walk: Iterator[int]) -> Circuit:
         """The circuit ending in the add chain from the constant 0 over the walk's cells, in walk order."""
@@ -277,82 +266,79 @@ class _Emitter:
         output = adds[-1] if adds else self.zero
         return Circuit(self.size, output, self.g.n, self.g.m, tuple(self.blocks))
 
-    def _relabel(self, t: np.ndarray, slots: np.ndarray) -> None:
-        """Pair p's cells of t become slots[p]; the diagonal stays 0."""
-        np.take(slots, self.pair, out=t)
+    def _relabel(self, t: np.ndarray, ids: np.ndarray) -> None:
+        """Pair p's cells of t become ids[p]; the diagonal stays 0."""
+        np.take(ids, self.pair, out=t)
         t.flat[:: len(t) + 1] = self.zero
 
     def extension(self) -> np.ndarray:
-        """The max-fold M over the inputs; returns the extension's slot table."""
+        """The max-fold M over the inputs; returns the extension's table of node ids."""
         m = self.g.m
         biggest = 0  # M is input 0 itself when m == 1
         if m > 1:  # M = max(...max(max(x0, x1), x2)..., x_{m-1})
             first = self.reserve(m - 1)
-            biggest = self.schedule(MAX, np.arange(first, self.size), [0], np.arange(1, m), fold=True) + m - 2
+            self.schedule(MAX, np.arange(first, self.size), [0], np.arange(1, m), fold=True)
+            biggest = self.size - 1
         return _extension_layout(self.g, np.arange(m), self.zero, biggest)
 
     def sweep(self, t: np.ndarray) -> np.ndarray:
-        """The n rounds of the pair recurrence, in place on the slot table; returns t.
+        """The n rounds of the pair recurrence, in place on the table; returns t.
 
         In round k pair p = (i, j) gets node max = base+2p of cells (i,k)
         and (k,j), then node min = base+2p+1 of cell (i,j) and that max.  A
         cell of row or column k that an earlier pair rewrote this round,
         (i,k) with k < j or (k,j) with k < i, is read as its new min.  The
         row/column-k pairs read only old cells, so they are evaluated
-        first, then all other pairs: four blocks, whose slots are the
-        row/column-k maxes, their mins, the other maxes, their mins.
+        first, then all other pairs: four blocks, the row/column-k maxes,
+        their mins, the other maxes, their mins.
         """
         self.run = None
         i, j, npairs = self.i, self.j, len(self.i)
         if not npairs:  # one vertex: its rounds have no nodes
             return t
-        ids = 2 * self.p
-        mins = np.empty(npairs, dtype=np.intp)
         for k in range(len(t)):
             base = self.reserve(2 * npairs)
+            mins = base + 2 * self.p + 1
             on_k = np.delete(self.pair[k], k)  # ascending, as pair[k] is
-            rest = np.delete(self.p, on_k)
-            s, nk = self.slots, len(on_k)
-            mins[on_k] = np.arange(s + nk, s + 2 * nk)
-            mins[rest] = np.arange(s + nk + npairs, s + 2 * npairs)
-            row = t[k]  # the old slots of row and column k
-            col = mins[self.pair[k]]  # their new slots
+            row = t[k]  # the old ids of row and column k
+            col = mins[self.pair[k]]  # their new ids
             col[k] = self.zero
-            for sel in (on_k, rest):
+            for sel in (on_k, np.delete(self.p, on_k)):
                 ii, jj = i[sel], j[sel]
                 ta = np.where(k < jj, col[ii], row[ii])
                 tb = np.where(k < ii, col[jj], row[jj])
-                maxes = base + ids[sel]
-                first = self.schedule(MAX, maxes, ta, tb)
-                self.schedule(MIN, maxes + 1, t.take(self.cell[sel]), slice(first, first + len(sel)))
+                maxes = base + 2 * sel
+                self.schedule(MAX, maxes, ta, tb)
+                self.schedule(MIN, maxes + 1, t.take(self.cell[sel]), maxes)
             self._relabel(t, mins)
         return t
 
     def zero_update(self, t: np.ndarray, u: int, v: int) -> None:
-        """Zeroing update of the pair {u, v} (0-based), in place on the slot table.
+        """Zeroing update of the pair {u, v} (0-based), in place on the table.
 
         Pair p = (i, j) gets nodes t1 = max(t[i,u], t[j,v]), m1 = min(t[i,j], t1),
         t2 = max(t[i,v], t[j,u]) and m2 = min(m1, t2) at base+4p .. base+4p+3,
         all read from the table as it was before the round, in three
-        blocks: both maxes, the m1s, the m2s.  So t1, t2 and m1 are runs
-        of slots, and so is the table's pair order after the round.
+        blocks: both maxes, the m1s, the m2s.  So the t1s, m1s and t2s are
+        runs of ids with step 4, and so are the m2s the table holds after it.
         """
         i, j, npairs = self.i, self.j, len(self.i)
-        t1 = self.reserve(4 * npairs) + 4 * self.p
+        base = self.reserve(4 * npairs)
+        t1 = base + 4 * self.p
+        t1s, m1s, t2s, m2s = (slice(base + r, self.size, 4) for r in range(4))
         tu, tv = t[u], t[v]
         old = t.take(self.cell) if self.run is None else self.run
-        a, b = np.concatenate((tu[i], tv[i])), np.concatenate((tv[j], tu[j]))
-        s = self.schedule(MAX, np.concatenate((t1, t1 + 2)), a, b)
-        m1 = self.schedule(MIN, t1 + 1, old, slice(s, s + npairs))
-        m2 = self.schedule(MIN, t1 + 3, slice(m1, m1 + npairs), slice(s + npairs, s + 2 * npairs))
-        self._relabel(t, np.arange(m2, m2 + npairs))
-        self.run = slice(m2, m2 + npairs)
+        self.schedule(MAX, np.concatenate((t1, t1 + 2)), np.concatenate((tu[i], tv[i])), np.concatenate((tv[j], tu[j])))
+        self.schedule(MIN, t1 + 1, old, t1s)
+        self.schedule(MIN, t1 + 3, m1s, t2s)
+        self._relabel(t, t1 + 3)
+        self.run = m2s
 
 
 def compile_mst_circuit(g: Graph) -> Circuit:
     """Straight-line program computing the MST weight of any weighting of g.
 
-    Runs `mst_puredp`'s schedule over evaluation slots: the extension
+    Runs `mst_puredp`'s schedule over node ids: the extension
     max-fold, n rounds of the pair recurrence, n-2 zeroing-update rounds
     interleaved with the tree walk, and the final chain of additions.
     Structure depends on g alone.  A graph whose circuit would pass the byte budget

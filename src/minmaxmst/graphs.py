@@ -422,7 +422,7 @@ def _check_work(n: int, ops: int) -> None:
 
 
 def _extension_layout(g: Graph, edge_entries: np.ndarray, zero, biggest) -> np.ndarray:
-    """The extension's (n, n) layout, of weight ranks, weights or evaluation slots: edges, `zero` diagonal, `biggest` elsewhere.
+    """The extension's (n, n) layout, of weight ranks, weights or node ids: edges, `zero` diagonal, `biggest` elsewhere.
 
     Raises GraphError, before allocating, when the table would pass `_TABLE_BYTES`.
     """

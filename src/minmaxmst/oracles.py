@@ -13,8 +13,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .distances import DistanceMatrix, _check_sweep_work, all_pairs_minmax
-from .graphs import ExtendedWeighting, Graph, Weighting, _check_bytes, _check_weighting, _check_work, _extension_layout, _forest, _ranks, _weight_sum
+from .distances import DistanceMatrix, _check_sweep_work, _sweep
+from .graphs import Graph, Weighting, _check_bytes, _check_weighting, _check_work, _extension_layout, _forest, _ranks, _weight_sum
 
 BRUTEFORCE_MAX_N = 8
 
@@ -94,16 +94,22 @@ def maggs_plotkin_mst(g: Graph, x: Weighting) -> float:
     Computes bottleneck distances inside g (absent pairs enter the
     recurrence with an infinite sentinel, never the complete extension) and
     sums the weights of the edges whose distance equals their own weight;
-    with distinct weights those edges are exactly the unique MST.  A
-    sweep over the work budget is refused before anything is allocated.
+    with distinct weights those edges are exactly the unique MST.  One
+    ranking serves both: the weights and the sentinel are distinct exactly
+    when they make m + 1 levels, and the sweep runs on their ranks (see the
+    `solver` module docstring), with the lowest rank on the diagonal, at or
+    below every entry.  A sweep over the work budget is refused before
+    anything is allocated.
     """
     _check_weighting(g, x)
     _check_sweep_work(g.n)
-    if len(_ranks(x.array)[0]) != g.m:
+    levels, ranks = _ranks(np.append(x.array, math.inf))
+    if len(levels) != g.m + 1:
         raise PreconditionError("maggs_plotkin_mst requires pairwise distinct weights")
-    d = all_pairs_minmax(ExtendedWeighting._built(_extension_layout(g, x.array, 0.0, math.inf))).values
+    edge = ranks[:-1]
+    d = _sweep(_extension_layout(g, edge, 0, ranks[-1]))
     u, v = g._ends
-    return _weight_sum(x.array[d[u, v] == x.array])
+    return _weight_sum(x.array[d[u, v] == edge])
 
 
 def hu_minmax_via_mst(g: Graph, x: Weighting) -> DistanceMatrix:

@@ -101,8 +101,8 @@ def _puredp_schedule(ends: np.ndarray, d, zero_update) -> Iterator[Any]:
     it: the pure DP's update, or the naive DP's `_resweep`; no round
     follows the last edge.  The caller's work on each yielded cell happens
     before the next round.  The solvers run it over weight ranks, the
-    circuit compilers over a table of evaluation slots; each sweeps d with
-    its own sweep first.
+    circuit compilers over a table of node ids; each sweeps d with its own
+    sweep first.
     """
     us, vs = ends.tolist()
     last = len(us) - 1

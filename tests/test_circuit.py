@@ -217,7 +217,7 @@ def operand_slots(v):
 
 
 class TestSlots:
-    """Evaluation slots number the values in block order; node ids stay the text's numbering."""
+    """Blocks run in evaluation order and speak node ids, the text's numbering."""
 
     @pytest.mark.parametrize("compile_circuit", [compile_mst_circuit, compile_mst_circuit_naive])
     def test_slot_ranges_tile_the_computed_nodes(self, compile_circuit):
@@ -229,14 +229,18 @@ class TestSlots:
 
     @pytest.mark.parametrize("compile_circuit", [compile_mst_circuit, compile_mst_circuit_naive])
     def test_operands_lie_below_the_block(self, compile_circuit):
+        """A plain block reads one a and one b per node, a fold one a (its start) and one b per node,
+        each an input, the constant or a node of an earlier block; only plain blocks read runs."""
         for g in small_graphs_of_every_shape(57) + [complete_graph(16)]:
             c = compile_circuit(g)
-            for blk, (s, e) in zip(c.blocks, slot_ranges(c)):
-                a, b = operand_slots(blk.a), operand_slots(blk.b)
-                assert (len(a), len(b)) == ((1, e - s) if blk.fold else (e - s, e - s))
-                assert min(a.min(), b.min()) >= 0 and max(a.max(), b.max()) < s
-                for v in (blk.a, blk.b):
-                    assert not isinstance(v, slice) or (not blk.fold and v.step is None)
+            ids = np.arange(c.size)
+            done = ids <= c.m  # the inputs and the constant
+            for blk in c.blocks:
+                a, b = ids[blk.a], ids[blk.b]
+                assert (len(a), len(b)) == ((1, len(blk.ids)) if blk.fold else (len(blk.ids), len(blk.ids)))
+                assert done[a].all() and done[b].all()
+                assert not blk.fold or not isinstance(blk.a, slice) and not isinstance(blk.b, slice)
+                done[blk.ids] = True
 
     @pytest.mark.parametrize("n", [3, 4, 5, 8])
     def test_update_rounds_min_blocks_read_slices(self, n):
@@ -527,6 +531,30 @@ class TestLivePlan:
             live = reference_live(c)
             tally = Counter(node[0] for i, node in enumerate(c.nodes) if i in live)
             assert live_ops(c) == OpCounts(tally["min"], tally["max"], tally["add"])
+
+    @pytest.mark.parametrize("compile_circuit", [compile_mst_circuit, compile_mst_circuit_naive])
+    def test_slice_operands_plan_like_index_arrays(self, compile_circuit):
+        """Every stepped-slice operand replaced by its index array gives the same plan and value.  Only
+        the zeroing rounds read runs, so the naive circuit has none."""
+        rng = random.Random(84)
+        runs = 0
+        for g in small_graphs_of_every_shape(85):
+            c = compile_circuit(g)
+            runs += sum(isinstance(v, slice) for blk in c.blocks for v in (blk.a, blk.b))
+            arrays = tuple(blk._replace(**{f: np.arange(v.start, v.stop, v.step)
+                                           for f, v in (("a", blk.a), ("b", blk.b)) if isinstance(v, slice)})
+                           for blk in c.blocks)
+            for c in sampled_outputs(c, rng):
+                flat = replace(c, blocks=arrays)
+                plan, want = c._plan, flat._plan
+                assert (plan.live, plan.output) == (want.live, want.output)
+                assert [(s.kind, s.out, s.fold) for s in plan.steps] == [(s.kind, s.out, s.fold) for s in want.steps]
+                for step, ref in zip(plan.steps, want.steps):
+                    assert np.array_equal(operand_slots(step.a), operand_slots(ref.a))
+                    assert np.array_equal(operand_slots(step.b), operand_slots(ref.b))
+                x = Weighting([rng.randint(0, 9999) / 10 for _ in range(g.m)])
+                assert evaluate(c, x) == evaluate(flat, x)
+        assert bool(runs) == (compile_circuit is compile_mst_circuit)
 
     def test_plan_is_built_on_the_first_evaluate_and_kept(self, monkeypatch):
         built = []

@@ -22,7 +22,7 @@ from minmaxmst import (
     parse_graph,
     random_connected_graph,
 )
-from minmaxmst import graphs, oracles
+from minmaxmst import distances, graphs, oracles
 from minmaxmst.oracles import _spanning_tree_array
 from conftest import random_instances
 
@@ -128,6 +128,21 @@ class TestMaggsPlotkin:
         for _ in range(60):
             g, x = distinct_instance(rng, rng.randint(2, 32), rng.random())
             assert maggs_plotkin_mst(g, x) == kruskal_mst(g, x)
+
+    def test_ranks_once_and_sweeps_no_float_table(self, monkeypatch):
+        """One `_ranks` call per solve, over the weights and the sentinel; `all_pairs_minmax`,
+        which would rank its float table again, is never called."""
+        calls = []
+        monkeypatch.setattr(oracles, "all_pairs_minmax", lambda *a: pytest.fail("swept a float table"), raising=False)
+        monkeypatch.setattr(distances, "all_pairs_minmax", lambda *a: pytest.fail("swept a float table"))
+        for module in (oracles, distances):
+            monkeypatch.setattr(module, "_ranks", lambda v, rank=module._ranks: calls.append(len(v)) or rank(v))
+        rng = random.Random(23)
+        for _ in range(20):
+            g, x = distinct_instance(rng, rng.randint(1, 14), rng.random())
+            calls.clear()
+            assert maggs_plotkin_mst(g, x) == kruskal_mst(g, x)
+            assert calls == [g.m + 1]
 
     def test_sparse_graph_sentinel_not_selected(self):
         # non-edges must not enter the selection even when M equals a weight
