@@ -4,8 +4,9 @@ Because the solver never branches on weights, a graph compiles once into a
 fixed DAG of input/const-0/min/max/add nodes.  Evaluating that circuit on
 any weighting reproduces the solver, and counting its nodes, op by op,
 reproduces the counts the solver reports for its schedule: about 3n^3 for
-the incremental driver versus n^4 for the naive one.  Only about 56% of the
-incremental circuit reaches its output, and `evaluate` runs only that part.
+the incremental solver.  The naive solver's column is its closed form,
+`naive_op_counts`, about n^4.  Only about 56% of the incremental circuit
+reaches its output, and `evaluate` runs only that part.
 """
 
 from math import comb
@@ -13,7 +14,6 @@ from math import comb
 from minmaxmst import (
     Weighting,
     compile_mst_circuit,
-    compile_mst_circuit_naive,
     complete_graph,
     count_ops,
     evaluate,
@@ -41,14 +41,13 @@ print(f"node tally: {ops.min_count} min, {ops.max_count} max, {ops.add_count} ad
 print(f"counts the solver reports for the same graph: {mst_puredp(g, x)[1]}")
 print()
 
-print("operation totals on complete graphs (circuit node counts = closed form):")
+print("operation totals on complete graphs (incremental and live: circuit node counts; naive: naive_op_counts):")
 print(f"{'n':>4} {'incremental':>12} {'live':>8} {'naive':>12} {'incr/n^3':>9} {'naive/n^4':>10}")
 for n in (8, 16, 32):
     m = n * (n - 1) // 2
     lean_circuit = compile_mst_circuit(complete_graph(n))
     lean, live = count_ops(lean_circuit).total, live_ops(lean_circuit).total
-    naive = count_ops(compile_mst_circuit_naive(complete_graph(n))).total
+    naive = naive_op_counts(n, m).total
     assert lean == puredp_op_counts(n, m).total
     assert live == 2 * n * m + (n - 1) + 4 * comb(n, 3)  # the sweep, the add chain, updates on live vertices
-    assert naive == naive_op_counts(n, m).total
     print(f"{n:>4} {lean:>12} {live:>8} {naive:>12} {lean / n**3:>9.3f} {naive / n**4:>10.3f}")

@@ -11,7 +11,6 @@ emits the solver as an explicit weight-independent straight-line program.
 from .circuit import (
     Circuit,
     compile_mst_circuit,
-    compile_mst_circuit_naive,
     count_ops,
     evaluate,
     format_circuit,
@@ -73,7 +72,6 @@ __all__ = [
     "all_pairs_minmax",
     "bruteforce_mst",
     "compile_mst_circuit",
-    "compile_mst_circuit_naive",
     "complete_extension",
     "complete_graph",
     "count_ops",

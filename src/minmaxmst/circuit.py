@@ -1,13 +1,13 @@
-"""Straight-line (min,max,+) programs realizing the MST-weight solvers.
+"""Straight-line (min,max,+) programs realizing the MST-weight solver.
 
 A circuit is an ordered list of nodes — input(edge), const 0, min, max, add —
 whose operands point at earlier nodes.  Compiling a graph emits the exact
-operation sequence of the corresponding solver, so the circuit is a
-weight-independent artifact: node counts are the solver's operation counts,
-and evaluating the circuit on any weighting reproduces the solver's output.
+operation sequence of `mst_puredp`, so the circuit is a weight-independent
+artifact: node counts are the solver's operation counts, and evaluating the
+circuit on any weighting reproduces the solver's output.
 
-The compilers run the solvers' own tree walk over a table of node ids and
-write each round once, as its evaluation schedule: blocks of nodes of one
+The compiler runs the solver's own tree walk over a table of node ids and
+writes each round once, as its evaluation schedule: blocks of nodes of one
 kind that do not read each other, and the two chains (the extension's
 max-fold and the tree-order add chain) as left folds.  The blocks speak
 node ids, the numbering of the text format; an operand that is an
@@ -33,13 +33,13 @@ the add chain, the circuit's last block.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from .graphs import Graph, GraphError, Weighting, _check_bytes, _extension_layout, _ranks, _weight_sum
-from .solver import OpCounts, _puredp_schedule, _resweep, naive_op_counts, puredp_op_counts
+from .solver import OpCounts, _puredp_schedule, puredp_op_counts
 
 INPUT, CONST, MIN, MAX, ADD = range(5)
 KIND_NAMES = ("input", "const", "min", "max", "add")
@@ -225,13 +225,13 @@ class _Emitter:
     i < j (`triu_indices`), and describes its nodes only by the blocks it
     schedules, in evaluation order.  `pair` maps both cells of a pair to
     its position p.  The table is symmetric, so a round reads column k as
-    row k.  The walk writes the table only through these rounds, bar the
-    naive round's copy, which a sweep follows; so after an update round
-    its pairs are the run `run`, and a sweep forgets it.
+    row k.  The walk writes the table only through these rounds, and the
+    one sweep runs before any update; so after an update round its pairs
+    are the run `run`.
     """
 
-    def __init__(self, g: Graph, ops: OpCounts) -> None:
-        nodes = g.m + 1 + ops.total  # GraphError, before anything is allocated, past the byte budget
+    def __init__(self, g: Graph) -> None:
+        nodes = g.m + 1 + puredp_op_counts(g.n, g.m).total  # past the byte budget: GraphError, nothing allocated
         _check_bytes(g.n, nodes * _NODE_BYTES, f"circuit of {nodes:,} nodes")
         self.g = g
         self.zero = g.m  # the constant 0 follows the m inputs
@@ -263,8 +263,7 @@ class _Emitter:
             adds.append(self.reserve(1))
             terms.append(cell)
         self.schedule(ADD, adds, [self.zero], terms, fold=True)
-        output = adds[-1] if adds else self.zero
-        return Circuit(self.size, output, self.g.n, self.g.m, tuple(self.blocks))
+        return Circuit(self.size, adds[-1] if adds else self.zero, self.g.n, self.g.m, tuple(self.blocks))
 
     def _relabel(self, t: np.ndarray, ids: np.ndarray) -> None:
         """Pair p's cells of t become ids[p]; the diagonal stays 0."""
@@ -272,14 +271,11 @@ class _Emitter:
         t.flat[:: len(t) + 1] = self.zero
 
     def extension(self) -> np.ndarray:
-        """The max-fold M over the inputs; returns the extension's table of node ids."""
+        """The max-fold M = max(...max(max(x0, x1), x2)..., x_{m-1}); returns the extension's table of node ids."""
         m = self.g.m
-        biggest = 0  # M is input 0 itself when m == 1
-        if m > 1:  # M = max(...max(max(x0, x1), x2)..., x_{m-1})
-            first = self.reserve(m - 1)
-            self.schedule(MAX, np.arange(first, self.size), [0], np.arange(1, m), fold=True)
-            biggest = self.size - 1
-        return _extension_layout(self.g, np.arange(m), self.zero, biggest)
+        first = self.reserve(max(m - 1, 0))  # no fold when m <= 1; M is input 0 when m == 1
+        self.schedule(MAX, np.arange(first, self.size), [0], np.arange(1, m), fold=True)
+        return _extension_layout(self.g, np.arange(m), self.zero, self.size - 1 if m > 1 else 0)
 
     def sweep(self, t: np.ndarray) -> np.ndarray:
         """The n rounds of the pair recurrence, in place on the table; returns t.
@@ -292,7 +288,6 @@ class _Emitter:
         first, then all other pairs: four blocks, the row/column-k maxes,
         their mins, the other maxes, their mins.
         """
-        self.run = None
         i, j, npairs = self.i, self.j, len(self.i)
         if not npairs:  # one vertex: its rounds have no nodes
             return t
@@ -344,17 +339,8 @@ def compile_mst_circuit(g: Graph) -> Circuit:
     Structure depends on g alone.  A graph whose circuit would pass the byte budget
     of `graphs._TABLE_BYTES` raises GraphError before anything is built.
     """
-    em = _Emitter(g, puredp_op_counts(g.n, g.m))
+    em = _Emitter(g)
     return em.circuit(_puredp_schedule(g._walk, em.sweep(em.extension()), em.zero_update))
-
-
-def compile_mst_circuit_naive(g: Graph) -> Circuit:
-    """Straight-line counterpart of `mst_puredp_naive` (a fresh distance
-    computation per tree edge; O(n^4) nodes), under the same byte budget."""
-    em = _Emitter(g, naive_op_counts(g.n, g.m))
-    base = em.extension()
-    return em.circuit(_puredp_schedule(g._walk, em.sweep(base.copy()),
-                                       partial(_resweep, base, em.sweep, em.zero)))
 
 
 def evaluate(c: Circuit, x: Weighting | Sequence[float]) -> float:

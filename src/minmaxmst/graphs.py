@@ -60,7 +60,10 @@ class Graph:
         if n < 1:
             raise GraphError("vertex count must be >= 1")
         if not isinstance(edges, np.ndarray):
-            edges = list(edges)
+            try:
+                edges = list(edges)
+            except TypeError as exc:  # the cause tells not iterable from raised while iterating
+                raise GraphError(f"edge list {edges!r} is not an iterable of pairs") from exc
         try:
             pairs = np.asarray(edges)
         except ValueError:  # ragged: some edge is not a pair
@@ -180,7 +183,10 @@ class Weighting:
             values = list(values)
             if not _all_real(values):
                 raise GraphError("non-numeric weight", next(i for i, v in enumerate(values) if not _real(type(v))))
-            arr = np.array(values, float)
+            try:
+                arr = np.array(values, float)
+            except OverflowError:  # an int or Fraction past the float range: an infinity of its sign
+                arr = np.array([_float(v) for v in values])
         if not (arr.min(initial=0.0) >= 0 and arr.max(initial=0.0) < math.inf):  # NaN fails both
             i = int(np.argmax(~(arr >= 0) | (arr == math.inf)))  # the first faulty weight
             raise GraphError("negative weight" if not arr[i] >= 0 else "non-finite weight", i)
@@ -240,6 +246,14 @@ def _integer(value: int, what: str) -> int:
         return _index(value)
     except TypeError:
         raise GraphError(f"{what} {value!r} is not an integer") from None
+
+
+def _float(value) -> float:
+    """float(value), a real number past the float range as an infinity of its sign."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
 
 
 def _real(t: type) -> bool:
@@ -364,7 +378,10 @@ class ExtendedWeighting:
     values: np.ndarray
 
     def __init__(self, values: np.ndarray | Sequence[Sequence[float]]):
-        arr = np.asarray(values)
+        try:
+            arr = np.asarray(values)
+        except ValueError:  # ragged rows: numpy builds no array
+            raise GraphError("expected a square matrix, got rows of unequal lengths") from None
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise GraphError(f"expected a square matrix, got shape {arr.shape}")
         if arr.dtype.kind not in "fiu" or not isinstance(values, np.ndarray) and not all(map(_all_real, values)):

@@ -101,7 +101,7 @@ def _puredp_schedule(ends: np.ndarray, d, zero_update) -> Iterator[Any]:
     it: the pure DP's update, or the naive DP's `_resweep`; no round
     follows the last edge.  The caller's work on each yielded cell happens
     before the next round.  The solvers run it over weight ranks, the
-    circuit compilers over a table of node ids; each sweeps d with its own
+    circuit compiler over a table of node ids; each sweeps d with its own
     sweep first.
     """
     us, vs = ends.tolist()
@@ -112,11 +112,11 @@ def _puredp_schedule(ends: np.ndarray, d, zero_update) -> Iterator[Any]:
             zero_update(d, u, v)
 
 
-def _resweep(base, sweep, zero, d, u: int, v: int) -> None:
-    """The naive round: pair {u, v} of the unswept table `base` set to `zero`, then d a fresh sweep of base."""
-    base[u, v] = base[v, u] = zero
+def _resweep(base: np.ndarray, d: np.ndarray, u: int, v: int) -> None:
+    """The naive round: pair {u, v} of the unswept rank table `base` set to 0, then d a fresh sweep of base."""
+    base[u, v] = base[v, u] = 0
     d[...] = base
-    sweep(d)
+    _sweep(d)
 
 
 def mst_decomposition(g: Graph, x: Weighting, t: SpanningTree) -> Decomposition:
@@ -238,7 +238,5 @@ def mst_puredp_naive(g: Graph, x: Weighting) -> tuple[float, OpCounts]:
     ops = naive_op_counts(g.n, g.m)
     _check_work(g.n, ops.total)
     levels, base = _rank_table(g, x)
-    d = base.copy()
-    _sweep(d)
-    cells = list(_puredp_schedule(g._walk, d, partial(_resweep, base, _sweep, 0)))
+    cells = list(_puredp_schedule(g._walk, _sweep(base.copy()), partial(_resweep, base)))
     return _weight_sum(levels[cells].tolist()), ops

@@ -425,7 +425,8 @@ class TestRanks:
 
 
 class TestBoundary:
-    """`Graph` and `SpanningTree` refuse what is not an integer count, a pair or an index, naming it."""
+    """`Graph`, `SpanningTree` and `ExtendedWeighting` refuse what is not an integer count, an iterable of
+    pairs, an index or a square table, naming it."""
 
     @pytest.mark.parametrize("n", ["3", 3.0, True, None, np.float64(3)])
     def test_vertex_count_must_be_an_integer(self, n):
@@ -451,6 +452,17 @@ class TestBoundary:
             Graph(3, edges)
         assert exc.value.edge == bad
         assert str(exc.value) == f"edge {list(edges)[bad]!r} is not a pair of vertex ids at edge index {bad}"
+
+    @pytest.mark.parametrize("edges", [None, np.int64(5)])
+    def test_edges_must_be_iterable(self, edges):
+        with pytest.raises(GraphError) as exc:
+            Graph(3, edges)
+        assert str(exc.value) == f"edge list {edges!r} is not an iterable of pairs" and exc.value.edge is None
+
+    @pytest.mark.parametrize("table", [[[0, 1], [1]]])
+    def test_ragged_table_is_not_square(self, table):
+        with pytest.raises(GraphError, match="^expected a square matrix, got rows of unequal lengths$"):
+            graphs.ExtendedWeighting(table)
 
     def test_sequences_and_array_rows_are_pairs(self):
         g = Graph(4, [(1, 2), (2, 3), (3, 4)])
@@ -664,6 +676,8 @@ class TestWeighting:
         ([-0.0, 2, float("inf"), float("nan"), -2], "non-finite weight", 2),
         ([0.0, -0.0, float("-inf"), float("inf")], "negative weight", 2),
         ([5, 4, -1e-300, float("nan")], "negative weight", 2),
+        ([10**400, 1, 2], "non-finite weight", 0),  # past the float range, as inf
+        ([1, -10**400, 10**400], "negative weight", 1),
     ]
 
     @pytest.mark.parametrize("weights,reason,bad", MIXED_FAULTS)

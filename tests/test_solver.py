@@ -18,10 +18,8 @@ from minmaxmst import (
     all_pairs_minmax,
     bruteforce_mst,
     compile_mst_circuit,
-    compile_mst_circuit_naive,
     complete_extension,
     complete_graph,
-    count_ops,
     evaluate,
     fix_spanning_tree,
     kruskal_mst,
@@ -112,7 +110,7 @@ class TestPureDP:
         monkeypatch.setattr(Weighting, "values", property(refuse))
         assert mst_puredp(g, x)[0] == mst_puredp_naive(g, x)[0] == expect
         assert mst_decomposition(g, x, fix_spanning_tree(g)).total == expect
-        assert evaluate(compile_mst_circuit(g), x) == evaluate(compile_mst_circuit_naive(g), x) == expect
+        assert evaluate(compile_mst_circuit(g), x) == expect
 
     def test_single_edge(self):
         g, x = parse_graph("2 1\n1 2 9\n")
@@ -138,18 +136,22 @@ class TestPureDP:
             assert mst_puredp(g, x)[0] == mst_puredp_naive(g, x)[0]
 
     def test_naive_resweeps_each_round(self, monkeypatch):
-        """The naive solver and its circuit sweep once per tree edge, and the circuit has the naive op counts."""
-        sweeps, emitted = [], []
-        sweep, emit = solver._sweep, circuit._Emitter.sweep
+        """The naive solver sweeps once per tree edge and runs no zeroing update, and its op counts are
+        n-1 sweeps of the nodes one emitted sweep reserves, the extension's m-1 maxes and n-1 adds."""
+        sweeps, updates = [], []
+        sweep = solver._sweep
         monkeypatch.setattr(solver, "_sweep", lambda d: (sweeps.append(d.shape), sweep(d))[1])
-        monkeypatch.setattr(circuit._Emitter, "sweep", lambda em, t: (emitted.append(t.shape), emit(em, t))[1])
+        monkeypatch.setattr(solver, "_zero_update", lambda *args: updates.append(args))
         for g, x in random_instances(12, seed=36, max_n=9):
             sweeps.clear()
-            emitted.clear()
             assert mst_puredp_naive(g, x)[0] == kruskal_mst(g, x)
-            c = compile_mst_circuit_naive(g)
-            assert sweeps == emitted == [(g.n, g.n)] * (g.n - 1)
-            assert count_ops(c) == naive_op_counts(g.n, g.m)
+            assert sweeps == [(g.n, g.n)] * (g.n - 1) and updates == []
+            em = circuit._Emitter(g)
+            t = em.extension()
+            before = em.size
+            em.sweep(t)
+            per_sweep = em.size - before
+            assert naive_op_counts(g.n, g.m).total == (g.n - 1) * per_sweep + max(g.m - 1, 0) + max(g.n - 1, 0)
 
     @settings(max_examples=80, deadline=None)
     @given(weighted_graphs())
@@ -407,8 +409,7 @@ class TestWalkPlan:
         mst_puredp(g, x)
         mst_puredp_naive(g, x)
         compile_mst_circuit(g)
-        compile_mst_circuit_naive(g)
-        assert len(walked) == 4 and all(ends is g._walk for ends in walked)
+        assert len(walked) == 3 and all(ends is g._walk for ends in walked)
 
 
 class TestOpCounts:
