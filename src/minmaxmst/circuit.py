@@ -44,8 +44,10 @@ from .solver import OpCounts, _puredp_schedule, puredp_op_counts
 INPUT, CONST, MIN, MAX, ADD = range(5)
 KIND_NAMES = ("input", "const", "min", "max", "add")
 _UFUNCS = {MIN: np.minimum, MAX: np.maximum}
-_CHUNK = 1 << 16  # nodes turned into Python objects at a time
-_NODE_BYTES = 3 * np.dtype(np.intp).itemsize  # at most a node's id and operands in its block
+_CHUNK = 1 << 13  # nodes turned into Python objects at a time: about 1 MB of lists
+# Budget bytes a node: a block holds at most its int32 id and two int32 operands (12 bytes),
+# and the rest leaves room for the live plan's intp operands.
+_NODE_BYTES = 24
 
 Node = tuple  # ("input", edge) | ("const", 0.0) | ("min"|"max"|"add", a, b)
 
@@ -55,11 +57,13 @@ class Block(NamedTuple):
 
     `ids` are its nodes' ids, in evaluation order, and `a` and `b` are the
     ids of their operands, each an index array or, where the compiler
-    wrote an arithmetic run of ids, a stepped slice.  Plain: node ids[t]
-    is `kind(a[t], b[t])`, and every operand is an input, the constant or
-    a node of an earlier block.  Fold: the nodes form a chain, ids[0] =
-    `kind(a[0], b[0])` and ids[t] = `kind(ids[t-1], b[t])`; `a` is an
-    array holding only the chain's start.
+    wrote an arithmetic run of ids, a stepped slice.  The compiler's index
+    arrays are int32, half of intp: the node budget (`_NODE_BYTES`) keeps
+    every id below 2**31.  Plain: node ids[t] is `kind(a[t], b[t])`, and
+    every operand is an input, the constant or a node of an earlier
+    block.  Fold: the nodes form a chain, ids[0] = `kind(a[0], b[0])` and
+    ids[t] = `kind(ids[t-1], b[t])`; `a` is an array holding only the
+    chain's start.
     """
 
     kind: int
@@ -137,9 +141,10 @@ def _live_plan(c: Circuit) -> _Plan:
     nodes in that same array, the inputs and the constant first as plan
     slots 0..m, then each block's live nodes in block order: a numbered
     node holds its plan slot + 1.  Each block keeps its live positions in
-    order, and a block with none is dropped.  An `output` that is no node
-    id, or an add block anywhere but last (live or dead), raises
-    ValueError.
+    order, and a block with none is dropped.  Both passes read a block's
+    int32 arrays as intp copies, one block at a time (`_intp`).  An
+    `output` that is no node id, or an add block anywhere but last (live
+    or dead), raises ValueError.
     """
     if not 0 <= c.output < c.size:
         raise ValueError(f"output {c.output} is not a node id of this {c.size}-node circuit")
@@ -148,32 +153,39 @@ def _live_plan(c: Circuit) -> _Plan:
     mark = np.zeros(c.size, np.intp)
     mark[c.output] = 1
     for blk in reversed(c.blocks):
+        ids, a, b = map(_intp, (blk.ids, blk.a, blk.b))
         if blk.kind == ADD:
-            mark[blk.ids] = 1
-        hit = mark[blk.ids].nonzero()[0]
+            mark[ids] = 1
+        hit = mark[ids].nonzero()[0]
         if not len(hit):
             continue
         if blk.fold:  # a chain: its prefix up to its last marked node
             hit = np.arange(hit[-1] + 1)
-            mark[blk.ids[hit]] = mark[blk.a] = 1
+            mark[ids[hit]] = mark[a] = 1
         else:
-            hit = None if len(hit) == len(blk.ids) else hit
-            mark[_at(blk.a, hit)] = 1
-        mark[_at(blk.b, hit)] = 1
+            hit = None if len(hit) == len(ids) else hit
+            mark[_at(a, hit)] = 1
+        mark[_at(b, hit)] = 1
     live = c.m + 1  # the inputs and the constant are ranked whatever the plan reads
     mark[:live] = np.arange(1, live + 1)
     steps = []
     for blk in c.blocks:
-        hit = mark[blk.ids].nonzero()[0]
+        ids, a, b = map(_intp, (blk.ids, blk.a, blk.b))
+        hit = mark[ids].nonzero()[0]
         if not len(hit):
             continue
         out = slice(live, live + len(hit))
         live = out.stop
-        hit = None if len(hit) == len(blk.ids) else hit
-        mark[_at(blk.ids, hit)] = np.arange(out.start + 1, live + 1)
-        a = blk.a if blk.fold else _at(blk.a, hit)
-        steps.append(_Step(blk.kind, out, _renumber(mark, a), _renumber(mark, _at(blk.b, hit)), blk.fold))
+        hit = None if len(hit) == len(ids) else hit
+        mark[_at(ids, hit)] = np.arange(out.start + 1, live + 1)
+        a = a if blk.fold else _at(a, hit)
+        steps.append(_Step(blk.kind, out, _renumber(mark, a), _renumber(mark, _at(b, hit)), blk.fold))
     return _Plan(live, tuple(steps), int(mark[c.output]) - 1)
+
+
+def _intp(v: np.ndarray | slice) -> np.ndarray | slice:
+    """Operand v with an index array as intp, which numpy gathers and scatters with no conversion per call."""
+    return v if isinstance(v, slice) else v.astype(np.intp)
 
 
 def _at(v: np.ndarray | slice, hit: np.ndarray | None) -> np.ndarray | slice:
@@ -203,7 +215,7 @@ def _chunks(c: Circuit) -> Iterator[tuple[int, list[int], list[int], list[int]]]
     keeps its edge index in `a`; a fold's `a` is its start, then its ids but the last.
     """
     kind = np.full(c.size, CONST, dtype=np.int8)
-    a, b = np.zeros((2, c.size), dtype=np.intp)
+    a, b = np.zeros((2, c.size), dtype=np.int32)
     kind[: c.m] = INPUT
     a[: c.m] = np.arange(c.m)
     for blk in c.blocks:
@@ -224,10 +236,12 @@ class _Emitter:
     takes its node ids from `reserve`, in the row-major order of the pairs
     i < j (`triu_indices`), and describes its nodes only by the blocks it
     schedules, in evaluation order.  `pair` maps both cells of a pair to
-    its position p.  The table is symmetric, so a round reads column k as
-    row k.  The walk writes the table only through these rounds, and the
-    one sweep runs before any update; so after an update round its pairs
-    are the run `run`.
+    its position p.  Node ids, the table's and the blocks', are int32 from
+    the start; the arrays that only index (`i`, `j`, `pair`, `cell`) stay
+    intp, which numpy gathers with no conversion.  The table is symmetric,
+    so a round reads column k as row k.  The walk writes the table only
+    through these rounds, and the one sweep runs before any update; so
+    after an update round its pairs are the run `run`.
     """
 
     def __init__(self, g: Graph) -> None:
@@ -238,7 +252,7 @@ class _Emitter:
         self.size = g.m + 1  # nodes reserved
         self.blocks: list[Block] = []
         self.i, self.j = np.triu_indices(g.n, 1)
-        self.p = np.arange(len(self.i))
+        self.p = np.arange(len(self.i), dtype=np.int32)  # the offsets of a round's node ids
         self.pair = np.zeros((g.n, g.n), dtype=np.intp)
         self.pair[self.i, self.j] = self.pair[self.j, self.i] = self.p
         self.cell = self.i * g.n + self.j  # pair p's cell (i, j) in the flattened table
@@ -253,7 +267,7 @@ class _Emitter:
     def schedule(self, kind: int, ids, a, b, fold: bool = False) -> None:
         """Append a block of the reserved nodes ids, reading the ids a and b (arrays, or runs as slices)."""
         if len(ids):
-            self.blocks.append(Block(kind, *(v if isinstance(v, slice) else np.asarray(v, dtype=np.intp)
+            self.blocks.append(Block(kind, *(v if isinstance(v, slice) else np.asarray(v, dtype=np.int32)
                                              for v in (ids, a, b)), fold))
 
     def circuit(self, walk: Iterator[int]) -> Circuit:
@@ -274,8 +288,8 @@ class _Emitter:
         """The max-fold M = max(...max(max(x0, x1), x2)..., x_{m-1}); returns the extension's table of node ids."""
         m = self.g.m
         first = self.reserve(max(m - 1, 0))  # no fold when m <= 1; M is input 0 when m == 1
-        self.schedule(MAX, np.arange(first, self.size), [0], np.arange(1, m), fold=True)
-        return _extension_layout(self.g, np.arange(m), self.zero, self.size - 1 if m > 1 else 0)
+        self.schedule(MAX, np.arange(first, self.size, dtype=np.int32), [0], np.arange(1, m, dtype=np.int32), fold=True)
+        return _extension_layout(self.g, np.arange(m, dtype=np.int32), self.zero, self.size - 1 if m > 1 else 0)
 
     def sweep(self, t: np.ndarray) -> np.ndarray:
         """The n rounds of the pair recurrence, in place on the table; returns t.
@@ -298,11 +312,11 @@ class _Emitter:
             row = t[k]  # the old ids of row and column k
             col = mins[self.pair[k]]  # their new ids
             col[k] = self.zero
-            for sel in (on_k, np.delete(self.p, on_k)):
+            for sel in (on_k, np.delete(np.arange(npairs), on_k)):
                 ii, jj = i[sel], j[sel]
                 ta = np.where(k < jj, col[ii], row[ii])
                 tb = np.where(k < ii, col[jj], row[jj])
-                maxes = base + 2 * sel
+                maxes = mins[sel] - 1
                 self.schedule(MAX, maxes, ta, tb)
                 self.schedule(MIN, maxes + 1, t.take(self.cell[sel]), maxes)
             self._relabel(t, mins)

@@ -69,7 +69,12 @@ def all_pairs_minmax(xbar: ExtendedWeighting | np.ndarray) -> DistanceMatrix:
     table is copied and checked as one once the sweep fits the work budget.
     """
     values = getattr(xbar, "values", xbar)
-    _check_sweep_work(len(values) if np.ndim(values) else 0)
+    try:
+        n = len(values) if np.ndim(values) else 0
+    except ValueError:  # ragged rows: numpy builds no array, and the table's own check names them
+        ExtendedWeighting(values)
+        raise
+    _check_sweep_work(n)
     if not isinstance(xbar, ExtendedWeighting):
         xbar = ExtendedWeighting(xbar)
     levels, table = _ranks(xbar.values)

@@ -372,7 +372,8 @@ class ExtendedWeighting:
     Holds a complete extension's weights and, as `distances.DistanceMatrix`,
     min-max distances.  A table from outside is copied and checked on
     construction, its entries real numbers by type as a `Weighting`'s
-    are; one the package computed is kept as built, by `_built`.
+    are, an int past the float range an infinity of its sign; one the
+    package computed is kept as built, by `_built`.
     """
 
     values: np.ndarray
@@ -384,9 +385,13 @@ class ExtendedWeighting:
             raise GraphError("expected a square matrix, got rows of unequal lengths") from None
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise GraphError(f"expected a square matrix, got shape {arr.shape}")
-        if arr.dtype.kind not in "fiu" or not isinstance(values, np.ndarray) and not all(map(_all_real, values)):
+        objects = not isinstance(values, np.ndarray) or arr.dtype.kind == "O"  # entries checked by type
+        if arr.dtype.kind not in "fiuO" or objects and not all(map(_all_real, values)):
             raise GraphError("matrix entries must be numbers")
-        arr = arr.astype(float)
+        try:
+            arr = arr.astype(float)
+        except OverflowError:  # an int or Fraction past the float range: an infinity of its sign, as in a Weighting
+            arr = np.array([_float(v) for v in arr.flat]).reshape(arr.shape)
         if np.any(np.diagonal(arr) != 0):
             raise GraphError("matrix diagonal must be zero")
         if not ((arr == arr.T) | (np.isnan(arr) & np.isnan(arr.T))).all():  # bool masks, no float copies

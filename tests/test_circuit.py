@@ -433,6 +433,11 @@ def sampled_outputs(c, rng, k=2):
     return [c] + [replace(c, output=t) for t in outputs]
 
 
+def block_arrays(c):
+    """The index arrays of c's blocks; stepped-slice operands hold none."""
+    return [v for blk in c.blocks for v in (blk.ids, blk.a, blk.b) if not isinstance(v, slice)]
+
+
 class TestLivePlan:
     """`evaluate` runs only the nodes that the output and the whole add chain read, renumbered densely."""
 
@@ -530,6 +535,25 @@ class TestLivePlan:
             tracemalloc.stop()
         assert plan.live < c.size
         assert peak - kept <= np.dtype(np.intp).itemsize * (c.size + 4 * widest)
+
+    def test_block_arrays_are_int32(self):
+        arrays = block_arrays(compile_mst_circuit(complete_graph(16)))
+        assert arrays and {v.dtype for v in arrays} == {np.dtype(np.int32)}
+
+    def test_k64_block_arrays_fit_7_mib(self):
+        assert sum(v.nbytes for v in block_arrays(compile_mst_circuit(complete_graph(64)))) <= 7 * 2**20
+
+    def test_format_peaks_near_its_text(self):
+        """Past the text it returns, formatting K_32 peaks within one more copy of the text (the
+        join) and 16 bytes a node: the int32 node-order arrays and one bounded chunk of lists."""
+        c = compile_mst_circuit(complete_graph(32))
+        tracemalloc.start()
+        try:
+            text = format_circuit(c)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - kept <= len(text) + 16 * c.size
 
 
 class TestCountOps:

@@ -96,7 +96,7 @@ class TestSolve:
     def test_decomposition_runs_the_schedule_once(self, capsys, tri_file, monkeypatch):
         sweeps = []
         real = solver._sweep
-        monkeypatch.setattr(solver, "_sweep", lambda d: (sweeps.append(d.shape), real(d)))
+        monkeypatch.setattr(solver, "_sweep", lambda d: sweeps.append(d.shape) or real(d))
         code, out, _ = run(capsys, "solve", tri_file, "--decomposition")
         report = json.loads(out)
         assert code == 0 and sweeps == [(3, 3)]

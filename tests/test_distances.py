@@ -117,6 +117,19 @@ class TestAllPairsMinmax:
         with pytest.raises(GraphError, match="^matrix entries must be numbers$"):
             build(table)
 
+    @pytest.mark.parametrize("build", [all_pairs_minmax, graphs.ExtendedWeighting])
+    def test_ragged_table_is_not_square(self, build):
+        with pytest.raises(GraphError, match="^expected a square matrix, got rows of unequal lengths$"):
+            build([[0, 1], [1]])
+
+    @pytest.mark.parametrize("build", [all_pairs_minmax, graphs.ExtendedWeighting])
+    def test_ints_past_the_float_range_read_as_infinities(self, build):
+        """As in a Weighting: 10**400 reads as inf, which a table may hold, and -10**400 as -inf."""
+        assert build([[0, 10**400], [10**400, 0]]).values[0, 1] == math.inf
+        assert build(np.array([[0, 10**400], [10**400, 0]], dtype=object)).values[0, 1] == math.inf
+        with pytest.raises(GraphError, match="^matrix entries must be nonnegative$"):
+            build([[0, -10**400], [-10**400, 0]])
+
     def test_ranked_sweep_equals_the_float_sweep(self):
         """The sweep runs on ranks; the float64 kernel on the same table is the reference.
         Non-edges are `inf`, as in Maggs-Plotkin, and rank last."""
