@@ -12,8 +12,8 @@ kind that do not read each other, and the two chains (the extension's
 max-fold and the tree-order add chain) as left folds.  The blocks speak
 node ids, the numbering of the text format; an operand that is an
 arithmetic run of ids is stored as a stepped slice.  The node-order view
-(`Circuit.nodes`, the text format) is scattered from the blocks when it
-is asked for.
+(`Circuit.nodes`, the text format) is scattered from the blocks a chunk
+at a time when it is asked for (`_chunks`).
 
 `evaluate` runs a circuit's live plan, built on its first call and kept
 on the circuit: only the nodes that the output and the whole add chain
@@ -45,8 +45,8 @@ INPUT, CONST, MIN, MAX, ADD = range(5)
 KIND_NAMES = ("input", "const", "min", "max", "add")
 _UFUNCS = {MIN: np.minimum, MAX: np.maximum}
 _CHUNK = 1 << 13  # nodes turned into Python objects at a time: about 1 MB of lists
-# Budget bytes a node: a block holds at most its int32 id and two int32 operands (12 bytes),
-# and the rest leaves room for the live plan's intp operands.
+# Budget bytes a node: a block holds at most its int32 id and two int32 operands (12 bytes), the rest
+# leaves room for the live plan's intp operands; node order (`_chunks`) takes a ring, not bytes a node.
 _NODE_BYTES = 24
 
 Node = tuple  # ("input", edge) | ("const", 0.0) | ("min"|"max"|"add", a, b)
@@ -91,7 +91,7 @@ class Circuit:
 
     @property
     def nodes(self) -> Iterator[Node]:
-        """The nodes in node order as tuples, made on demand."""
+        """The nodes in node order as tuples, made on demand one chunk at a time (`_chunks`)."""
         for _, kinds, a, b in _chunks(self):
             for k, x, y in zip(kinds, a, b):
                 if k == INPUT:
@@ -209,22 +209,36 @@ def _ids(v: np.ndarray | slice) -> np.ndarray:
 
 
 def _chunks(c: Circuit) -> Iterator[tuple[int, list[int], list[int], list[int]]]:
-    """(first id, kinds, a, b) in node order as Python lists, a bounded number of nodes at a time.
+    """(first id, kinds, a, b) in node order as Python lists, `_CHUNK` nodes at a time.
 
-    The blocks are scattered into node order once per call.  An input
-    keeps its edge index in `a`; a fold's `a` is its start, then its ids but the last.
+    The blocks are cut into pieces, a plain block whole and a fold at each
+    gap in its ids, and scattered in order of first id into a ring of
+    node-order buffers; a chunk is yielded once the next piece starts past
+    its end.  A compiled piece lies within one round, so the ring holds
+    about a round and a chunk.  An input keeps its edge index in `a`; a
+    fold's `a` is its start, then its ids but the last.
     """
-    kind = np.full(c.size, CONST, dtype=np.int8)
-    a, b = np.zeros((2, c.size), dtype=np.int32)
-    kind[: c.m] = INPUT
-    a[: c.m] = np.arange(c.m)
+    pieces = []  # (first id, last id, block, positions s..e-1)
     for blk in c.blocks:
-        kind[blk.ids] = blk.kind
-        a[blk.ids] = np.concatenate((blk.a, blk.ids[:-1])) if blk.fold else _ids(blk.a)
-        b[blk.ids] = _ids(blk.b)
-    for s in range(0, c.size, _CHUNK):
-        e = s + _CHUNK
-        yield s, kind[s:e].tolist(), a[s:e].tolist(), b[s:e].tolist()
+        cut = [0, *((np.diff(blk.ids) != 1).nonzero()[0] + 1 if blk.fold else ()), len(blk.ids)]
+        blk = blk._replace(a=np.concatenate((blk.a, blk.ids[:-1])), b=_ids(blk.b)) if blk.fold else blk
+        pieces += [(int(blk.ids[s:e].min()), int(blk.ids[s:e].max()), blk, s, e) for s, e in zip(cut, cut[1:])]
+    pieces.sort(key=lambda p: p[0])
+    held = np.maximum.accumulate([c.m, *(p[1] for p in pieces)])[1:] + 1 - [p[0] // _CHUNK * _CHUNK for p in pieces]
+    ring = -(-int(held.max(initial=c.m + 1)) // _CHUNK) * _CHUNK  # the most ids held at once, in whole chunks
+    kind = np.full(ring, CONST, dtype=np.int8)
+    a, b = np.zeros((2, ring), dtype=np.int32)
+    kind[: c.m], a[: c.m] = INPUT, np.arange(c.m)
+    lo = 0  # the next chunk's first id
+    for first, _, blk, s, e in pieces + [(c.size, 0, None, 0, 0)]:  # every id below first is scattered
+        while lo + _CHUNK <= first or lo < first == c.size:
+            r, k = lo % ring, min(_CHUNK, first - lo)
+            yield lo, kind[r : r + k].tolist(), a[r : r + k].tolist(), b[r : r + k].tolist()
+            lo += k
+        if blk is None:
+            return
+        at = blk.ids[s:e] % ring
+        kind[at], a[at], b[at] = blk.kind, _ids(blk.a)[s:e], _ids(blk.b)[s:e]
 
 
 class _Emitter:
@@ -429,7 +443,7 @@ def format_circuit_chunks(c: Circuit) -> Iterator[str]:
     """The text format in pieces whose concatenation is `format_circuit(c)`.
 
     Each piece holds the lines of one chunk of nodes, the last the output
-    line, so a writer never holds the whole text.
+    line, so a writer holds one chunk of text and `_chunks`' ring, never the whole text.
     """
     for start, kinds, a, b in _chunks(c):
         yield "\n".join([
@@ -442,5 +456,8 @@ def format_circuit_chunks(c: Circuit) -> Iterator[str]:
 
 
 def format_circuit(c: Circuit) -> str:
-    """Serialize in the one-node-per-line text format, ids in node order."""
-    return "".join(format_circuit_chunks(c))
+    """Serialize in the one-node-per-line text format, ids in node order; peaks at about the text and one chunk."""
+    text = ""
+    for piece in format_circuit_chunks(c):
+        text += piece  # CPython resizes a str that one name holds in place (an implementation detail): no join's copy
+    return text

@@ -544,16 +544,19 @@ class TestLivePlan:
         assert sum(v.nbytes for v in block_arrays(compile_mst_circuit(complete_graph(64)))) <= 7 * 2**20
 
     def test_format_peaks_near_its_text(self):
-        """Past the text it returns, formatting K_32 peaks within one more copy of the text (the
-        join) and 16 bytes a node: the int32 node-order arrays and one bounded chunk of lists."""
-        c = compile_mst_circuit(complete_graph(32))
+        """Past the text it returns, formatting K_48 (318,143 nodes, an 8.2 MB text) peaks within
+        256 bytes for each node of one chunk, about 2 MiB: one chunk's lists and lines and the ring
+        of node-order buffers, with no second copy of the text and no node-order arrays of the
+        whole circuit."""
+        c = compile_mst_circuit(complete_graph(48))
         tracemalloc.start()
         try:
             text = format_circuit(c)
             kept, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak - kept <= len(text) + 16 * c.size
+        assert len(text) > 3 * 256 * circuit._CHUNK  # a second copy of the text would not fit
+        assert peak - kept <= 256 * circuit._CHUNK
 
 
 class TestCountOps:
@@ -596,6 +599,19 @@ class TestFormat:
         text = format_circuit(compile_mst_circuit(g))
         ids = [int(line.split()[0]) for line in text.splitlines()[:-1]]
         assert ids == list(range(len(ids)))
+
+    def test_chunk_size_changes_neither_text_nor_nodes(self, monkeypatch):
+        """Chunks of 1, 7 and 50 nodes give the text and the nodes of 8,192-node chunks.  On K_10,
+        at 50 nodes a chunk, the extension's max-fold and each zeroing round cross a chunk's end."""
+        k10 = compile_mst_circuit(complete_graph(10))
+        fold, zeroing = k10.blocks[0], [blk for blk in k10.blocks if isinstance(blk.a, slice)]
+        assert fold.fold and fold.ids[0] // 50 < fold.ids[-1] // 50
+        assert zeroing and all(blk.ids[0] // 50 < blk.ids[-1] // 50 for blk in zeroing)
+        circuits = [compile_mst_circuit(g) for g in small_graphs_of_every_shape(86)] + [k10]
+        want = [(format_circuit(c), list(c.nodes)) for c in circuits]
+        for chunk in (1, 7, 50):
+            monkeypatch.setattr(circuit, "_CHUNK", chunk)
+            assert [(format_circuit(c), list(c.nodes)) for c in circuits] == want, chunk
 
     @pytest.mark.parametrize("name", sorted(GOLDEN_SHA256))
     def test_text_matches_golden_digest(self, name):
