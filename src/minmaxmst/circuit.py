@@ -16,18 +16,20 @@ arithmetic run of ids is stored as a stepped slice.  The node-order view
 at a time when it is asked for (`_chunks`).
 
 `evaluate` runs a circuit's live plan, built on its first call and kept
-on the circuit: only the nodes that the output and the whole add chain
-read, numbered densely in block order (`_live_plan`), the one numbering
-of a circuit besides its node ids.  The paper's schedule does work that
-no output reads: after the round that zeroes {a, b}, rows a and b are
-equal, and on K_n the extension's max-fold has no non-edge to feed.  So
-K_64 evaluates 426,784 of its 762,111 nodes, and `live_ops` counts the
-424,767 of its 760,094 operations that run, while `count_ops` stays the
-schedule's count.  The plan's min and max steps run on the ranks of the
-inputs and the constant (`graphs._ranks`, the solvers' rule), in the
-smallest unsigned dtype for their top rank, one ufunc call per step into
-its own range, with no scatter; ranks turn back into weights only for
-the add chain, the circuit's last block.
+on the circuit: the live sub-circuit (`_live_plan`), itself a `Circuit`.
+It holds only the nodes that the output and the whole add chain read,
+numbered densely in block order, the one numbering of a circuit besides
+its node ids: slots 0..m are the inputs and the constant, and each block's
+ids are one slot range.  The paper's schedule does work that no output
+reads: after the round that zeroes {a, b}, rows a and b are equal, and on
+K_n the extension's max-fold has no non-edge to feed.  So K_64 evaluates
+426,784 of its 762,111 nodes, and `live_ops`, the plan's `count_ops`,
+counts the 424,767 of its 760,094 operations that run, while the
+circuit's `count_ops` stays the schedule's count.  The plan's min and max
+blocks run on the ranks of the inputs and the constant (`graphs._ranks`,
+the solvers' rule), in the smallest unsigned dtype for their top rank,
+one ufunc call per block into its own range, with no scatter; ranks turn
+back into weights only for the add chain, the circuit's last block.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .graphs import Graph, GraphError, Weighting, _check_bytes, _extension_layout, _ranks, _weight_sum
+from .graphs import Graph, GraphError, Weighting, _check_bytes, _extension_layout, _index, _ranks, _weight_sum
 from .solver import OpCounts, _puredp_schedule, puredp_op_counts
 
 INPUT, CONST, MIN, MAX, ADD = range(5)
@@ -53,21 +55,23 @@ Node = tuple  # ("input", edge) | ("const", 0.0) | ("min"|"max"|"add", a, b)
 
 
 class Block(NamedTuple):
-    """One step of a circuit's evaluation schedule: nodes of one kind.
+    """One block of a circuit's evaluation schedule: nodes of one kind.
 
     `ids` are its nodes' ids, in evaluation order, and `a` and `b` are the
-    ids of their operands, each an index array or, where the compiler
-    wrote an arithmetic run of ids, a stepped slice.  The compiler's index
-    arrays are int32, half of intp: the node budget (`_NODE_BYTES`) keeps
-    every id below 2**31.  Plain: node ids[t] is `kind(a[t], b[t])`, and
-    every operand is an input, the constant or a node of an earlier
-    block.  Fold: the nodes form a chain, ids[0] = `kind(a[0], b[0])` and
-    ids[t] = `kind(ids[t-1], b[t])`; `a` is an array holding only the
-    chain's start.
+    ids of their operands; each is an index array or, where it is an
+    arithmetic run of ids, a stepped slice.  A compiled circuit's `ids`
+    are index arrays and a live plan's are its slot ranges.  The
+    compiler's index arrays are int32, half of intp: the node budget
+    (`_NODE_BYTES`) keeps every id below 2**31.  Plain: node ids[t] is
+    `kind(a[t], b[t])`, and every operand is an input, the constant or a
+    node of an earlier block.  Fold: the nodes form a chain, ids[0] =
+    `kind(a[0], b[0])` and ids[t] = `kind(ids[t-1], b[t])`; `a` holds only
+    the chain's start.  Readers take ids and operands through `_ids` and
+    `_at`, so a plan formats and counts like any circuit.
     """
 
     kind: int
-    ids: np.ndarray
+    ids: np.ndarray | slice
     a: np.ndarray | slice
     b: np.ndarray | slice
     fold: bool
@@ -80,7 +84,7 @@ class Circuit:
     Nodes 0..m-1 are the inputs in edge order and node m is the constant 0.
     Every other node, up to `size - 1`, is in exactly one of `blocks`, the
     evaluation schedule, in an order that respects every operand.
-    `output` is a node id.
+    `output` is a node id.  A live plan (`_live_plan`) is a circuit too.
     """
 
     size: int
@@ -102,58 +106,38 @@ class Circuit:
                     yield (KIND_NAMES[k], x, y)
 
     @cached_property
-    def _plan(self) -> _Plan:
+    def _plan(self) -> Circuit:
         """The live plan that `evaluate` runs, built on its first call (`_live_plan`)."""
         return _live_plan(self)
 
 
-class _Step(NamedTuple):
-    """One block of a live plan: `kind` into the plan slots `out`; `a`, `b` and `fold` as in `Block`, in plan slots."""
-
-    kind: int
-    out: slice
-    a: np.ndarray | slice
-    b: np.ndarray | slice
-    fold: bool
-
-
-class _Plan(NamedTuple):
-    """What `evaluate` runs of a circuit.
-
-    Slots 0..m are the inputs and the constant 0; the steps' `out` ranges
-    tile [m+1, live) in order, the add chain last when the circuit has one.
-    `output` is the plan slot of the circuit's output.
-    """
-
-    live: int
-    steps: tuple[_Step, ...]
-    output: int
-
-
-def _live_plan(c: Circuit) -> _Plan:
-    """The nodes that `c.output` and the whole add chain read, numbered densely in block order.
+def _live_plan(c: Circuit) -> Circuit:
+    """The live sub-circuit: the nodes that `c.output` and the whole add chain read, numbered densely.
 
     The add chain stays whole, so its overflow check sees every term.  One
     backward pass over the blocks marks live nodes by id in one intp
     array: the output, the add chain, then in a plain block the operands
     of its marked nodes and in a fold its prefix up to its last marked
     node and that prefix's operands.  A forward pass then numbers the live
-    nodes in that same array, the inputs and the constant first as plan
-    slots 0..m, then each block's live nodes in block order: a numbered
-    node holds its plan slot + 1.  Each block keeps its live positions in
-    order, and a block with none is dropped.  Both passes read a block's
-    int32 arrays as intp copies, one block at a time (`_intp`).  An
-    `output` that is no node id, or an add block anywhere but last (live
-    or dead), raises ValueError.
+    nodes in that same array, the inputs and the constant first as slots
+    0..m, then each block's live nodes in block order: a numbered node
+    holds its slot + 1.  Each block keeps its live positions in order as
+    one block whose ids are its slot range, and a block with none is
+    dropped.  Both passes read a block's int32 arrays as intp copies, one
+    block at a time (`_intp`).  An `output` that is no node id, or an add
+    block anywhere but last (live or dead), raises ValueError.
     """
-    if not 0 <= c.output < c.size:
-        raise ValueError(f"output {c.output} is not a node id of this {c.size}-node circuit")
+    try:
+        if not 0 <= _index(c.output) < c.size:
+            raise TypeError
+    except TypeError:
+        raise ValueError(f"output {c.output} is not a node id of this {c.size}-node circuit") from None
     if any(blk.kind == ADD and (blk is not c.blocks[-1] or not blk.fold) for blk in c.blocks):
         raise ValueError("an add block must be the circuit's last block, the add chain")
     mark = np.zeros(c.size, np.intp)
     mark[c.output] = 1
     for blk in reversed(c.blocks):
-        ids, a, b = map(_intp, (blk.ids, blk.a, blk.b))
+        ids, a, b = map(_intp, (_ids(blk.ids), blk.a, blk.b))
         if blk.kind == ADD:
             mark[ids] = 1
         hit = mark[ids].nonzero()[0]
@@ -166,21 +150,21 @@ def _live_plan(c: Circuit) -> _Plan:
             hit = None if len(hit) == len(ids) else hit
             mark[_at(a, hit)] = 1
         mark[_at(b, hit)] = 1
-    live = c.m + 1  # the inputs and the constant are ranked whatever the plan reads
-    mark[:live] = np.arange(1, live + 1)
-    steps = []
+    size = c.m + 1  # the inputs and the constant are ranked whatever the plan reads
+    mark[:size] = np.arange(1, size + 1)
+    blocks = []
     for blk in c.blocks:
-        ids, a, b = map(_intp, (blk.ids, blk.a, blk.b))
+        ids, a, b = map(_intp, (_ids(blk.ids), blk.a, blk.b))
         hit = mark[ids].nonzero()[0]
         if not len(hit):
             continue
-        out = slice(live, live + len(hit))
-        live = out.stop
+        out = slice(size, size + len(hit))
+        size = out.stop
         hit = None if len(hit) == len(ids) else hit
-        mark[_at(ids, hit)] = np.arange(out.start + 1, live + 1)
+        mark[_at(ids, hit)] = np.arange(out.start + 1, size + 1)
         a = a if blk.fold else _at(a, hit)
-        steps.append(_Step(blk.kind, out, _renumber(mark, a), _renumber(mark, _at(b, hit)), blk.fold))
-    return _Plan(live, tuple(steps), int(mark[c.output]) - 1)
+        blocks.append(Block(blk.kind, out, _renumber(mark, a), _renumber(mark, _at(b, hit)), blk.fold))
+    return Circuit(size, int(mark[c.output]) - 1, c.n, c.m, tuple(blocks))
 
 
 def _intp(v: np.ndarray | slice) -> np.ndarray | slice:
@@ -220,9 +204,12 @@ def _chunks(c: Circuit) -> Iterator[tuple[int, list[int], list[int], list[int]]]
     """
     pieces = []  # (first id, last id, block, positions s..e-1)
     for blk in c.blocks:
-        cut = [0, *((np.diff(blk.ids) != 1).nonzero()[0] + 1 if blk.fold else ()), len(blk.ids)]
-        blk = blk._replace(a=np.concatenate((blk.a, blk.ids[:-1])), b=_ids(blk.b)) if blk.fold else blk
-        pieces += [(int(blk.ids[s:e].min()), int(blk.ids[s:e].max()), blk, s, e) for s, e in zip(cut, cut[1:])]
+        ids = _ids(blk.ids)
+        cut = [0, *((np.diff(ids) != 1).nonzero()[0] + 1 if blk.fold else ()), len(ids)]
+        if blk.fold:
+            blk = blk._replace(a=np.concatenate((_ids(blk.a), ids[:-1])), b=_ids(blk.b))
+        blk = blk._replace(ids=ids)
+        pieces += [(int(ids[s:e].min()), int(ids[s:e].max()), blk, s, e) for s, e in zip(cut, cut[1:])]
     pieces.sort(key=lambda p: p[0])
     held = np.maximum.accumulate([c.m, *(p[1] for p in pieces)])[1:] + 1 - [p[0] // _CHUNK * _CHUNK for p in pieces]
     ring = -(-int(held.max(initial=c.m + 1)) // _CHUNK) * _CHUNK  # the most ids held at once, in whole chunks
@@ -255,7 +242,7 @@ class _Emitter:
     intp, which numpy gathers with no conversion.  The table is symmetric,
     so a round reads column k as row k.  The walk writes the table only
     through these rounds, and the one sweep runs before any update; so
-    after an update round its pairs are the run `run`.
+    after the sweep and after each update round its pairs are the run `run`.
     """
 
     def __init__(self, g: Graph) -> None:
@@ -270,7 +257,6 @@ class _Emitter:
         self.pair = np.zeros((g.n, g.n), dtype=np.intp)
         self.pair[self.i, self.j] = self.pair[self.j, self.i] = self.p
         self.cell = self.i * g.n + self.j  # pair p's cell (i, j) in the flattened table
-        self.run: slice | None = None  # the table's pair p is node run[p], where an update round left it
 
     def reserve(self, count: int) -> int:
         """The ids of the next `count` nodes; returns the first."""
@@ -334,6 +320,7 @@ class _Emitter:
                 self.schedule(MAX, maxes, ta, tb)
                 self.schedule(MIN, maxes + 1, t.take(self.cell[sel]), maxes)
             self._relabel(t, mins)
+        self.run = slice(base + 1, self.size, 2)  # the last round's mins, base+2p+1
         return t
 
     def zero_update(self, t: np.ndarray, u: int, v: int) -> None:
@@ -350,9 +337,8 @@ class _Emitter:
         t1 = base + 4 * self.p
         t1s, m1s, t2s, m2s = (slice(base + r, self.size, 4) for r in range(4))
         tu, tv = t[u], t[v]
-        old = t.take(self.cell) if self.run is None else self.run
         self.schedule(MAX, np.concatenate((t1, t1 + 2)), np.concatenate((tu[i], tv[i])), np.concatenate((tv[j], tu[j])))
-        self.schedule(MIN, t1 + 1, old, t1s)
+        self.schedule(MIN, t1 + 1, self.run, t1s)
         self.schedule(MIN, t1 + 3, m1s, t2s)
         self._relabel(t, t1 + 3)
         self.run = m2s
@@ -375,32 +361,32 @@ def evaluate(c: Circuit, x: Weighting | Sequence[float]) -> float:
     """Evaluate the circuit on a weighting with one value per input.
 
     A plain sequence is checked as a `Weighting`.  The circuit's live plan
-    is built on its first call and kept (`_live_plan`): only the nodes
-    that the output and the whole add chain read, in one slot range per
-    block that has any.  Min and max commute with the order-preserving
-    map from weights to ranks (see `solver`), so the min and max steps
-    run on ranks: the inputs and the constant 0 are ranked as the solvers
-    rank weights (`graphs._ranks`), one array in the ranks' dtype holds a
-    rank per plan slot, and each plain step is one ufunc call into its
-    own range of it.  Only the add chain, which must be the circuit's
-    last block, is lifted back to weights: its earlier nodes keep their
-    tree-order float adds, and its last node gets the exactly rounded sum
-    (`math.fsum`) of the chain's operands, so the output equals the
-    solvers' exactly rounded sum on any weights.  Every node evaluates to
-    its value on the weights themselves, a -0.0 weight as +0.0, as in the
-    solvers.  Like them, it raises GraphError past the float range.  An
-    `output` that is no node id of the circuit, or an add block anywhere
-    but last, raises ValueError.
+    is built on its first call and kept (`_live_plan`): the sub-circuit of
+    the nodes that the output and the whole add chain read, each block's
+    ids one range of its slots.  Min and max commute with the
+    order-preserving map from weights to ranks (see `solver`), so the min
+    and max blocks run on ranks: the inputs and the constant 0 are ranked
+    as the solvers rank weights (`graphs._ranks`), one array in the ranks'
+    dtype holds a rank per plan slot, and each plain block is one ufunc
+    call into its own range of it.  Only the add chain, which must be the
+    circuit's last block, is lifted back to weights: its earlier nodes
+    keep their tree-order float adds, and its last node gets the exactly
+    rounded sum (`math.fsum`) of the chain's operands, so the output
+    equals the solvers' exactly rounded sum on any weights.  Every node
+    evaluates to its value on the weights themselves, a -0.0 weight as
+    +0.0, as in the solvers.  Like them, it raises GraphError past the
+    float range.  An `output` that is no node id of the circuit, or an add
+    block anywhere but last, raises ValueError.
     """
     values = (x if isinstance(x, Weighting) else Weighting(x)).array
     if len(values) != c.m:
         raise ValueError(f"circuit expects {c.m} input values, got {len(values)}")
     plan = c._plan
     levels, ranks = _ranks(np.append(values, 0.0))  # slots 0..m: the inputs, then the constant 0
-    vals = np.empty(plan.live, ranks.dtype)
+    vals = np.empty(plan.size, ranks.dtype)
     vals[: c.m + 1] = ranks
-    for kind, out, a, b, fold in plan.steps:
-        if kind == ADD:  # the add chain, the plan's last step: its slots get no rank
+    for kind, out, a, b, fold in plan.blocks:
+        if kind == ADD:  # the add chain, the plan's last block: its slots get no rank
             operands = levels[np.concatenate((vals[a], vals[b]))]
             try:
                 with np.errstate(over="raise"):  # the add chain can pass the float range
@@ -417,26 +403,21 @@ def evaluate(c: Circuit, x: Weighting | Sequence[float]) -> float:
     return float(levels[vals[plan.output]])
 
 
-def _tally(kind_lengths: Iterator[tuple[int, int]]) -> OpCounts:
-    """OpCounts of (kind, node count) pairs."""
+def count_ops(c: Circuit) -> OpCounts:
+    """Tally of min/max/add nodes in the circuit, read off its block lengths: the paper's schedule, or a plan's live count."""
     counts = [0] * len(KIND_NAMES)
-    for kind, length in kind_lengths:
-        counts[kind] += length
+    for blk in c.blocks:
+        counts[blk.kind] += len(_ids(blk.ids))
     return OpCounts(counts[MIN], counts[MAX], counts[ADD])
 
 
-def count_ops(c: Circuit) -> OpCounts:
-    """Tally of min/max/add nodes in the circuit, read off its block lengths: the paper's schedule."""
-    return _tally((blk.kind, len(blk.ids)) for blk in c.blocks)
-
-
 def live_ops(c: Circuit) -> OpCounts:
-    """Tally of the min/max/add nodes that `evaluate` runs: those of the live plan.
+    """Tally of the min/max/add nodes that `evaluate` runs: `count_ops` of the live plan.
 
     On K_n, with P = n(n-1)/2, that is 2·n·P + (n-1) + 4·C(n,3): the whole
     sweep, the add chain and the zeroing rounds on the vertices still live.
     """
-    return _tally((step.kind, step.out.stop - step.out.start) for step in c._plan.steps)
+    return count_ops(c._plan)
 
 
 def format_circuit_chunks(c: Circuit) -> Iterator[str]:

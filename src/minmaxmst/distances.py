@@ -85,8 +85,11 @@ def all_pairs_minmax(xbar: ExtendedWeighting | np.ndarray) -> DistanceMatrix:
 def zero_edge_update(d: DistanceMatrix, a: int, b: int) -> DistanceMatrix:
     """Distance matrix after the single pair {a,b} is given weight zero.
 
-    a and b are 1-based vertices.  Uses 2 * n(n-1)/2 min and as many max
-    operations; the input matrix is not modified.
+    d must hold min-max distances, as `all_pairs_minmax` (or this function)
+    returns them: one round through a and b patches a matrix whose paths
+    are already relaxed, but on a raw weight table it does not give the
+    zeroed distances.  a and b are 1-based vertices.  Uses 2 * n(n-1)/2
+    min and as many max operations; the input matrix is not modified.
     """
     a, b = _vertex_pair(d.n, a, b)
     if a == b:

@@ -161,10 +161,12 @@ class TestBlocks:
         assert [f.name for f in fields(Circuit)] == ["size", "output", "n", "m", "blocks"]
 
     def test_blocks_partition_the_computed_nodes(self):
+        """In a compiled circuit and in its live plan alike."""
         for g in small_graphs_of_every_shape(52) + [complete_graph(16)]:
             c = compile_mst_circuit(g)
-            ids = np.concatenate([blk.ids for blk in c.blocks] + [np.zeros(0, dtype=np.intp)])
-            assert np.array_equal(np.sort(ids), np.arange(g.m + 1, c.size))
+            for c in (c, c._plan):
+                ids = np.concatenate([operand_slots(blk.ids) for blk in c.blocks] + [np.zeros(0, dtype=np.intp)])
+                assert np.array_equal(np.sort(ids), np.arange(g.m + 1, c.size))
 
     def test_folds_are_chains(self):
         """A fold's ids ascend from its one start.  The extension's max-fold takes
@@ -187,7 +189,7 @@ class TestBlocks:
 
 
 def operand_slots(v):
-    return np.arange(v.start, v.stop) if isinstance(v, slice) else v
+    return np.arange(v.start, v.stop, v.step) if isinstance(v, slice) else v
 
 
 class TestSlots:
@@ -211,16 +213,15 @@ class TestSlots:
     def test_update_rounds_min_blocks_read_slices(self, n):
         """After the extension's fold and four blocks per sweep round, each update
         round is its maxes, its first mins and its second mins.  Both mins read
-        their maxes and the second reads the first as runs, and so does the first
-        min of a round that follows another update round."""
+        their maxes and the second reads the first as runs, and the first min reads
+        the table that the sweep or the previous update round left as a run too."""
         c = compile_mst_circuit(complete_graph(n))
         updates = c.blocks[1 + 4 * n : -1]
         assert len(updates) == 3 * (n - 2)
         for r in range(n - 2):
             maxes, m1, m2 = updates[3 * r : 3 * r + 3]
             assert (maxes.kind, m1.kind, m2.kind) == (MAX, MIN, MIN)
-            assert isinstance(m1.b, slice) and isinstance(m2.a, slice) and isinstance(m2.b, slice)
-            assert isinstance(m1.a, slice) == (r > 0)
+            assert all(isinstance(v, slice) for v in (m1.a, m1.b, m2.a, m2.b))
 
     def test_every_node_evaluates_like_the_reference(self):
         rng = random.Random(58)
@@ -239,7 +240,7 @@ class TestSlots:
             x = Weighting([rng.randint(0, 2**20) for _ in range(g.m)])
             assert evaluate(c, x) == mst_puredp(g, x)[0]
 
-    @pytest.mark.parametrize("output", [-1, "size", "size+1"])
+    @pytest.mark.parametrize("output", [-1, "size", "size+1", True, 2.0, "3"])
     def test_output_outside_the_nodes_raises(self, triangle, output):
         g, x = triangle
         c = compile_mst_circuit(g)
@@ -433,6 +434,22 @@ def sampled_outputs(c, rng, k=2):
     return [c] + [replace(c, output=t) for t in outputs]
 
 
+def plan_digest(plans):
+    """SHA-256 of live plans in a canonical form: each plan's size and output, then per block its
+    kind, its slot range, its operand slots as lists and its fold flag."""
+    h = hashlib.sha256()
+    for plan in plans:
+        h.update(repr((int(plan.size), int(plan.output))).encode())
+        for blk in plan.blocks:
+            a, b = (operand_slots(v).tolist() for v in (blk.a, blk.b))
+            h.update(repr((int(blk.kind), int(blk.ids.start), int(blk.ids.stop), a, b, bool(blk.fold))).encode())
+    return h.hexdigest()
+
+
+# plan_digest of the plans of K_16, K_64 and small_graphs_of_every_shape(88) with sampled outputs
+PLAN_SHA256 = "ee050234d72ec2fae23111558b3d58a003dbee1041f1e6b31a187a7a805fe34d"
+
+
 def block_arrays(c):
     """The index arrays of c's blocks; stepped-slice operands hold none."""
     return [v for blk in c.blocks for v in (blk.ids, blk.a, blk.b) if not isinstance(v, slice)]
@@ -442,22 +459,41 @@ class TestLivePlan:
     """`evaluate` runs only the nodes that the output and the whole add chain read, renumbered densely."""
 
     def test_plan_runs_exactly_the_reference_live_nodes(self):
-        """Plan slot p holds the p-th live node in slot order: each step computes that node's
-        kind from the plan slots of that node's operands, and the steps tile the plan's slots."""
+        """Plan slot p holds the p-th live node in slot order: each block computes that node's
+        kind from the plan slots of that node's operands, and the blocks' ids tile the plan's slots."""
         rng = random.Random(79)
         for g in small_graphs_of_every_shape(80):
             for c in sampled_outputs(compile_mst_circuit(g), rng):
                 live, plan, nodes = reference_live(c), c._plan, list(c.nodes)
                 slot_node = np.concatenate([np.arange(c.m + 1)] + [blk.ids for blk in c.blocks])
                 node_at = [int(i) for i in slot_node if i in live]  # plan slot -> node id
-                assert plan.live == len(node_at) and node_at[plan.output] == c.output
-                bounds = [c.m + 1] + [step.out.stop for step in plan.steps]
-                assert [step.out.start for step in plan.steps] == bounds[:-1] and bounds[-1] == plan.live
-                for step in plan.steps:
-                    a, b = operand_slots(step.a), operand_slots(step.b)
-                    for t, p in enumerate(range(step.out.start, step.out.stop)):
-                        x = (a[0] if t == 0 else p - 1) if step.fold else a[t]
-                        assert nodes[node_at[p]] == (KIND_NAMES[step.kind], node_at[x], node_at[b[t]])
+                assert plan.size == len(node_at) and node_at[plan.output] == c.output
+                assert (plan.n, plan.m) == (c.n, c.m)
+                bounds = [c.m + 1] + [blk.ids.stop for blk in plan.blocks]
+                assert [blk.ids.start for blk in plan.blocks] == bounds[:-1] and bounds[-1] == plan.size
+                for blk in plan.blocks:
+                    a, b = operand_slots(blk.a), operand_slots(blk.b)
+                    for t, p in enumerate(range(blk.ids.start, blk.ids.stop)):
+                        x = (a[0] if t == 0 else p - 1) if blk.fold else a[t]
+                        assert nodes[node_at[p]] == (KIND_NAMES[blk.kind], node_at[x], node_at[b[t]])
+
+    def test_a_plan_is_a_circuit(self):
+        """A live plan counts, formats and evaluates like any circuit: its `count_ops` is `live_ops`,
+        and the reference interpreter over its nodes and `evaluate` of it give the circuit's value."""
+        rng = random.Random(86)
+        for g in small_graphs_of_every_shape(87):
+            x = Weighting([rng.randint(0, 100) for _ in range(g.m)])
+            for c in sampled_outputs(compile_mst_circuit(g), rng):
+                plan = c._plan
+                assert count_ops(plan) == live_ops(c)
+                assert reference_evaluate(plan, x.values) == evaluate(plan, x) == evaluate(c, x)
+
+    def test_plans_match_the_pinned_digest(self):
+        """Plans are fixed slot for slot, on complete graphs and on small graphs of every shape."""
+        rng = random.Random(89)
+        circuits = [compile_mst_circuit(complete_graph(n)) for n in (16, 64)]
+        circuits += [c for g in small_graphs_of_every_shape(88) for c in sampled_outputs(compile_mst_circuit(g), rng)]
+        assert plan_digest(c._plan for c in circuits) == PLAN_SHA256
 
     def test_dead_nodes_are_not_read(self):
         """Every node outside the reference's live set NaN, the output is still evaluate's."""
@@ -479,7 +515,7 @@ class TestLivePlan:
         g = complete_graph(64)
         c = compile_mst_circuit(g)
         assert (live_ops(c).total, count_ops(c).total) == (424_767, 760_094)
-        assert c._plan.live == g.m + 1 + 424_767 == 426_784
+        assert c._plan.size == g.m + 1 + 424_767 == 426_784
         assert count_ops(c) == puredp_op_counts(g.n, g.m)
 
     def test_live_ops_counts_the_reference_live_nodes(self):
@@ -503,11 +539,11 @@ class TestLivePlan:
             for c in sampled_outputs(c, rng):
                 flat = replace(c, blocks=arrays)
                 plan, want = c._plan, flat._plan
-                assert (plan.live, plan.output) == (want.live, want.output)
-                assert [(s.kind, s.out, s.fold) for s in plan.steps] == [(s.kind, s.out, s.fold) for s in want.steps]
-                for step, ref in zip(plan.steps, want.steps):
-                    assert np.array_equal(operand_slots(step.a), operand_slots(ref.a))
-                    assert np.array_equal(operand_slots(step.b), operand_slots(ref.b))
+                assert (plan.size, plan.output) == (want.size, want.output)
+                assert [(s.kind, s.ids, s.fold) for s in plan.blocks] == [(s.kind, s.ids, s.fold) for s in want.blocks]
+                for blk, ref in zip(plan.blocks, want.blocks):
+                    assert np.array_equal(operand_slots(blk.a), operand_slots(ref.a))
+                    assert np.array_equal(operand_slots(blk.b), operand_slots(ref.b))
                 x = Weighting([rng.randint(0, 9999) / 10 for _ in range(g.m)])
                 assert evaluate(c, x) == evaluate(flat, x)
         assert runs
@@ -533,7 +569,7 @@ class TestLivePlan:
             kept, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert plan.live < c.size
+        assert plan.size < c.size
         assert peak - kept <= np.dtype(np.intp).itemsize * (c.size + 4 * widest)
 
     def test_block_arrays_are_int32(self):

@@ -1,11 +1,13 @@
 import hashlib
 import io
 import json
+import os
 import random
 import re
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -363,6 +365,20 @@ def test_console_script(tmp_path):
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["mst_weight"] == 3
+
+
+@pytest.mark.parametrize("text, code", [(TRIANGLE, 0), ("3 3\n1 2 1\n2 1 1\n2 3 1\n", 1)])
+def test_module_runs_as_a_process(tmp_path, text, code):
+    """`python -m minmaxmst.cli` from the source tree: `sys.exit(main())` sets the process's exit status."""
+    f = tmp_path / "g.el"
+    f.write_text(text)
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    proc = subprocess.run([sys.executable, "-m", "minmaxmst.cli", "solve", str(f)], capture_output=True, text=True, env=env)
+    assert proc.returncode == code
+    if code == 0:
+        assert json.loads(proc.stdout)["mst_weight"] == 3
+    else:
+        assert proc.stderr == "error: duplicate edge on line 3\n"
 
 
 class TestEmitCircuit:
