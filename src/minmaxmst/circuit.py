@@ -25,11 +25,15 @@ reads: after the round that zeroes {a, b}, rows a and b are equal, and on
 K_n the extension's max-fold has no non-edge to feed.  So K_64 evaluates
 426,784 of its 762,111 nodes, and `live_ops`, the plan's `count_ops`,
 counts the 424,767 of its 760,094 operations that run, while the
-circuit's `count_ops` stays the schedule's count.  The plan's min and max
-blocks run on the ranks of the inputs and the constant (`graphs._ranks`,
-the solvers' rule), in the smallest unsigned dtype for their top rank,
-one ufunc call per block into its own range, with no scatter; ranks turn
-back into weights only for the add chain, the circuit's last block.
+circuit's `count_ops` stays the schedule's count.  The plan merges blocks
+by the absorption law min(y, max(y, z)) = y (`_merged`): each sweep round
+runs as one max block and one min block in pair order, so K_64's plan has
+315 blocks, not 443, and every min block reads two slices.  The plan's
+min and max blocks run on the ranks of the inputs and the constant
+(`graphs._ranks`, the solvers' rule), in the smallest unsigned dtype for
+their top rank, one ufunc call per block into its own range, with no
+scatter; ranks turn back into weights only for the add chain, the
+circuit's last block.
 """
 
 from __future__ import annotations
@@ -111,6 +115,15 @@ class Circuit:
         return _live_plan(self)
 
 
+def _check_output(c: Circuit) -> None:
+    """Raise ValueError unless `c.output` is a node id of c."""
+    try:
+        if not 0 <= _index(c.output) < c.size:
+            raise TypeError
+    except TypeError:
+        raise ValueError(f"output {c.output} is not a node id of this {c.size}-node circuit") from None
+
+
 def _live_plan(c: Circuit) -> Circuit:
     """The live sub-circuit: the nodes that `c.output` and the whole add chain read, numbered densely.
 
@@ -123,26 +136,37 @@ def _live_plan(c: Circuit) -> Circuit:
     0..m, then each block's live nodes in block order: a numbered node
     holds its slot + 1.  Each block keeps its live positions in order as
     one block whose ids are its slot range, and a block with none is
-    dropped.  Both passes read a block's int32 arrays as intp copies, one
-    block at a time (`_intp`).  An `output` that is no node id, or an add
-    block anywhere but last (live or dead), raises ValueError.
+    dropped.  The forward pass also merges plain blocks (`_merged`), so a
+    sweep round runs as two blocks, not four: a block joins the one just
+    before it, or is hoisted over it into the one before that by the
+    absorption law.  It holds at most three blocks at a time and numbers
+    a merged block anew.  The live set is marked on the compiled blocks,
+    so merging changes no slot count: K_64 keeps 426,784 slots in 315
+    blocks, against 443 unmerged.  Its plan builds in about 23-26 ms on a
+    2-core Xeon, about a quarter more than unmerged, and K_8's in about
+    1 ms, about a third more.  Both passes read a block's int32 arrays as
+    intp copies, one block at a time (`_intp`).  An `output` that is no
+    node id, or an add block anywhere but last (live or dead), raises
+    ValueError.
     """
-    try:
-        if not 0 <= _index(c.output) < c.size:
-            raise TypeError
-    except TypeError:
-        raise ValueError(f"output {c.output} is not a node id of this {c.size}-node circuit") from None
+    return _numbered(c)[0]
+
+
+def _numbered(c: Circuit) -> tuple[Circuit, np.ndarray]:
+    """`_live_plan(c)` and the array that numbers it: node i's plan slot + 1, 0 for a dead node."""
+    _check_output(c)
     if any(blk.kind == ADD and (blk is not c.blocks[-1] or not blk.fold) for blk in c.blocks):
         raise ValueError("an add block must be the circuit's last block, the add chain")
     mark = np.zeros(c.size, np.intp)
     mark[c.output] = 1
     for blk in reversed(c.blocks):
-        ids, a, b = map(_intp, (_ids(blk.ids), blk.a, blk.b))
+        ids = _intp(_ids(blk.ids))
         if blk.kind == ADD:
             mark[ids] = 1
         hit = mark[ids].nonzero()[0]
         if not len(hit):
             continue
+        a, b = _intp(blk.a), _intp(blk.b)
         if blk.fold:  # a chain: its prefix up to its last marked node
             hit = np.arange(hit[-1] + 1)
             mark[ids[hit]] = mark[a] = 1
@@ -150,21 +174,106 @@ def _live_plan(c: Circuit) -> Circuit:
             hit = None if len(hit) == len(ids) else hit
             mark[_at(a, hit)] = 1
         mark[_at(b, hit)] = 1
-    size = c.m + 1  # the inputs and the constant are ranked whatever the plan reads
-    mark[:size] = np.arange(1, size + 1)
-    blocks = []
-    for blk in c.blocks:
-        ids, a, b = map(_intp, (_ids(blk.ids), blk.a, blk.b))
-        hit = mark[ids].nonzero()[0]
-        if not len(hit):
-            continue
-        out = slice(size, size + len(hit))
-        size = out.stop
-        hit = None if len(hit) == len(ids) else hit
-        mark[_at(ids, hit)] = np.arange(out.start + 1, size + 1)
-        a = a if blk.fold else _at(a, hit)
-        blocks.append(Block(blk.kind, out, _renumber(mark, a), _renumber(mark, _at(b, hit)), blk.fold))
-    return Circuit(size, int(mark[c.output]) - 1, c.n, c.m, tuple(blocks))
+    mark[: c.m + 1] = np.arange(1, c.m + 2)  # the inputs and the constant are ranked whatever the plan reads
+    blocks, held = [], []  # held: the last live blocks, in node ids, while a later block may merge into them
+    start = end = c.m + 1  # the held blocks' slots are start..end-1
+    for blk in (*c.blocks, None):
+        if blk is not None:
+            ids = _intp(_ids(blk.ids))
+            hit = mark[ids].nonzero()[0]
+            if not len(hit):
+                continue
+            a, b = _intp(blk.a), _intp(blk.b)
+            if len(hit) < len(ids):  # a fold's live nodes are a prefix, and its a is its start
+                ids, a, b = ids[hit], a if blk.fold else _at(a, hit), _at(b, hit)
+            blk = Block(blk.kind, ids, a, b, blk.fold)
+            if not _merged(mark, held, end, blk):
+                mark[blk.ids] = np.arange(end + 1, end + len(blk.ids) + 1)
+                held.append(blk)
+            end += len(blk.ids)
+        while len(held) > (0 if blk is None else 2):  # no later block merges into held[0]: its slots are final
+            kind, ids, a, b, fold = held.pop(0)
+            blocks.append(Block(kind, slice(start, start + len(ids)), _renumber(mark, a), _renumber(mark, b), fold))
+            start += len(ids)
+    return Circuit(start, int(mark[c.output]) - 1, c.n, c.m, tuple(blocks)), mark
+
+
+def _merged(mark: np.ndarray, held: list[Block], end: int, blk: Block) -> bool:
+    """Merge the live block blk into the held blocks, which take the slots up to end - 1; True if merged.
+
+    The held blocks speak node ids, and mark holds each held node's slot
+    + 1.  A plain blk joins the last held block M when M is plain, of
+    blk's kind, and blk reads none of its nodes.  Else blk is hoisted
+    over M into the held block P before it when P is plain and of blk's
+    kind, M is plain and of the other of min and max, blk reads no node
+    of P, and each node of M that blk reads absorbs some y: it is min(y,
+    w) with w = max(y, .) or max(., y) a node of P, or the dual with min
+    and max swapped.  min(y, max(y, z)) = y on any values, so blk reads y
+    in its place; y lies before P, as a node of P reads it.  A merged
+    block keeps its ids ascending, so its slots follow node order.  The
+    hoist is tried on blk's first node before the whole block.
+    """
+    if blk.fold or not held or held[-1].fold:
+        return False
+    m = held[-1]
+    first = end - len(m.ids)  # m's first slot
+    if m.kind == blk.kind:
+        if np.count_nonzero(mark[blk.a] > first) or np.count_nonzero(mark[blk.b] > first):
+            return False
+        held[-1] = _join(mark, m, blk, first)
+        return True
+    if len(held) < 2 or held[-2].fold or held[-2].kind != blk.kind or {blk.kind, m.kind} != {MIN, MAX}:
+        return False
+    p = held[-2]
+    first -= len(p.ids)
+    if not (_readable(mark, p, m, first, _at(blk.a, 0)) and _readable(mark, p, m, first, _at(blk.b, 0))):
+        return False
+    v = _absorbed(mark, p, m, first, np.concatenate((_ids(blk.a), _ids(blk.b))))
+    if v is None:
+        return False
+    mark[m.ids] += len(blk.ids)
+    held[-2] = _join(mark, p, Block(blk.kind, blk.ids, v[: len(blk.ids)], v[len(blk.ids) :], False), first)
+    return True
+
+
+def _readable(mark: np.ndarray, p: Block, m: Block, first: int, x: int) -> bool:
+    """Whether a block hoisted into p over m may read node x: `_absorbed` on one node."""
+    t = int(mark[x]) - first - 1  # x's position in p, then in m
+    if t < len(p.ids):
+        return t < 0
+    t -= len(p.ids)
+    y, t = _at(m.a, t), int(mark[_at(m.b, t)]) - first - 1  # x is kind(y, w), w at position t of p if there
+    return 0 <= t < len(p.ids) and y in (_at(p.a, t), _at(p.b, t))
+
+
+def _absorbed(mark: np.ndarray, p: Block, m: Block, first: int, v: np.ndarray) -> np.ndarray | None:
+    """Node ids v, with each node of m replaced by the y it absorbs (see `_merged`); None if v holds a
+    node of p or a node of m that absorbs nothing.  p and m take the slots from first on."""
+    s = mark[v] - (first + 1)  # positions in p, then in m; negative before p
+    at = (s >= 0).nonzero()[0]
+    if not len(at):
+        return v
+    q = s[at] - len(p.ids)  # positions in m; negative in p
+    if np.count_nonzero(q < 0):
+        return None
+    y, t = _at(m.a, q), mark[_at(m.b, q)] - (first + 1)  # m's node is kind(y, w), w at position t of p if there
+    ok = t.view(np.uintp) < len(p.ids)
+    t *= ok
+    ok &= (_at(p.a, t) == y) | (_at(p.b, t) == y)
+    if np.count_nonzero(ok) < len(ok):
+        return None
+    v[at] = y
+    return v
+
+
+def _join(mark: np.ndarray, head: Block, tail: Block, first: int) -> Block:
+    """Plain blocks head and tail as one block of head's kind with ascending ids, numbered in mark from slot first."""
+    ids = np.concatenate((head.ids, tail.ids))
+    order = ids.argsort(kind="stable")
+    ids = ids[order]
+    mark[ids] = np.arange(first + 1, first + len(ids) + 1)
+    a = np.concatenate((_ids(head.a), _ids(tail.a)))[order]
+    return Block(head.kind, ids, a, np.concatenate((_ids(head.b), _ids(tail.b)))[order], False)
 
 
 def _intp(v: np.ndarray | slice) -> np.ndarray | slice:
@@ -425,7 +534,9 @@ def format_circuit_chunks(c: Circuit) -> Iterator[str]:
 
     Each piece holds the lines of one chunk of nodes, the last the output
     line, so a writer holds one chunk of text and `_chunks`' ring, never the whole text.
+    An `output` that is no node id raises ValueError, as in `evaluate`.
     """
+    _check_output(c)
     for start, kinds, a, b in _chunks(c):
         yield "\n".join([
             f"{i} = {KIND_NAMES[k]} {x} {y}" if k > CONST

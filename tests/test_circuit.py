@@ -245,8 +245,9 @@ class TestSlots:
         g, x = triangle
         c = compile_mst_circuit(g)
         t = {"size": c.size, "size+1": c.size + 1}.get(output, output)
-        with pytest.raises(ValueError, match=f"^output {t} is not a node id of this {c.size}-node circuit$"):
-            evaluate(replace(c, output=t), x)
+        for reader in (lambda circ: evaluate(circ, x), format_circuit):
+            with pytest.raises(ValueError, match=f"^output {t} is not a node id of this {c.size}-node circuit$"):
+                reader(replace(c, output=t))
 
 
 class TestEvaluate:
@@ -407,6 +408,17 @@ def reference_live(c):
     return live
 
 
+def absorbed(nodes, x):
+    """The y that node x absorbs when it is min(y, w) with w = max(y, .) or max(., y), or the dual
+    with min and max swapped: x's value is y's on any input.  None otherwise."""
+    dual = {"min": "max", "max": "min"}
+    if nodes[x][0] in dual:
+        kind, y, w = nodes[x]
+        if nodes[w][0] == dual[kind] and y in nodes[w][1:]:
+            return y
+    return None
+
+
 POISONABLE = {"min": min, "max": max, "add": operator.add}
 
 
@@ -447,7 +459,7 @@ def plan_digest(plans):
 
 
 # plan_digest of the plans of K_16, K_64 and small_graphs_of_every_shape(88) with sampled outputs
-PLAN_SHA256 = "ee050234d72ec2fae23111558b3d58a003dbee1041f1e6b31a187a7a805fe34d"
+PLAN_SHA256 = "b1f3f8ed19dbaad305728f36dc94b7cba6c67f4b4d0aefd84ae11a842b27a68f"
 
 
 def block_arrays(c):
@@ -459,23 +471,51 @@ class TestLivePlan:
     """`evaluate` runs only the nodes that the output and the whole add chain read, renumbered densely."""
 
     def test_plan_runs_exactly_the_reference_live_nodes(self):
-        """Plan slot p holds the p-th live node in slot order: each block computes that node's
-        kind from the plan slots of that node's operands, and the blocks' ids tile the plan's slots."""
+        """The plan's slots hold exactly the reference's live nodes, and the blocks' ids tile the slots.
+        Node by node, each block computes its node's kind from the plan slots of that node's operands
+        or of what they absorb (`absorbed`), and a block merged from several compiled blocks keeps its
+        node ids ascending."""
         rng = random.Random(79)
         for g in small_graphs_of_every_shape(80):
             for c in sampled_outputs(compile_mst_circuit(g), rng):
-                live, plan, nodes = reference_live(c), c._plan, list(c.nodes)
-                slot_node = np.concatenate([np.arange(c.m + 1)] + [blk.ids for blk in c.blocks])
-                node_at = [int(i) for i in slot_node if i in live]  # plan slot -> node id
-                assert plan.size == len(node_at) and node_at[plan.output] == c.output
+                live, nodes = reference_live(c), list(c.nodes)
+                plan, mark = circuit._numbered(c)
+                assert set(mark.nonzero()[0].tolist()) == live
+                node_at = np.zeros(plan.size, np.intp)
+                node_at[mark[mark > 0] - 1] = mark.nonzero()[0]  # plan slot -> node id
+                assert plan.size == len(live) and node_at[plan.output] == c.output
                 assert (plan.n, plan.m) == (c.n, c.m)
                 bounds = [c.m + 1] + [blk.ids.stop for blk in plan.blocks]
                 assert [blk.ids.start for blk in plan.blocks] == bounds[:-1] and bounds[-1] == plan.size
+                block_of = {int(i): k for k, blk in enumerate(c.blocks) for i in operand_slots(blk.ids)}
                 for blk in plan.blocks:
                     a, b = operand_slots(blk.a), operand_slots(blk.b)
+                    ids = node_at[blk.ids]
+                    if len({block_of[int(i)] for i in ids}) > 1:
+                        assert np.all(np.diff(ids) > 0)
                     for t, p in enumerate(range(blk.ids.start, blk.ids.stop)):
-                        x = (a[0] if t == 0 else p - 1) if blk.fold else a[t]
-                        assert nodes[node_at[p]] == (KIND_NAMES[blk.kind], node_at[x], node_at[b[t]])
+                        kind, x, y = nodes[node_at[p]]
+                        assert kind == KIND_NAMES[blk.kind]
+                        read = (node_at[a[0]] if t == 0 else node_at[p - 1]) if blk.fold else node_at[a[t]]
+                        assert read in (x, absorbed(nodes, x)) and node_at[b[t]] in (y, absorbed(nodes, y))
+
+    @pytest.mark.parametrize("n", [*range(3, 17), 64])
+    def test_complete_graph_plans_run_two_blocks_per_sweep_round(self, n):
+        """Each sweep round runs as one max block and one min block: the row/column-k pairs' mins
+        absorb their own old cells, so the other pairs' maxes read those cells and join the
+        row/column-k maxes, and the two min blocks join.  Every min block, the sweep's and the
+        zeroing rounds', reads two slices.  The plan keeps K_n's live slots and live_ops."""
+        g = complete_graph(n)
+        c = compile_mst_circuit(g)
+        plan = c._plan
+        kinds = [MAX, MIN] * n + [MAX, MIN, MIN] * (n - 2) + [ADD]  # 5n - 5 blocks: 315 on K_64
+        assert [blk.kind for blk in plan.blocks] == kinds
+        assert all(isinstance(blk.a, slice) and isinstance(blk.b, slice) for blk in plan.blocks if blk.kind == MIN)
+        p = n * (n - 1) // 2
+        assert plan.size == g.m + 1 + live_ops(c).total == g.m + 1 + 2 * n * p + (n - 1) + 4 * comb(n, 3)
+        rng = random.Random(n)
+        x = Weighting([rng.randint(0, 2**20) for _ in range(g.m)])
+        assert evaluate(c, x) == mst_puredp(g, x)[0]
 
     def test_a_plan_is_a_circuit(self):
         """A live plan counts, formats and evaluates like any circuit: its `count_ops` is `live_ops`,
