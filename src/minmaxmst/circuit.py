@@ -131,23 +131,22 @@ def _live_plan(c: Circuit) -> Circuit:
     backward pass over the blocks marks live nodes by id in one intp
     array: the output, the add chain, then in a plain block the operands
     of its marked nodes and in a fold its prefix up to its last marked
-    node and that prefix's operands.  A forward pass then numbers the live
-    nodes in that same array, the inputs and the constant first as slots
-    0..m, then each block's live nodes in block order: a numbered node
-    holds its slot + 1.  Each block keeps its live positions in order as
-    one block whose ids are its slot range, and a block with none is
-    dropped.  The forward pass also merges plain blocks (`_merged`), so a
+    node and that prefix's operands, each marked -1.  A forward pass then
+    numbers the live nodes in that same array, the inputs and the constant
+    first as slots 0..m, then each block's live nodes in block order: a
+    numbered node holds its slot + 1, which no mark of -1 or 0 can pass
+    for.  Each block keeps its live positions in order as one block whose
+    ids are its slot range, and a block with none is dropped.  The forward pass also merges plain blocks (`_merged`), so a
     sweep round runs as two blocks, not four: a block joins the one just
     before it, or is hoisted over it into the one before that by the
     absorption law.  It holds at most three blocks at a time and numbers
     a merged block anew.  The live set is marked on the compiled blocks,
     so merging changes no slot count: K_64 keeps 426,784 slots in 315
-    blocks, against 443 unmerged.  Its plan builds in about 23-26 ms on a
-    2-core Xeon, about a quarter more than unmerged, and K_8's in about
-    1 ms, about a third more.  Both passes read a block's int32 arrays as
-    intp copies, one block at a time (`_intp`).  An `output` that is no
-    node id, or an add block anywhere but last (live or dead), raises
-    ValueError.
+    blocks, against 443 unmerged.  Both passes read a block's int32
+    arrays as intp copies, one block at a time (`_intp`).  An `output`
+    that is no node id or that no block computes, an add block anywhere
+    but last (live or dead), or a live node that reads a node no earlier
+    block computes raises ValueError.
     """
     return _numbered(c)[0]
 
@@ -158,22 +157,22 @@ def _numbered(c: Circuit) -> tuple[Circuit, np.ndarray]:
     if any(blk.kind == ADD and (blk is not c.blocks[-1] or not blk.fold) for blk in c.blocks):
         raise ValueError("an add block must be the circuit's last block, the add chain")
     mark = np.zeros(c.size, np.intp)
-    mark[c.output] = 1
+    mark[c.output] = -1
     for blk in reversed(c.blocks):
         ids = _intp(_ids(blk.ids))
         if blk.kind == ADD:
-            mark[ids] = 1
+            mark[ids] = -1
         hit = mark[ids].nonzero()[0]
         if not len(hit):
             continue
         a, b = _intp(blk.a), _intp(blk.b)
         if blk.fold:  # a chain: its prefix up to its last marked node
             hit = np.arange(hit[-1] + 1)
-            mark[ids[hit]] = mark[a] = 1
+            mark[ids[hit]] = mark[a] = -1
         else:
             hit = None if len(hit) == len(ids) else hit
-            mark[_at(a, hit)] = 1
-        mark[_at(b, hit)] = 1
+            mark[_at(a, hit)] = -1
+        mark[_at(b, hit)] = -1
     mark[: c.m + 1] = np.arange(1, c.m + 2)  # the inputs and the constant are ranked whatever the plan reads
     blocks, held = [], []  # held: the last live blocks, in node ids, while a later block may merge into them
     start = end = c.m + 1  # the held blocks' slots are start..end-1
@@ -193,8 +192,11 @@ def _numbered(c: Circuit) -> tuple[Circuit, np.ndarray]:
             end += len(blk.ids)
         while len(held) > (0 if blk is None else 2):  # no later block merges into held[0]: its slots are final
             kind, ids, a, b, fold = held.pop(0)
-            blocks.append(Block(kind, slice(start, start + len(ids)), _renumber(mark, a), _renumber(mark, b), fold))
+            blocks.append(Block(kind, slice(start, start + len(ids)), _renumber(mark, a, start),
+                                _renumber(mark, b, start), fold))
             start += len(ids)
+    if mark[c.output] < 1:
+        raise ValueError(f"output {c.output} is computed by no block of this {c.size}-node circuit")
     return Circuit(start, int(mark[c.output]) - 1, c.n, c.m, tuple(blocks)), mark
 
 
@@ -210,8 +212,7 @@ def _merged(mark: np.ndarray, held: list[Block], end: int, blk: Block) -> bool:
     w) with w = max(y, .) or max(., y) a node of P, or the dual with min
     and max swapped.  min(y, max(y, z)) = y on any values, so blk reads y
     in its place; y lies before P, as a node of P reads it.  A merged
-    block keeps its ids ascending, so its slots follow node order.  The
-    hoist is tried on blk's first node before the whole block.
+    block keeps its ids ascending, so its slots follow node order.
     """
     if blk.fold or not held or held[-1].fold:
         return False
@@ -226,8 +227,6 @@ def _merged(mark: np.ndarray, held: list[Block], end: int, blk: Block) -> bool:
         return False
     p = held[-2]
     first -= len(p.ids)
-    if not (_readable(mark, p, m, first, _at(blk.a, 0)) and _readable(mark, p, m, first, _at(blk.b, 0))):
-        return False
     v = _absorbed(mark, p, m, first, np.concatenate((_ids(blk.a), _ids(blk.b))))
     if v is None:
         return False
@@ -236,26 +235,16 @@ def _merged(mark: np.ndarray, held: list[Block], end: int, blk: Block) -> bool:
     return True
 
 
-def _readable(mark: np.ndarray, p: Block, m: Block, first: int, x: int) -> bool:
-    """Whether a block hoisted into p over m may read node x: `_absorbed` on one node."""
-    t = int(mark[x]) - first - 1  # x's position in p, then in m
-    if t < len(p.ids):
-        return t < 0
-    t -= len(p.ids)
-    y, t = _at(m.a, t), int(mark[_at(m.b, t)]) - first - 1  # x is kind(y, w), w at position t of p if there
-    return 0 <= t < len(p.ids) and y in (_at(p.a, t), _at(p.b, t))
-
-
 def _absorbed(mark: np.ndarray, p: Block, m: Block, first: int, v: np.ndarray) -> np.ndarray | None:
     """Node ids v, with each node of m replaced by the y it absorbs (see `_merged`); None if v holds a
     node of p or a node of m that absorbs nothing.  p and m take the slots from first on."""
     s = mark[v] - (first + 1)  # positions in p, then in m; negative before p
+    if np.count_nonzero(s.view(np.uintp) < len(p.ids)):  # a node of p
+        return None
     at = (s >= 0).nonzero()[0]
     if not len(at):
         return v
-    q = s[at] - len(p.ids)  # positions in m; negative in p
-    if np.count_nonzero(q < 0):
-        return None
+    q = s[at] - len(p.ids)  # positions in m
     y, t = _at(m.a, q), mark[_at(m.b, q)] - (first + 1)  # m's node is kind(y, w), w at position t of p if there
     ok = t.view(np.uintp) < len(p.ids)
     t *= ok
@@ -288,10 +277,19 @@ def _at(v: np.ndarray | slice, hit: np.ndarray | None) -> np.ndarray | slice:
     return hit * (v.step or 1) + v.start if isinstance(v, slice) else v[hit]
 
 
-def _renumber(mark: np.ndarray, v: np.ndarray | slice) -> np.ndarray | slice:
-    """Plan slots of the numbered nodes v, through the marks; a slice where they form one ascending run."""
+def _renumber(mark: np.ndarray, v: np.ndarray | slice, first: int) -> np.ndarray | slice:
+    """Plan slots of the nodes v, through the marks; a slice where they form one ascending run.
+
+    The block that reads v takes the slots from first on: a node of v that
+    is not numbered, or not below first, raises ValueError.
+    """
     slots = mark[v] - 1
-    if slots[-1] - slots[0] == len(slots) - 1 and (slots[1:] > slots[:-1]).all():  # ascending, no gap
+    run = slots[-1] - slots[0] == len(slots) - 1 and (slots[1:] > slots[:-1]).all()  # ascending, no gap
+    # an unnumbered node's slot is negative, so as uintp it passes every slot
+    if (slots[-1] if run and slots[0] >= 0 else slots.view(np.uintp).max()) >= first:
+        bad = _ids(v)[(slots.view(np.uintp) >= first).argmax()]
+        raise ValueError(f"a block reads node {bad}, which no earlier block computes")
+    if run:
         return slice(int(slots[0]), int(slots[-1]) + 1)
     return slots
 
@@ -484,8 +482,9 @@ def evaluate(c: Circuit, x: Weighting | Sequence[float]) -> float:
     equals the solvers' exactly rounded sum on any weights.  Every node
     evaluates to its value on the weights themselves, a -0.0 weight as
     +0.0, as in the solvers.  Like them, it raises GraphError past the
-    float range.  An `output` that is no node id of the circuit, or an add
-    block anywhere but last, raises ValueError.
+    float range.  An `output` that is no node id of the circuit or that no
+    block computes, an add block anywhere but last, or a live node that
+    reads a node no earlier block computes raises ValueError.
     """
     values = (x if isinstance(x, Weighting) else Weighting(x)).array
     if len(values) != c.m:

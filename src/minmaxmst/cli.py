@@ -38,16 +38,11 @@ ALGORITHMS = {
 
 def cmd_solve(args: argparse.Namespace) -> int:
     g, x = _load(args.file)
-    dec = None
     start = time.perf_counter()
-    if args.decomposition and args.algorithm == "puredp":
-        # the decomposition is mst_puredp's own schedule: run it once for both
-        dec = mst_decomposition(g, x, fix_spanning_tree(g))
-        value, ops = dec.total, puredp_op_counts(g.n, g.m)
-    else:
-        value, ops = ALGORITHMS[args.algorithm](g, x)
+    value, ops = ALGORITHMS[args.algorithm](g, x)
     elapsed = round((time.perf_counter() - start) * 1000, 3)
-    if args.decomposition and args.algorithm == "puredp-naive":
+    dec = None
+    if args.decomposition and args.algorithm in ("puredp", "puredp-naive"):
         dec = mst_decomposition(g, x, fix_spanning_tree(g))
     report = {
         "algorithm": args.algorithm,

@@ -249,6 +249,22 @@ class TestSlots:
             with pytest.raises(ValueError, match=f"^output {t} is not a node id of this {c.size}-node circuit$"):
                 reader(replace(c, output=t))
 
+    def test_output_that_no_block_computes_raises(self):
+        """Without its add chain, the triangle's output is a node of no block, not input 0 (weight 5)."""
+        g, x = parse_graph("3 3\n1 2 5\n2 3 7\n1 3 9\n")
+        c = compile_mst_circuit(g)
+        assert evaluate(c, x) == 12.0
+        with pytest.raises(ValueError, match=f"^output {c.output} is computed by no block of this {c.size}-node circuit$"):
+            evaluate(replace(c, blocks=c.blocks[:-1]), x)
+
+    def test_block_that_reads_a_later_block_raises(self):
+        """Sweep round 0's row/column-0 mins moved before the maxes they read (nodes 6 and 8)."""
+        g, x = parse_graph("3 3\n1 2 5\n2 3 7\n1 3 9\n")
+        c = compile_mst_circuit(g)
+        blocks = (c.blocks[0], c.blocks[2], c.blocks[1], *c.blocks[3:])
+        with pytest.raises(ValueError, match="^a block reads node 6, which no earlier block computes$"):
+            evaluate(replace(c, blocks=blocks), x)
+
 
 class TestEvaluate:
     def test_matches_solver(self):

@@ -95,17 +95,6 @@ class TestSolve:
         assert "mst_weight     3" in out
         assert "ops            min=15 max=17 add=2 total=34" in out
 
-    def test_decomposition_runs_the_schedule_once(self, capsys, tri_file, monkeypatch):
-        sweeps = []
-        real = solver._sweep
-        monkeypatch.setattr(solver, "_sweep", lambda d: sweeps.append(d.shape) or real(d))
-        code, out, _ = run(capsys, "solve", tri_file, "--decomposition")
-        report = json.loads(out)
-        assert code == 0 and sweeps == [(3, 3)]
-        assert set(report) == REPORT_KEYS
-        assert report["mst_weight"] == 3
-        assert report["ops"] == {"min": 15, "max": 17, "add": 2, "total": 34}
-
     def test_text_format_with_decomposition(self, capsys, tri_file):
         _, out, _ = run(capsys, "solve", tri_file, "--format", "text", "--decomposition")
         assert "decomposition  0:1 2:2" in out
@@ -350,7 +339,8 @@ class TestGen:
         assert g.n == 7
 
     def test_invalid_parameters_exit_1(self, capsys):
-        for argv in (["gen", "--n", "0"], ["gen", "--n", "4", "--density", "2"]):
+        for argv in (["gen", "--n", "0"], ["gen", "--n", "4", "--density", "2"],
+                     ["gen", "--n", "5", "--max-weight", "-1"]):
             code, _, err = run(capsys, *argv)
             assert code == 1 and err
 

@@ -55,6 +55,10 @@ class TestRandomConnectedGraph:
         with pytest.raises(GraphError):
             gen(4, -0.1, seed=1)
 
+    def test_negative_max_weight(self):
+        with pytest.raises(GraphError, match=r"^max-weight must be >= 0, got -1$"):
+            random_connected_graph(5, 0.5, random.Random(1), -1)
+
     def test_vertex_count_checked_by_graph(self):
         with pytest.raises(GraphError, match=r"^vertex count must be >= 1$"):
             gen(0, 0.5, seed=1)

@@ -464,6 +464,10 @@ class TestBoundary:
         with pytest.raises(GraphError, match="^expected a square matrix, got rows of unequal lengths$"):
             graphs.ExtendedWeighting(table)
 
+    def test_rectangular_table_is_not_square(self):
+        with pytest.raises(GraphError, match=r"^expected a square matrix, got shape \(2, 3\)$"):
+            graphs.ExtendedWeighting(np.zeros((2, 3)))
+
     def test_sequences_and_array_rows_are_pairs(self):
         g = Graph(4, [(1, 2), (2, 3), (3, 4)])
         assert Graph(4, [[1, 2], range(2, 4), np.array([3, 4])]) == g
