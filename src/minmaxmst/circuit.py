@@ -99,7 +99,7 @@ class Circuit:
 
     @property
     def nodes(self) -> Iterator[Node]:
-        """The nodes in node order as tuples, made on demand one chunk at a time (`_chunks`)."""
+        """The nodes in node order as tuples, made on demand one chunk at a time (`_chunks`, which raises on a node no block holds)."""
         for _, kinds, a, b in _chunks(self):
             for k, x, y in zip(kinds, a, b):
                 if k == INPUT:
@@ -168,11 +168,11 @@ def _numbered(c: Circuit) -> tuple[Circuit, np.ndarray]:
         a, b = _intp(blk.a), _intp(blk.b)
         if blk.fold:  # a chain: its prefix up to its last marked node
             hit = np.arange(hit[-1] + 1)
-            mark[ids[hit]] = mark[a] = -1
+            mark[ids[hit]] = mark[_reads(a, c.size)] = -1
         else:
             hit = None if len(hit) == len(ids) else hit
-            mark[_at(a, hit)] = -1
-        mark[_at(b, hit)] = -1
+            mark[_reads(_at(a, hit), c.size)] = -1
+        mark[_reads(_at(b, hit), c.size)] = -1
     mark[: c.m + 1] = np.arange(1, c.m + 2)  # the inputs and the constant are ranked whatever the plan reads
     blocks, held = [], []  # held: the last live blocks, in node ids, while a later block may merge into them
     start = end = c.m + 1  # the held blocks' slots are start..end-1
@@ -285,13 +285,20 @@ def _renumber(mark: np.ndarray, v: np.ndarray | slice, first: int) -> np.ndarray
     """
     slots = mark[v] - 1
     run = slots[-1] - slots[0] == len(slots) - 1 and (slots[1:] > slots[:-1]).all()  # ascending, no gap
-    # an unnumbered node's slot is negative, so as uintp it passes every slot
-    if (slots[-1] if run and slots[0] >= 0 else slots.view(np.uintp).max()) >= first:
-        bad = _ids(v)[(slots.view(np.uintp) >= first).argmax()]
-        raise ValueError(f"a block reads node {bad}, which no earlier block computes")
+    if not (run and 0 <= slots[0] and slots[-1] < first):  # else a run's ends bound it
+        _reads(v, first, slots)  # an unnumbered node's slot is negative
     if run:
         return slice(int(slots[0]), int(slots[-1]) + 1)
     return slots
+
+
+def _reads(v: np.ndarray | slice, bound: int, values: np.ndarray | None = None) -> np.ndarray | slice:
+    """Operand v, if its values, one per id (by default its ids), lie in 0..bound-1; else ValueError naming an id."""
+    values = _ids(v) if values is None else values
+    unsigned = values.view(f"u{values.itemsize}")  # a negative value passes every bound
+    if unsigned.max() >= bound:
+        raise ValueError(f"a block reads node {_ids(v)[(unsigned >= bound).argmax()]}, which no earlier block computes")
+    return v
 
 
 def _ids(v: np.ndarray | slice) -> np.ndarray:
@@ -302,12 +309,12 @@ def _ids(v: np.ndarray | slice) -> np.ndarray:
 def _chunks(c: Circuit) -> Iterator[tuple[int, list[int], list[int], list[int]]]:
     """(first id, kinds, a, b) in node order as Python lists, `_CHUNK` nodes at a time.
 
-    The blocks are cut into pieces, a plain block whole and a fold at each
-    gap in its ids, and scattered in order of first id into a ring of
-    node-order buffers; a chunk is yielded once the next piece starts past
-    its end.  A compiled piece lies within one round, so the ring holds
-    about a round and a chunk.  An input keeps its edge index in `a`; a
-    fold's `a` is its start, then its ids but the last.
+    The blocks are cut into pieces, a plain block whole and a fold at each gap in its ids, and
+    scattered in order of first id into a ring of node-order buffers; a chunk is yielded once the
+    next piece starts past its end, and its kinds are then reset to -1.  A -1 left in a chunk, an
+    id no block holds, raises ValueError, as does an operand outside 0..size-1.  A compiled piece
+    lies within one round, so the ring holds about a round and a chunk.  An input keeps its edge
+    index in `a`; a fold's `a` is its start, then its ids but the last.
     """
     pieces = []  # (first id, last id, block, positions s..e-1)
     for blk in c.blocks:
@@ -320,19 +327,22 @@ def _chunks(c: Circuit) -> Iterator[tuple[int, list[int], list[int], list[int]]]
     pieces.sort(key=lambda p: p[0])
     held = np.maximum.accumulate([c.m, *(p[1] for p in pieces)])[1:] + 1 - [p[0] // _CHUNK * _CHUNK for p in pieces]
     ring = -(-int(held.max(initial=c.m + 1)) // _CHUNK) * _CHUNK  # the most ids held at once, in whole chunks
-    kind = np.full(ring, CONST, dtype=np.int8)
+    kind = np.full(ring, -1, dtype=np.int8)  # -1: an id that no block has written
     a, b = np.zeros((2, ring), dtype=np.int32)
-    kind[: c.m], a[: c.m] = INPUT, np.arange(c.m)
+    kind[: c.m], a[: c.m], kind[c.m] = INPUT, np.arange(c.m), CONST
     lo = 0  # the next chunk's first id
     for first, _, blk, s, e in pieces + [(c.size, 0, None, 0, 0)]:  # every id below first is scattered
         while lo + _CHUNK <= first or lo < first == c.size:
             r, k = lo % ring, min(_CHUNK, first - lo)
+            if kind[r : r + k].min() < 0:
+                raise ValueError(f"node {lo + kind[r : r + k].argmin()} is computed by no block of this {c.size}-node circuit")
             yield lo, kind[r : r + k].tolist(), a[r : r + k].tolist(), b[r : r + k].tolist()
+            kind[r : r + k] = -1  # the ring's next pass over these ids finds only what blocks write
             lo += k
         if blk is None:
             return
         at = blk.ids[s:e] % ring
-        kind[at], a[at], b[at] = blk.kind, _ids(blk.a)[s:e], _ids(blk.b)[s:e]
+        kind[at], a[at], b[at] = blk.kind, _reads(_ids(blk.a)[s:e], c.size), _reads(_ids(blk.b)[s:e], c.size)
 
 
 class _Emitter:
@@ -512,10 +522,12 @@ def evaluate(c: Circuit, x: Weighting | Sequence[float]) -> float:
 
 
 def count_ops(c: Circuit) -> OpCounts:
-    """Tally of min/max/add nodes in the circuit, read off its block lengths: the paper's schedule, or a plan's live count."""
+    """Tally of min/max/add nodes, read off block lengths that must add up to `size - m - 1`: the schedule, or a plan's live count."""
     counts = [0] * len(KIND_NAMES)
     for blk in c.blocks:
         counts[blk.kind] += len(_ids(blk.ids))
+    if sum(counts) != c.size - c.m - 1:
+        raise ValueError(f"the blocks of this {c.size}-node circuit compute {sum(counts)} nodes, not {c.size - c.m - 1}")
     return OpCounts(counts[MIN], counts[MAX], counts[ADD])
 
 
@@ -533,7 +545,7 @@ def format_circuit_chunks(c: Circuit) -> Iterator[str]:
 
     Each piece holds the lines of one chunk of nodes, the last the output
     line, so a writer holds one chunk of text and `_chunks`' ring, never the whole text.
-    An `output` that is no node id raises ValueError, as in `evaluate`.
+    An `output` that is no node id, or a fault `_chunks` finds, raises ValueError, as in `evaluate`.
     """
     _check_output(c)
     for start, kinds, a, b in _chunks(c):

@@ -524,9 +524,9 @@ def parse_graph(text: str) -> tuple[Graph, Weighting]:
     read-time one (syntax, header, edge count) is reported, else `Graph`'s
     first structural fault, else `Weighting`'s first weight fault, by line.
 
-    The edge lines are read in one vectorised pass.  Text it does not take,
-    and every fault, goes to the line loop `_parse_lines`, which accepts
-    the same texts and names each fault with its line.
+    A text with its header on line 1 and "\n" breaks, as `format_edge_list`
+    writes, takes one vectorised pass; other texts, and every fault, go to
+    the line loop `_parse_lines`, which reads alike and names each fault's line.
     """
     try:
         return _read_edge_list(text)
@@ -535,29 +535,18 @@ def parse_graph(text: str) -> tuple[Graph, Weighting]:
 
 
 def _read_edge_list(text: str) -> tuple[Graph, Weighting]:
-    """The vectorised reader: the header read by `_header`, then every edge line by one `np.loadtxt`.
+    """The vectorised reader: the header `n m` on line 1, then every edge line by one `np.loadtxt`.
 
     It raises, for `parse_graph` to run the loop, on any text the loop might
-    read differently: a line break other than "\n" or "\r\n" before the
-    header, a byte outside `_EDGE_BYTES` after it (a comment line there
-    too), a token loadtxt will not read as int() or float() would, a row
-    count other than m, or a fault that `_header`, `Graph` or `Weighting` finds.
+    read differently: a first line that is not the header, a line break
+    other than "\n", a byte outside `_EDGE_BYTES` after the header (so a
+    comment line or "\r"), a token loadtxt will not read as int() or float()
+    would, a row count other than m, or a fault `_header`, `Graph` or `Weighting` finds.
     """
-    if "\r" in text:
-        text = text.replace("\r\n", "\n")
-    body_at = 0
-
-    def lines():  # the lines up to the header, each ended by "\n"; body_at moves past each
-        nonlocal body_at
-        while (end := text.find("\n", body_at)) >= 0:
-            line = text[body_at:end]
-            if len(line.splitlines()) > 1:
-                raise ValueError("a line break other than \\n")
-            body_at = end + 1
-            yield line
-
-    n, m, _ = _header(lines())
-    body = text[body_at:]
+    head, _, body = text.partition("\n")
+    if len(head.splitlines()) > 1:
+        raise ValueError("a line break other than \\n")
+    n, m, _ = _header([head])
     if body.encode().translate(None, _EDGE_BYTES):
         raise ValueError("a byte the reader does not read")
     # an edge line takes 6 bytes or more, "u v w" and its line break (none on the last line);

@@ -115,9 +115,9 @@ def maggs_plotkin_mst(g: Graph, x: Weighting) -> float:
 def hu_minmax_via_mst(g: Graph, x: Weighting) -> DistanceMatrix:
     """Bottleneck distances read off a minimum spanning tree, by single linkage (Gower & Ross 1969).
 
-    Each edge of Kruskal's tree, in ascending order, joins two components and
-    gives every pair across them its weight, the largest on their tree path;
-    this matrix equals the all-pairs min-max distances of g itself.  Its
+    Each edge of Kruskal's tree, in ascending order, joins two components, found
+    by their labels in one array, and gives every pair across them its weight,
+    the largest on their tree path: g's own all-pairs min-max distances.  Its
     float64 table is checked against `_TABLE_BYTES`, and its n(n-1) path
     maxima against `_WORK_OPS`, before anything is built; `kruskal_tree` checks the weighting.
     """
@@ -125,11 +125,9 @@ def hu_minmax_via_mst(g: Graph, x: Weighting) -> DistanceMatrix:
     _check_work(g.n, g.n * (g.n - 1))
     tree = list(kruskal_tree(g, x))
     out = np.zeros((g.n, g.n))
-    members = [[v] for v in range(g.n)]  # members[v]: the 0-based vertices of v's component, one list per component
+    comp = np.arange(g.n)  # comp[v]: the label of the 0-based vertex v's component
     for (u, v), w in zip(g._ends[:, tree].T.tolist(), x.array[tree].tolist()):
-        small, large = sorted((members[u], members[v]), key=len)
-        out[np.ix_(small, large)] = out[np.ix_(large, small)] = w + 0.0  # a -0.0 weight reads +0.0
-        large.extend(small)
-        for m in small:
-            members[m] = large
+        a, b = comp == comp[u], comp == comp[v]
+        out[np.ix_(a, b)] = out[np.ix_(b, a)] = w + 0.0  # a -0.0 weight reads +0.0
+        comp[b] = comp[u]
     return DistanceMatrix._built(out)

@@ -265,6 +265,40 @@ class TestSlots:
         with pytest.raises(ValueError, match="^a block reads node 6, which no earlier block computes$"):
             evaluate(replace(c, blocks=blocks), x)
 
+    @pytest.mark.parametrize("case", ["triangle without its add chain", "K_48 without block 166"])
+    def test_node_that_no_block_computes_raises(self, case):
+        """Node order refuses an id that no block holds; on K_48 the ring of `_chunks` has wrapped
+        by then, and the gap once printed a node of an earlier round, not the constant."""
+        if case == "K_48 without block 166":
+            c = compile_mst_circuit(complete_graph(48))
+            blk = c.blocks[166]
+            assert (blk.kind, len(blk.ids), blk.ids.min(), blk.ids.max()) == (MIN, 47, 94833, 96977)
+            c, missing = replace(c, blocks=c.blocks[:166] + c.blocks[167:]), 94833
+            evaluated = "^a block reads node 94833, which no earlier block computes$"
+        else:
+            c = compile_mst_circuit(parse_graph("3 3\n1 2 5\n2 3 7\n1 3 9\n")[0])
+            c, missing = replace(c, blocks=c.blocks[:-1]), 24
+            evaluated = f"^output {c.output} is computed by no block of this {c.size}-node circuit$"
+        for reader in (format_circuit, lambda c: list(c.nodes)):
+            with pytest.raises(ValueError, match=f"^node {missing} is computed by no block of this {c.size}-node circuit$"):
+                reader(c)
+        with pytest.raises(ValueError, match=f"^the blocks of this {c.size}-node circuit compute "):
+            count_ops(c)
+        with pytest.raises(ValueError, match=evaluated):
+            evaluate(c, [1.0] * c.m)
+
+    @pytest.mark.parametrize("node", [-37, 41])
+    def test_operand_outside_the_nodes_raises(self, node):
+        """The triangle's node 6, `max 3 0`, reading a node outside 0..37: numpy read -37 as node 1."""
+        g, x = parse_graph("3 3\n1 2 5\n2 3 7\n1 3 9\n")
+        c = compile_mst_circuit(g)
+        blk = c.blocks[1]
+        assert (blk.ids[0], blk.a[0], blk.b[0], c.size) == (6, 3, 0, 38)
+        c = replace(c, blocks=(c.blocks[0], blk._replace(a=np.array([node, 3], np.int32)), *c.blocks[2:]))
+        for reader in (lambda c: evaluate(c, x), format_circuit):
+            with pytest.raises(ValueError, match=f"^a block reads node {node}, which no earlier block computes$"):
+                reader(c)
+
 
 class TestEvaluate:
     def test_matches_solver(self):

@@ -176,8 +176,7 @@ class TestReader:
 
     @pytest.mark.parametrize("text", [
         TRIANGLE,
-        "# made by gen\n\n3 3\n1\t2 1\n  1 3 3  \n\n2 3 2",
-        TRIANGLE.replace("\n", "\r\n"),
+        "3 3\n1\t2 1\n  1 3 3  \n\n2 3 2",
         "2 1\n1 2 -0\n",
         "3 2\n+1 002 1e3\n2 3 .5e-1\n",
     ])
@@ -185,6 +184,30 @@ class TestReader:
         expected = graphs._parse_lines(text)
         monkeypatch.setattr(graphs, "_parse_lines", lambda text: pytest.fail("ran the line loop"))
         assert parse_graph(text) == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(weighted_graphs(min_n=1, max_n=9, max_weight=10**6), st.booleans())
+    def test_written_texts_read_without_the_loop(self, gx, tenths):
+        """Every text `format_edge_list` writes, of integer or one-decimal weights, takes the vectorised pass."""
+        g, x = gx
+        if tenths:
+            x = Weighting([w / 10 for w in x.values])
+        text = format_edge_list(g, x)
+        read = graphs._read_edge_list(text)  # raises on a text it leaves to the loop
+        assert read == graphs._parse_lines(text) == (g, x)
+
+    @pytest.mark.parametrize("text,copy", [
+        ("# made by gen\n\n3 3\n1\t2 1\n  1 3 3  \n\n2 3 2", "3 3\n1\t2 1\n  1 3 3  \n\n2 3 2"),
+        (TRIANGLE.replace("\n", "\r\n"), TRIANGLE),
+    ], ids=["gen-style", "crlf-triangle"])
+    def test_loop_texts_read_as_their_header_first_copy(self, text, copy):
+        """A header after comment or blank lines, or "\\r\\n" breaks, take the loop, which reads what the
+        vectorised pass reads from the same text with its header on line 1 and "\\n" breaks."""
+        with pytest.raises(ValueError):
+            graphs._read_edge_list(text)
+        read, want = parse_graph(text), graphs._read_edge_list(copy)
+        assert read == want
+        assert [hash(a) for a in read] == [hash(b) for b in want]
 
     def test_k256_read_without_the_loop(self, monkeypatch):
         g = complete_graph(256)
