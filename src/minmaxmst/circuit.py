@@ -144,7 +144,8 @@ def _live_plan(c: Circuit) -> Circuit:
     so merging changes no slot count: K_64 keeps 426,784 slots in 315
     blocks, against 443 unmerged.  Both passes read a block's int32
     arrays as intp copies, one block at a time (`_intp`).  An `output`
-    that is no node id or that no block computes, an add block anywhere
+    that is no node id or that no block computes, a block id outside
+    0..size-1 (checked before it marks anything), an add block anywhere
     but last (live or dead), or a live node that reads a node no earlier
     block computes raises ValueError.
     """
@@ -159,7 +160,7 @@ def _numbered(c: Circuit) -> tuple[Circuit, np.ndarray]:
     mark = np.zeros(c.size, np.intp)
     mark[c.output] = -1
     for blk in reversed(c.blocks):
-        ids = _intp(_ids(blk.ids))
+        ids = _computes(_intp(_ids(blk.ids)), c.size)
         if blk.kind == ADD:
             mark[ids] = -1
         hit = mark[ids].nonzero()[0]
@@ -294,11 +295,26 @@ def _renumber(mark: np.ndarray, v: np.ndarray | slice, first: int) -> np.ndarray
 
 def _reads(v: np.ndarray | slice, bound: int, values: np.ndarray | None = None) -> np.ndarray | slice:
     """Operand v, if its values, one per id (by default its ids), lie in 0..bound-1; else ValueError naming an id."""
-    values = _ids(v) if values is None else values
-    unsigned = values.view(f"u{values.itemsize}")  # a negative value passes every bound
-    if unsigned.max() >= bound:
-        raise ValueError(f"a block reads node {_ids(v)[(unsigned >= bound).argmax()]}, which no earlier block computes")
+    at = _outside(_ids(v) if values is None else values, bound)
+    if at is not None:
+        raise ValueError(f"a block reads node {_ids(v)[at]}, which no earlier block computes")
     return v
+
+
+def _computes(ids: np.ndarray, size: int) -> np.ndarray:
+    """A block's ids, if they are node ids of a size-node circuit; else ValueError naming one."""
+    at = _outside(ids, size)
+    if at is not None:
+        raise ValueError(f"a block computes node {ids[at]}, which is not a node id of this {size}-node circuit")
+    return ids
+
+
+def _outside(values: np.ndarray, bound: int) -> int | None:
+    """The position of the first of the integers values outside 0..bound-1, None if there is none; one unsigned max."""
+    unsigned = values.view(f"u{values.itemsize}")  # a negative value passes every bound
+    if unsigned.max(initial=0) < bound:
+        return None
+    return int((unsigned >= bound).argmax())
 
 
 def _ids(v: np.ndarray | slice) -> np.ndarray:
@@ -312,13 +328,13 @@ def _chunks(c: Circuit) -> Iterator[tuple[int, list[int], list[int], list[int]]]
     The blocks are cut into pieces, a plain block whole and a fold at each gap in its ids, and
     scattered in order of first id into a ring of node-order buffers; a chunk is yielded once the
     next piece starts past its end, and its kinds are then reset to -1.  A -1 left in a chunk, an
-    id no block holds, raises ValueError, as does an operand outside 0..size-1.  A compiled piece
+    id no block holds, raises ValueError, as do a block id and an operand outside 0..size-1.  A compiled piece
     lies within one round, so the ring holds about a round and a chunk.  An input keeps its edge
     index in `a`; a fold's `a` is its start, then its ids but the last.
     """
     pieces = []  # (first id, last id, block, positions s..e-1)
     for blk in c.blocks:
-        ids = _ids(blk.ids)
+        ids = _computes(_ids(blk.ids), c.size)
         cut = [0, *((np.diff(ids) != 1).nonzero()[0] + 1 if blk.fold else ()), len(ids)]
         if blk.fold:
             blk = blk._replace(a=np.concatenate((_ids(blk.a), ids[:-1])), b=_ids(blk.b))
@@ -493,8 +509,9 @@ def evaluate(c: Circuit, x: Weighting | Sequence[float]) -> float:
     evaluates to its value on the weights themselves, a -0.0 weight as
     +0.0, as in the solvers.  Like them, it raises GraphError past the
     float range.  An `output` that is no node id of the circuit or that no
-    block computes, an add block anywhere but last, or a live node that
-    reads a node no earlier block computes raises ValueError.
+    block computes, a block id that is no node id, an add block anywhere
+    but last, or a live node that reads a node no earlier block computes
+    raises ValueError.
     """
     values = (x if isinstance(x, Weighting) else Weighting(x)).array
     if len(values) != c.m:

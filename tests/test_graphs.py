@@ -1030,8 +1030,21 @@ class TestSetUpPaths:
         cases = [Graph(1, []), Graph(2, [(2, 1)])] + [complete_graph(n) for n in range(1, 41)]
         cases += [random_connected_graph(rng.randint(2, 60), rng.random(), rng)[0] for _ in range(30)]
         cases.append(random_connected_graph(3000, 0.0, rng)[0])  # a tree: deep stacks, one key per edge end
+        cases.append(random_connected_graph(300, 0.3, rng)[0])  # uint16 ends
+        cases.append(complete_graph(256))  # the benchmark's K_256
+        cases.append(Graph(300, [(1, v) for v in range(2, 301)]))  # a star: one row holds every edge
+        assert cases[-3]._ends.dtype == np.uint16
         for g in cases:
             assert fix_spanning_tree(g) == _tuple_dfs_tree(g)
+
+    @pytest.mark.parametrize("n", [64, 256])
+    def test_tree_takes_few_bytes_an_edge(self, n):
+        """One sorted neighbour array and cursors, no Python int per edge end: 34-35 bytes an edge
+        on K_64 and K_256 (159-161 while each end was keyed as a Python int)."""
+        g = complete_graph(n)
+        tree, peak = _peak_bytes(lambda: g._tree)
+        assert len(tree) == n - 1
+        assert peak <= 48 * g.m
 
     @settings(max_examples=300, deadline=None)
     @given(st.integers(1, 9), st.lists(st.tuples(st.integers(0, 9), st.integers(0, 9)), max_size=30),
