@@ -539,10 +539,13 @@ def evaluate(c: Circuit, x: Weighting | Sequence[float]) -> float:
 
 
 def count_ops(c: Circuit) -> OpCounts:
-    """Tally of min/max/add nodes, read off block lengths that must add up to `size - m - 1`: the schedule, or a plan's live count."""
+    """Tally of min/max/add nodes, read off block lengths that must add up to `size - m - 1`: the schedule, or a plan's live count.
+
+    A block id outside 0..size-1 raises ValueError, as in `evaluate`.
+    """
     counts = [0] * len(KIND_NAMES)
     for blk in c.blocks:
-        counts[blk.kind] += len(_ids(blk.ids))
+        counts[blk.kind] += len(_computes(_ids(blk.ids), c.size))
     if sum(counts) != c.size - c.m - 1:
         raise ValueError(f"the blocks of this {c.size}-node circuit compute {sum(counts)} nodes, not {c.size - c.m - 1}")
     return OpCounts(counts[MIN], counts[MAX], counts[ADD])

@@ -13,7 +13,7 @@ import operator
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
+from itertools import chain, count
 from typing import Iterable, NoReturn, Sequence
 
 import numpy as np
@@ -75,17 +75,21 @@ class Graph:
             _first_edge_fault(n, edges)
         pairs = pairs.astype(np.int64, copy=False).reshape(len(edges), 2)
         lo, hi = np.minimum(pairs[:, 0], pairs[:, 1]), np.maximum(pairs[:, 0], pairs[:, 1])
-        # every edge a pair in 1..n < 2**31, so each pair code (n+1)lo+hi fits int64; distinct codes are distinct edges
+        # every edge a pair in 1..n < 2**31, so each pair code u·n+v of its 0-based ends u < v fits uint64
         if not (n < 2**31 and lo.min(initial=1) >= 1 and hi.max(initial=n) <= n and (lo != hi).all()):
             _first_edge_fault(n, edges)
-        code = np.sort(lo * (n + 1) + hi)
-        if (code[1:] == code[:-1]).any():
+        ends = np.array((lo, hi), np.min_scalar_type(n - 1))
+        del lo, hi
+        ends -= 1
+        code = ends[0].astype(np.min_scalar_type(n * n - 1))  # the narrow dtype sorts faster than int64
+        code *= n
+        code += ends[1]
+        code.sort()
+        if (code[1:] == code[:-1]).any():  # distinct codes are distinct edges
             _first_edge_fault(n, edges)
         # fewer edges cannot connect n vertices: build nothing of size n for them
-        if len(pairs) < n - 1 or len(_forest(n, zip(lo.tolist(), hi.tolist()))) < n - 1:
+        if len(pairs) < n - 1 or len(_forest(n, *ends)) < n - 1:
             raise GraphError("disconnected graph")
-        ends = np.array((lo, hi), np.min_scalar_type(n - 1))
-        ends -= 1
         ends.setflags(write=False)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "_ends", ends)
@@ -329,25 +333,28 @@ def _first_edge_fault(n: int, edges: Sequence[tuple[int, int]] | np.ndarray) -> 
     raise GraphError("disconnected graph")
 
 
-def _forest(n: int, pairs: Iterable[tuple[int, int]]) -> list[int]:
-    """Positions of the pairs that join two components, in order, stopping at n-1 joins.
+def _forest(n: int, u: np.ndarray, v: np.ndarray) -> list[int]:
+    """Positions i of the pairs (u[i], v[i]) that join two components, in order, stopping at n-1 joins.
 
-    A union-find over vertex ids 0..n, so pairs may be 0- or 1-based;
-    n-1 joins connect n vertices, so later pairs are not read.
+    A union-find over vertex ids 0..n, so the ends may be 0- or 1-based;
+    n-1 joins connect n vertices, so later pairs are not read.  The ends are
+    listed as Python ints max(n+1, 256) pairs at a time, never all at once.
     """
     parent = list(range(n + 1))
     joins: list[int] = []
-    for i, (u, v) in enumerate(pairs):
-        # find, inlined, with path halving: each step points a vertex at its grandparent and moves there
-        while (p := parent[u]) != u:
-            parent[u] = u = parent[p]
-        while (p := parent[v]) != v:
-            parent[v] = v = parent[p]
-        if u != v:
-            parent[u] = v
-            joins.append(i)
-            if len(joins) == n - 1:
-                break
+    step = max(n + 1, 256)  # small graphs with shuffled edges read nearly every pair: fewer, longer lists cost less there
+    for start in range(0, len(u), step):
+        for i, a, b in zip(count(start), u[start : start + step].tolist(), v[start : start + step].tolist()):
+            # find, inlined, with path halving: each step points a vertex at its grandparent and moves there
+            while (p := parent[a]) != a:
+                parent[a] = a = parent[p]
+            while (p := parent[b]) != b:
+                parent[b] = b = parent[p]
+            if a != b:
+                parent[a] = b
+                joins.append(i)
+                if len(joins) == n - 1:
+                    return joins
     return joins
 
 
@@ -360,7 +367,7 @@ def validate_spanning_tree(g: Graph, t: SpanningTree) -> None:
     for idx in t.edges:
         if not 0 <= idx < g.m:
             raise GraphError(f"edge index {idx} out of range")
-    if len(_forest(g.n, g._ends[:, t.edges].T.tolist())) < g.n - 1:  # n-1 acyclic edges on n vertices span
+    if len(_forest(g.n, *g._ends[:, t.edges])) < g.n - 1:  # n-1 acyclic edges on n vertices span
         raise GraphError("spanning tree contains a cycle")
 
 

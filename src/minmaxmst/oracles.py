@@ -27,7 +27,7 @@ def kruskal_tree(g: Graph, x: Weighting) -> tuple[int, ...]:
     """Edge indices of a minimum spanning tree (ties broken by edge index)."""
     _check_weighting(g, x)
     order = np.argsort(x.array, kind="stable")  # stable: equal weights keep edge-index order
-    return tuple(order[_forest(g.n, g._ends[:, order].T.tolist())].tolist())
+    return tuple(order[_forest(g.n, *g._ends[:, order])].tolist())
 
 
 def kruskal_mst(g: Graph, x: Weighting) -> float:

@@ -302,13 +302,13 @@ class TestSlots:
     @pytest.mark.parametrize("ids, node", [([6, -30], -30), ([45, 8], 45)])
     def test_block_id_outside_the_nodes_raises(self, ids, node):
         """The triangle's block 1 computing a node outside 0..37: numpy wrapped -30 to node 8, so
-        `evaluate` returned 12.0, and raised a bare IndexError on 45."""
+        `evaluate` returned 12.0, and raised a bare IndexError on 45; `count_ops` tallied both as sound."""
         g, x = parse_graph("3 3\n1 2 5\n2 3 7\n1 3 9\n")
         c = compile_mst_circuit(g)
         blk = c.blocks[1]
         assert (blk.ids.tolist(), c.size) == ([6, 8], 38)
         c = replace(c, blocks=(c.blocks[0], blk._replace(ids=np.array(ids, np.int32)), *c.blocks[2:]))
-        for reader in (lambda c: evaluate(c, x), format_circuit, lambda c: list(c.nodes)):
+        for reader in (lambda c: evaluate(c, x), format_circuit, lambda c: list(c.nodes), count_ops):
             with pytest.raises(ValueError, match=f"^a block computes node {node}, which is not a node id of this 38-node circuit$"):
                 reader(c)
 

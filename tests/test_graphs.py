@@ -289,7 +289,7 @@ class TestGraphOnArrays:
     @given(st.integers(1, 6), st.lists(st.tuples(VERTEX_IDS, VERTEX_IDS), max_size=12))
     def test_first_fault_as_the_loop_names_it(self, n, edges):
         fault = _loop_fault(n, edges)
-        if fault is None and len(graphs._forest(n, edges)) < n - 1:
+        if fault is None and len(graphs._forest(n, *np.array(edges, np.int64).reshape(-1, 2).T)) < n - 1:
             fault = ("disconnected graph", None)
         if fault is None:
             g = Graph(n, edges)
@@ -1052,7 +1052,33 @@ class TestSetUpPaths:
     def test_forest_equals_the_nested_find(self, n, pairs, one_based):
         # ids 0..n, as _forest reads them: 0-based pairs of n+1 vertices, or 1-based pairs of n
         pairs = [(u % (n + 1), v % (n + 1)) if not one_based else (u % n + 1, v % n + 1) for u, v in pairs]
-        assert graphs._forest(n, pairs) == _nested_find_forest(n, pairs)
+        joins = _nested_find_forest(n, pairs)
+        for dtype in (np.int64, np.uint8):
+            assert graphs._forest(n, *np.array(pairs, dtype).reshape(-1, 2).T) == joins
+
+    @pytest.mark.parametrize("n,m", [(2, 600), (9, 1000), (300, 3000), (600, 5000)])
+    def test_forest_reads_across_its_lists(self, n, m):
+        """Joins far past the first max(n+1, 256) pairs, in whichever list of pairs they fall."""
+        rng = random.Random(n)
+        pairs = [(rng.randrange(n - 1), rng.randrange(n - 1)) for _ in range(m)]  # vertices n-1 and n stay apart
+        for at in (255, 256, 257, m // 2, m - 1):  # vertex n joins the rest at position at
+            pairs[at] = (n, rng.randrange(n - 1))
+            joins = _nested_find_forest(n, pairs)
+            assert at in joins and len(joins) == n - 1
+            assert graphs._forest(n, *np.array(pairs, np.int64).T) == joins
+            pairs[at] = (0, 0)
+
+    def test_graph_and_kruskal_take_few_bytes_an_edge(self):
+        """No Python list of all m pairs: on K_600, `Graph()` traced 93 bytes an edge and
+        `kruskal_tree` 129 while the union-find read every edge's ends as a Python list."""
+        n = 600
+        edges = np.array([(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)], np.int64)
+        g, peak = _peak_bytes(lambda: Graph(n, edges))
+        assert peak <= 56 * g.m
+        x = Weighting(np.random.default_rng(6).integers(0, 2**20, g.m))
+        tree, peak = _peak_bytes(lambda: kruskal_tree(g, x))
+        assert len(tree) == n - 1
+        assert peak <= 24 * g.m
 
     def test_clean_graphs_skip_the_fault_search(self, monkeypatch):
         rng = random.Random(3)

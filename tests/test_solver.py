@@ -412,6 +412,32 @@ class TestWalkPlan:
         assert len(walked) == 3 and all(ends is g._walk for ends in walked)
 
 
+class TestWalkReadout:
+    """The identity a readout of the walk's cells rests on: the walk reaches one new vertex π[i] per
+    tree edge, and cell i, read after edges 1..i-1 are zeroed, is the least swept distance from π[i]
+    to the vertices π[0..i-1] reached before it."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(weighted_graphs(min_n=1, max_n=9), float_weighted_graphs(min_n=1, max_n=9)))
+    @example((Graph(1, []), Weighting([])))
+    @example((Graph(2, [(1, 2)]), Weighting([4])))
+    @example((complete_graph(5), Weighting([7] * 10)))
+    @example((Graph(3, [(1, 2), (2, 3), (1, 3)]), Weighting([-0.0, 2.0, 0.0])))
+    def test_cells_are_prefix_minima_of_the_swept_table(self, gx):
+        g, x = gx
+        levels, cells = solver._ranked_walk(g, x, g._walk)
+        pi, reached = [0], {0}
+        for u, v in g._walk.T.tolist():
+            assert (u in reached) != (v in reached)
+            pi.append(v if u in reached else u)
+            reached.add(pi[-1])
+        swept_levels, d = solver._rank_table(g, x)
+        distances._sweep(d)
+        prefix = np.minimum.accumulate(d[pi], axis=0)
+        readout = [prefix[i - 1, pi[i]] for i in range(1, g.n)]
+        assert levels[cells].tolist() == swept_levels[readout].tolist()
+
+
 class TestOpCounts:
     def test_matches_closed_form(self):
         for g, x in random_instances(15, seed=36, max_n=14):
