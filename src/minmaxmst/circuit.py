@@ -112,7 +112,7 @@ class Circuit:
     @cached_property
     def _plan(self) -> Circuit:
         """The live plan that `evaluate` runs, built on its first call (`_live_plan`)."""
-        return _live_plan(self)
+        return _live_plan(self)[0]
 
 
 def _check_output(c: Circuit) -> None:
@@ -124,8 +124,9 @@ def _check_output(c: Circuit) -> None:
         raise ValueError(f"output {c.output} is not a node id of this {c.size}-node circuit") from None
 
 
-def _live_plan(c: Circuit) -> Circuit:
-    """The live sub-circuit: the nodes that `c.output` and the whole add chain read, numbered densely.
+def _live_plan(c: Circuit) -> tuple[Circuit, np.ndarray]:
+    """The live sub-circuit, the nodes that `c.output` and the whole add chain read, numbered densely,
+    and the array that numbers it: node i's plan slot + 1, 0 for a dead node.
 
     The add chain stays whole, so its overflow check sees every term.  One
     backward pass over the blocks marks live nodes by id in one intp
@@ -135,11 +136,12 @@ def _live_plan(c: Circuit) -> Circuit:
     numbers the live nodes in that same array, the inputs and the constant
     first as slots 0..m, then each block's live nodes in block order: a
     numbered node holds its slot + 1, which no mark of -1 or 0 can pass
-    for.  Each block keeps its live positions in order as one block whose
-    ids are its slot range, and a block with none is dropped.  The forward pass also merges plain blocks (`_merged`), so a
-    sweep round runs as two blocks, not four: a block joins the one just
-    before it, or is hoisted over it into the one before that by the
-    absorption law.  It holds at most three blocks at a time and numbers
+    for.  Each block, live in full or in part, keeps its live positions,
+    gathered in order, as one block whose ids are its slot range, and a
+    block with none is dropped.  The forward pass also merges plain
+    blocks (`_merged`), so a sweep round runs as two blocks, not four: a
+    block joins the one just before it, or is hoisted over it into the
+    one before that by the absorption law.  It holds at most three blocks at a time and numbers
     a merged block anew.  The live set is marked on the compiled blocks,
     so merging changes no slot count: K_64 keeps 426,784 slots in 315
     blocks, against 443 unmerged.  Both passes read a block's int32
@@ -149,11 +151,6 @@ def _live_plan(c: Circuit) -> Circuit:
     but last (live or dead), or a live node that reads a node no earlier
     block computes raises ValueError.
     """
-    return _numbered(c)[0]
-
-
-def _numbered(c: Circuit) -> tuple[Circuit, np.ndarray]:
-    """`_live_plan(c)` and the array that numbers it: node i's plan slot + 1, 0 for a dead node."""
     _check_output(c)
     if any(blk.kind == ADD and (blk is not c.blocks[-1] or not blk.fold) for blk in c.blocks):
         raise ValueError("an add block must be the circuit's last block, the add chain")
@@ -171,7 +168,6 @@ def _numbered(c: Circuit) -> tuple[Circuit, np.ndarray]:
             hit = np.arange(hit[-1] + 1)
             mark[ids[hit]] = mark[_reads(a, c.size)] = -1
         else:
-            hit = None if len(hit) == len(ids) else hit
             mark[_reads(_at(a, hit), c.size)] = -1
         mark[_reads(_at(b, hit), c.size)] = -1
     mark[: c.m + 1] = np.arange(1, c.m + 2)  # the inputs and the constant are ranked whatever the plan reads
@@ -183,10 +179,8 @@ def _numbered(c: Circuit) -> tuple[Circuit, np.ndarray]:
             hit = mark[ids].nonzero()[0]
             if not len(hit):
                 continue
-            a, b = _intp(blk.a), _intp(blk.b)
-            if len(hit) < len(ids):  # a fold's live nodes are a prefix, and its a is its start
-                ids, a, b = ids[hit], a if blk.fold else _at(a, hit), _at(b, hit)
-            blk = Block(blk.kind, ids, a, b, blk.fold)
+            a, b = _intp(blk.a), _intp(blk.b)  # a fold's live nodes are a prefix, and its a is its start
+            blk = Block(blk.kind, ids[hit], a if blk.fold else _at(a, hit), _at(b, hit), blk.fold)
             if not _merged(mark, held, end, blk):
                 mark[blk.ids] = np.arange(end + 1, end + len(blk.ids) + 1)
                 held.append(blk)
@@ -243,8 +237,6 @@ def _absorbed(mark: np.ndarray, p: Block, m: Block, first: int, v: np.ndarray) -
     if np.count_nonzero(s.view(np.uintp) < len(p.ids)):  # a node of p
         return None
     at = (s >= 0).nonzero()[0]
-    if not len(at):
-        return v
     q = s[at] - len(p.ids)  # positions in m
     y, t = _at(m.a, q), mark[_at(m.b, q)] - (first + 1)  # m's node is kind(y, w), w at position t of p if there
     ok = t.view(np.uintp) < len(p.ids)
@@ -271,10 +263,8 @@ def _intp(v: np.ndarray | slice) -> np.ndarray | slice:
     return v if isinstance(v, slice) else v.astype(np.intp)
 
 
-def _at(v: np.ndarray | slice, hit: np.ndarray | None) -> np.ndarray | slice:
-    """The ids that operand v reads at a block's positions hit; all of them when hit is None."""
-    if hit is None:
-        return v
+def _at(v: np.ndarray | slice, hit: np.ndarray) -> np.ndarray:
+    """The ids that operand v reads at a block's positions hit, as an index array."""
     return hit * (v.step or 1) + v.start if isinstance(v, slice) else v[hit]
 
 
@@ -285,10 +275,8 @@ def _renumber(mark: np.ndarray, v: np.ndarray | slice, first: int) -> np.ndarray
     is not numbered, or not below first, raises ValueError.
     """
     slots = mark[v] - 1
-    run = slots[-1] - slots[0] == len(slots) - 1 and (slots[1:] > slots[:-1]).all()  # ascending, no gap
-    if not (run and 0 <= slots[0] and slots[-1] < first):  # else a run's ends bound it
-        _reads(v, first, slots)  # an unnumbered node's slot is negative
-    if run:
+    _reads(v, first, slots)  # an unnumbered node's slot is negative
+    if slots[-1] - slots[0] == len(slots) - 1 and (slots[1:] > slots[:-1]).all():  # ascending, no gap
         return slice(int(slots[0]), int(slots[-1]) + 1)
     return slots
 
@@ -541,11 +529,12 @@ def evaluate(c: Circuit, x: Weighting | Sequence[float]) -> float:
 def count_ops(c: Circuit) -> OpCounts:
     """Tally of min/max/add nodes, read off block lengths that must add up to `size - m - 1`: the schedule, or a plan's live count.
 
-    A block id outside 0..size-1 raises ValueError, as in `evaluate`.
+    A block id or an operand outside 0..size-1 raises ValueError, as in `evaluate`.
     """
     counts = [0] * len(KIND_NAMES)
     for blk in c.blocks:
         counts[blk.kind] += len(_computes(_ids(blk.ids), c.size))
+        _reads(blk.a, c.size), _reads(blk.b, c.size)
     if sum(counts) != c.size - c.m - 1:
         raise ValueError(f"the blocks of this {c.size}-node circuit compute {sum(counts)} nodes, not {c.size - c.m - 1}")
     return OpCounts(counts[MIN], counts[MAX], counts[ADD])

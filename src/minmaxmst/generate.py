@@ -57,13 +57,12 @@ def random_connected_graph(
     ranks.sort()
     pool = k * (k - 1) // 2 - len(ranks)
     extra = round(density * pool)
-    if extra > 0:  # sample(range(pool), 0) draws nothing, so a tree skips the pool
-        # gaps[i] = ranks[i] - i counts the non-tree ranks below tree rank i, so
-        # non-tree rank j is j plus the count of gaps at most j
-        picks = np.array(rng.sample(range(pool), extra), np.int64)
-        picks += (ranks - below[: len(ranks)]).searchsorted(picks, "right")
-        ranks = np.concatenate((ranks, picks))
-        ranks.sort()
+    # gaps[i] = ranks[i] - i counts the non-tree ranks below tree rank i, so
+    # non-tree rank j is j plus the count of gaps at most j; sample(range(pool), 0) draws nothing
+    picks = np.array(rng.sample(range(pool), extra), np.int64)
+    picks += (ranks - below[: len(ranks)]).searchsorted(picks, "right")
+    ranks = np.concatenate((ranks, picks))
+    ranks.sort()
     u = starts.searchsorted(ranks, "right")  # the smaller end, 1-based
     g = Graph(n, np.array((u, ranks - offsets[u - 1] + 1)).T)
     return g, random_weighting(g.m, rng, max_weight)

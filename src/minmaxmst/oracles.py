@@ -79,8 +79,6 @@ def bruteforce_mst(g: Graph, x: Weighting) -> float:
         raise PreconditionError(
             f"bruteforce_mst is limited to n <= {BRUTEFORCE_MAX_N}, got n={g.n}"
         )
-    if g.n == 1:
-        return 0.0
     trees = _spanning_tree_array(g)
     weights = x.array[trees]
     with np.errstate(over="ignore"):  # a sum past the float range is inf; _weight_sum then raises

@@ -289,13 +289,14 @@ class TestSlots:
 
     @pytest.mark.parametrize("node", [-37, 41])
     def test_operand_outside_the_nodes_raises(self, node):
-        """The triangle's node 6, `max 3 0`, reading a node outside 0..37: numpy read -37 as node 1."""
+        """The triangle's node 6, `max 3 0`, reading a node outside 0..37: numpy read -37 as node 1,
+        and `count_ops` tallied the circuit as sound."""
         g, x = parse_graph("3 3\n1 2 5\n2 3 7\n1 3 9\n")
         c = compile_mst_circuit(g)
         blk = c.blocks[1]
         assert (blk.ids[0], blk.a[0], blk.b[0], c.size) == (6, 3, 0, 38)
         c = replace(c, blocks=(c.blocks[0], blk._replace(a=np.array([node, 3], np.int32)), *c.blocks[2:]))
-        for reader in (lambda c: evaluate(c, x), format_circuit):
+        for reader in (lambda c: evaluate(c, x), format_circuit, lambda c: list(c.nodes), count_ops):
             with pytest.raises(ValueError, match=f"^a block reads node {node}, which no earlier block computes$"):
                 reader(c)
 
@@ -542,7 +543,7 @@ class TestLivePlan:
         for g in small_graphs_of_every_shape(80):
             for c in sampled_outputs(compile_mst_circuit(g), rng):
                 live, nodes = reference_live(c), list(c.nodes)
-                plan, mark = circuit._numbered(c)
+                plan, mark = circuit._live_plan(c)
                 assert set(mark.nonzero()[0].tolist()) == live
                 node_at = np.zeros(plan.size, np.intp)
                 node_at[mark[mark > 0] - 1] = mark.nonzero()[0]  # plan slot -> node id
@@ -668,7 +669,7 @@ class TestLivePlan:
         widest = max(len(blk.ids) for blk in c.blocks)
         tracemalloc.start()
         try:
-            plan = _live_plan(c)
+            plan = _live_plan(c)[0]
             kept, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
